@@ -14,7 +14,6 @@ import scipy.sparse.linalg as spla
 
 from . import mesh as meshmod
 from .assembly import CellTables
-from .elements import QuadratureRule
 from .saddle import DENSE_LIMIT, NotDenseFeasible
 
 __all__ = [
@@ -102,26 +101,20 @@ def r_energy(R, e):
     return float(e @ (R @ e))
 
 
-def _eval_primal(space, tab, full):
-    """Field values (nc, nq, 2|1) and derivative data at quadrature points."""
-    c = full[tab.dofs]
-    if space.kind == "mini":
-        c4 = c.reshape(len(tab.cells), 4, 2)
-        vals = np.einsum("qs,csd->cqd", tab.vals, c4)
-        jac = np.einsum("cqsg,csd->cqdg", tab.grads, c4)
-        return vals, jac
-    if space.kind == "edge":
-        vals = np.einsum("cqed,ce->cqd", tab.wvals, c)
-        rot = np.einsum("ce,ce->c", tab.wrot, c)
-        return vals, rot
-    raise ValueError(f"unsupported primal kind {space.kind!r}")
+def _sq(a):
+    """Squared Euclidean norm per point of (m,), (m, 2) or (m, 2, 2) data."""
+    return (a.reshape(len(a), -1) ** 2).sum(axis=1)
 
 
-def _eval_multiplier(tab, full):
-    c = full[tab.dofs]
-    vals = np.einsum("qm,cm->cq", tab.vals, c)
-    grad = np.einsum("cmd,cm->cd", tab.grads, c)
-    return vals, grad
+def _x_norm_terms(case):
+    """Exact derivative entering the X norm, and whether X adds the L2 term.
+
+    X is the H1_0 seminorm (Stokes) or the H(curl) norm (eddy); for the
+    eddy case M likewise adds the H1 seminorm to the L2 norm.
+    """
+    if case.kind == "eddy2d":
+        return case.rot_u, True
+    return case.grad_u, False
 
 
 def compute_errors(solution, case, ops, quad_degree=4, steps=None):
@@ -131,97 +124,53 @@ def compute_errors(solution, case, ops, quad_degree=4, steps=None):
     time sums; the squared l2-type norms are additive over disjoint
     ranges by construction.
     """
-    primal, mult = ops.primal, ops.multiplier
-    rule = QuadratureRule.for_degree(quad_degree)
-    tu = CellTables(primal, rule)
-    tm = CellTables(mult, rule)
+    tu = CellTables.of(ops.primal, quad_degree)
+    tm = CellTables.of(ops.multiplier, quad_degree)
     grid = solution.grid
     dt = grid.dt
     n0, n1 = steps if steps is not None else (1, grid.N)
     if not (1 <= n0 <= n1 <= grid.N):
         raise ValueError("invalid step range")
 
-    mesh = primal.mesh
-    is_eddy = case.kind == "eddy2d"
-    pts_u = tu.qp.reshape(-1, 2)
-    pts_m = tm.qp.reshape(-1, 2)
-    nqu = rule.weights.size
-
-    if is_eddy:
-        cond = (mesh.cell_subdomain == meshmod.CONDUCTOR)[tu.cells]
-        w_cond = tu.wdet * cond[:, None]
+    exact_der, full_norms = _x_norm_terms(case)
+    if full_norms:
+        cells = tu.cells.repeat(tu.wdet.shape[1])
+        w_cond = tu.w * (ops.primal.mesh.cell_subdomain[cells]
+                         == meshmod.CONDUCTOR)
         wR = case.coeffs.sigma * w_cond
-        inv_mu = 1.0 / case.coeffs.mu_mag
+        grad_lam = case.grad_multiplier or (lambda p, t: np.zeros((len(p), 2)))
     else:
-        wR = tu.wdet
+        wR = tu.w
 
     norms = ErrorNorms()
     relE_num = relE_den = relH_num = relH_den = 0.0
     l2X = l2M = dtR = 0.0
-
     for n in range(n0, n1 + 1):
         t = n * dt
-        full_u = primal.extend(solution.u[n])
-        full_lam = mult.extend(solution.lam[n])
-        dcoef = primal.extend((solution.u[n] - solution.u[n - 1]) / dt)
+        u = solution.u[n]
+        due = case.dudt(tu.qp, t)
+        e2 = _sq(case.u(tu.qp, t) - tu.values(u))
+        de2 = _sq(due - tu.values((u - solution.u[n - 1]) / dt))
+        der_e = exact_der(tu.qp, t)
+        der2 = float(tu.w @ _sq(der_e - tu.derivs(u)))
+        norms.max_R = max(norms.max_R, float(wR @ e2))
+        l2X += der2 + (float(tu.w @ e2) if full_norms else 0.0)
+        dtR += float(wR @ de2)
 
-        ue = case.u(pts_u, t).reshape(-1, nqu, 2)
-        due = case.dudt(pts_u, t).reshape(-1, nqu, 2)
-
-        if is_eddy:
-            uh, rot_h = _eval_primal(primal, tu, full_u)
-            duh, _ = _eval_primal(primal, tu, dcoef)
-            e = ue - uh
-            rote = case.rot_u(pts_u, t).reshape(-1, nqu) - rot_h[:, None]
-            e2 = np.einsum("cqd,cqd->cq", e, e)
-            r_en = float((wR * e2).sum())
-            l2X += float((tu.wdet * (e2 + rote ** 2)).sum())
-            de = due - duh
-            de2 = np.einsum("cqd,cqd->cq", de, de)
-            dtR += float((wR * de2).sum())
-            relE_num += float((w_cond * de2).sum())
-            relE_den += float(
-                (w_cond * np.einsum("cqd,cqd->cq", due, due)).sum()
-            )
-            Hh = inv_mu * rot_h
-            He = inv_mu * case.rot_u(pts_u, t).reshape(-1, nqu)
-            relH_num += float((tu.wdet * (He - Hh[:, None]) ** 2).sum())
-            relH_den += float((tu.wdet * He ** 2).sum())
-        else:
-            uh, jac_h = _eval_primal(primal, tu, full_u)
-            duh, _ = _eval_primal(primal, tu, dcoef)
-            e = ue - uh
-            e2 = np.einsum("cqd,cqd->cq", e, e)
-            r_en = float((wR * e2).sum())
-            je = case.grad_u(pts_u, t).reshape(-1, nqu, 2, 2) - jac_h
-            l2X += float(
-                (tu.wdet * np.einsum("cqde,cqde->cq", je, je)).sum()
-            )
-            de = due - duh
-            dtR += float((wR * np.einsum("cqd,cqd->cq", de, de)).sum())
-
-        norms.max_R = max(norms.max_R, r_en)
-
-        lam_e = case.multiplier(pts_m, t).reshape(-1, nqu)
-        lam_h, grad_lam_h = _eval_multiplier(tm, full_lam)
-        me = lam_e - lam_h
-        m_en = float((tm.wdet * me ** 2).sum())
-        if is_eddy:
-            # multiplier norm is H1 on the insulator
-            if case.grad_multiplier is not None:
-                gexact = case.grad_multiplier(pts_m, t).reshape(-1, nqu, 2)
-            else:
-                gexact = np.zeros((len(tm.cells), nqu, 2))
-            ge = gexact - grad_lam_h[:, None, :]
-            m_en += float(
-                (tm.wdet * np.einsum("cqd,cqd->cq", ge, ge)).sum()
-            )
-        l2M += m_en
+        lam = solution.lam[n]
+        l2M += float(tm.w @ _sq(case.multiplier(tm.qp, t) - tm.values(lam)))
+        if full_norms:
+            l2M += float(tm.w @ _sq(grad_lam(tm.qp, t) - tm.derivs(lam)))
+            relE_num += float(w_cond @ de2)
+            relE_den += float(w_cond @ _sq(due))
+            # H = rot(u) / mu_mag; the factor cancels in the ratio
+            relH_num += der2
+            relH_den += float(tu.w @ _sq(der_e))
 
     norms.l2_X = dt * l2X
     norms.l2_M = dt * l2M
     norms.dt_R = dt * dtR
-    if is_eddy:
+    if full_norms:
         norms.rel_E = 100.0 * float(np.sqrt(relE_num / relE_den)) \
             if relE_den > 0 else 0.0
         norms.rel_H = 100.0 * float(np.sqrt(relH_num / relH_den)) \
@@ -237,38 +186,18 @@ def best_approximation(space, ops, case, times, quad_degree=4):
     """
     if space.num_free > DENSE_LIMIT:
         raise NotDenseFeasible(f"{space.num_free} DOFs exceed {DENSE_LIMIT}")
-    rule = QuadratureRule.for_degree(quad_degree)
-    tab = CellTables(space, rule)
+    tab = CellTables.of(space, quad_degree)
     lu = spla.splu(ops.X.tocsc())
-    pts = tab.qp.reshape(-1, 2)
-    nq = rule.weights.size
+    exact_der, full_norms = _x_norm_terms(case)
     out = []
     for t in np.atleast_1d(times):
-        if space.kind == "mini":
-            je = case.grad_u(pts, t).reshape(-1, nq, 2, 2)
-            loc = np.einsum("cq,cqsg,cqdg->csd", tab.wdet, tab.grads, je)
-            loc = loc.reshape(len(tab.cells), 8)
-        else:
-            ue = case.u(pts, t).reshape(-1, nq, 2)
-            rote = case.rot_u(pts, t).reshape(-1, nq)
-            loc = np.einsum("cq,cqed,cqd->ce", tab.wdet, tab.wvals, ue)
-            loc += np.einsum("cq,ce->ce", tab.wdet * rote, tab.wrot)
-        rhs = np.zeros(space.ndof)
-        np.add.at(rhs, tab.dofs.ravel(), loc.ravel())
-        coef = space.extend(lu.solve(rhs[space.free]))
-
-        if space.kind == "mini":
-            _, jac_h = _eval_primal(space, tab, coef)
-            je = case.grad_u(pts, t).reshape(-1, nq, 2, 2) - jac_h
-            err2 = float((tab.wdet * np.einsum("cqde,cqde->cq", je, je)).sum())
-        else:
-            uh, rot_h = _eval_primal(space, tab, coef)
-            e = case.u(pts, t).reshape(-1, nq, 2) - uh
-            rote = case.rot_u(pts, t).reshape(-1, nq) - rot_h[:, None]
-            err2 = float(
-                (tab.wdet * (np.einsum("cqd,cqd->cq", e, e) + rote ** 2)).sum()
-            )
-        out.append(np.sqrt(err2))
+        ue = case.u(tab.qp, t) if full_norms else None
+        de = exact_der(tab.qp, t)
+        coef = lu.solve(tab.moments(ue, de))
+        err2 = _sq(de - tab.derivs(coef))
+        if full_norms:
+            err2 += _sq(ue - tab.values(coef))
+        out.append(np.sqrt(float(tab.w @ err2)))
     return np.asarray(out)
 
 

@@ -8,6 +8,7 @@ their spaces (essential conditions are homogeneous).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.io
@@ -65,19 +66,28 @@ class OperatorSet:
 
 
 class CellTables:
-    """Quadrature geometry and basis values per active cell of a space.
+    """Quadrature geometry and basis data per active cell of a space.
 
-    Shared by assembly and error integration.  Fields depend on kind:
-    p1 / multiplier carry `vals` (nq, 3) and `grads` (nc, 3, 2); mini
-    carries `vals` (nq, 4) and `grads` (nc, nq, 4, 2) for the scalar
-    P1+bubble basis; edge carries `wvals` (nc, nq, 3, 2) and `wrot`
-    (nc, 3).
+    The one way to evaluate a discrete field at quadrature points.  Built
+    once per space and quadrature degree (see `of`) and shared by the
+    operator assembly, the load, the error norms, the projections and the
+    field recovery.
+
+    Per-kind fields used by the operator assembly: p1 / multiplier carry
+    `vals` (nq, 3) and `grads` (nc, 3, 2); mini carries `vals` (nq, 4)
+    and `grads` (nc, nq, 4, 2) for the scalar P1+bubble basis; edge
+    carries `wvals` (nc, nq, 3, 2) and `wrot` (nc, 3).
+
+    Kind-agnostic data over the flat list of quadrature points: `qp`
+    (m, 2), weights `w` (m,), and two sparse maps from free coefficients,
+    built on first use: `val` to the field values and `der` to the
+    gradient (p1, multiplier), the Jacobian (mini) or the scalar curl
+    (edge).  `values`, `derivs` and `moments` sit on top of them.
     """
 
     def __init__(self, space, rule=None):
         if rule is None:
             rule = QuadratureRule.for_degree(4)
-        self.space = space
         self.rule = rule
         mesh = space.mesh
         cells = space.active_cells
@@ -93,18 +103,28 @@ class CellTables:
             g[:, k, 0] = -e[:, 1]
             g[:, k, 1] = e[:, 0]
         g /= det[:, None, None]
-        self.lam_grads = g
 
         bary = rule.points
-        self.qp = np.einsum("qk,ckd->cqd", bary, pts)
+        self.qp = np.einsum("qk,ckd->cqd", bary, pts).reshape(-1, 2)
         self.wdet = np.outer(det, rule.weights)  # weights sum to A per cell
+        self.w = self.wdet.ravel()
         self.dofs = space.cell_dofs
         self.cells = cells
+        self.nfree = space.num_free
+        # free column of each cell DOF, -1 on constrained DOFs
+        cols = space.free_index(self.dofs).astype(np.int32)[:, None]
 
+        # (data, cols) recipes of the maps, broadcast over missing axes:
+        # data[c, q, *shape, j] is local basis function j's contribution at
+        # point q of cell c and cols[c, 0, *shape, j] its free column;
+        # _shapes are the per-point shapes of the values and derivatives
         kind = space.kind
         if kind in ("p1", "multiplier"):
             self.vals = p1_values(bary)
             self.grads = g
+            self._val = (self.vals[None], cols)
+            self._der = (g.transpose(0, 2, 1)[:, None], cols[:, :, None])
+            self._shapes = (), (2,)
         elif kind == "mini":
             vals = np.empty((len(bary), 4))
             vals[:, :3] = p1_values(bary)
@@ -119,6 +139,12 @@ class CellTables:
                 + np.einsum("q,cd->cqd", l0 * l1, g[:, 2])
             )
             self.grads = grads
+            # DOF 2s+d is scalar basis s times the unit vector e_d
+            vcols = cols.reshape(len(cells), 1, 4, 2).transpose(0, 1, 3, 2)
+            self._val = (vals[None, :, None, :], vcols)
+            self._der = (grads.transpose(0, 1, 3, 2)[:, :, None],
+                         vcols[:, :, :, None])
+            self._shapes = (2,), (2, 2)
         elif kind == "edge":
             loc = mesh.cell_edge_local[cells]           # (nc, 3, 2)
             la, lb = loc[:, :, 0], loc[:, :, 1]
@@ -135,8 +161,66 @@ class CellTables:
             self.wrot = 2.0 * (
                 ga[:, :, 0] * gb[:, :, 1] - ga[:, :, 1] * gb[:, :, 0]
             )
+            self._val = (wvals.transpose(0, 1, 3, 2), cols[:, :, None])
+            self._der = (self.wrot[:, None], cols)
+            self._shapes = (2,), ()
         else:
             raise ValueError(f"unknown space kind {kind!r}")
+
+    @classmethod
+    def of(cls, space, quad_degree=4):
+        """The tables of `space` for a quadrature degree, cached on it."""
+        tab = space.tables.get(quad_degree)
+        if tab is None:
+            tab = cls(space, QuadratureRule.for_degree(quad_degree))
+            space.tables[quad_degree] = tab
+        return tab
+
+    def _point_map(self, data, cols):
+        # every row keeps one slot per local basis function: a constrained
+        # DOF's slot holds an explicit zero in column 0, so the arrays are
+        # built in place with no masked copies
+        shape = self.wdet.shape + np.broadcast_shapes(data.shape,
+                                                      cols.shape)[2:]
+        free = cols >= 0
+        data = np.where(free, data, 0.0)
+        cols = np.where(free, cols, 0)
+        width = shape[-1]
+        nnz = int(np.prod(shape))
+        return sp.csr_matrix(
+            (np.broadcast_to(data, shape).ravel(),
+             np.broadcast_to(cols, shape).ravel(),
+             np.arange(0, nnz + 1, width, dtype=cols.dtype)),
+            shape=(nnz // width, self.nfree))
+
+    @cached_property
+    def val(self):
+        return self._point_map(*self._val)
+
+    @cached_property
+    def der(self):
+        return self._point_map(*self._der)
+
+    def values(self, u):
+        """Field values at the points from free coefficients u."""
+        return (self.val @ u).reshape(-1, *self._shapes[0])
+
+    def derivs(self, u):
+        """Gradient, Jacobian or scalar curl at the points (see `der`)."""
+        return (self.der @ u).reshape(-1, *self._shapes[1])
+
+    def moments(self, fq, dq=None):
+        """valᵀ(w·fq) + derᵀ(w·dq) over the free DOFs; either may be None."""
+        out = np.zeros(self.nfree)
+        if fq is not None:
+            out += self.val.T @ self._weighted(fq)
+        if dq is not None:
+            out += self.der.T @ self._weighted(dq)
+        return out
+
+    def _weighted(self, a):
+        a = np.asarray(a, dtype=float).reshape(len(self.w), -1)
+        return (self.w[:, None] * a).ravel()
 
 
 def _scatter_square(local, dofs, ndof):
@@ -183,9 +267,8 @@ def assemble_stokes(velocity, pressure, nu=1.0, quad_degree=4):
         raise SpaceMismatch("velocity and pressure live on different meshes")
     if velocity.kind != "mini" or pressure.kind != "p1":
         raise SpaceMismatch("expected mini velocity and p1 pressure")
-    rule = QuadratureRule.for_degree(quad_degree)
-    tv = CellTables(velocity, rule)
-    tp = CellTables(pressure, rule)
+    tv = CellTables.of(velocity, quad_degree)
+    tp = CellTables.of(pressure, quad_degree)
 
     mass4 = np.einsum("cq,qs,qt->cst", tv.wdet, tv.vals, tv.vals)
     stiff4 = np.einsum("cq,cqsg,cqtg->cst", tv.wdet, tv.grads, tv.grads)
@@ -240,9 +323,8 @@ def assemble_eddy2d(edge, multiplier, sigma=1.0, eps=1.0, mu_mag=1.0,
     if len(cond) == 0 or sigma <= 0.0:
         raise NoConductorCells("degenerate mass term has empty support")
 
-    rule = QuadratureRule.for_degree(quad_degree)
-    te = CellTables(edge, rule)
-    tm = CellTables(multiplier, rule)
+    te = CellTables.of(edge, quad_degree)
+    tm = CellTables.of(multiplier, quad_degree)
 
     mass_loc = np.einsum("cq,cqed,cqfd->cef", te.wdet, te.wvals, te.wvals)
     rot_loc = np.einsum("c,ce,cf->cef", te.area, te.wrot, te.wrot)
@@ -279,38 +361,17 @@ def assemble_eddy2d(edge, multiplier, sigma=1.0, eps=1.0, mu_mag=1.0,
     )
 
 
-def assemble_load(space, f, t, rot_part=None, quad_degree=4, reduce=True):
+def assemble_load(space, f, t, rot_part=None, quad_degree=4):
     """Quadrature load vector int f(t) . basis (+ int rot_part rot basis).
 
     f maps (points (m, 2), t) to (m,) for scalar kinds or (m, 2) for
     vector kinds.  rot_part, for edge spaces only, adds the moment of a
     scalar field against the basis curls (the weak-form contribution of
-    a magnetization-like source).
+    a magnetization-like source).  Returns the free-DOF vector.
     """
-    rule = QuadratureRule.for_degree(quad_degree)
-    tab = CellTables(space, rule)
-    nc_, nq = tab.wdet.shape
-    fq = np.asarray(f(tab.qp.reshape(-1, 2), t), dtype=float)
-
-    if space.kind in ("p1", "multiplier"):
-        fq = fq.reshape(nc_, nq)
-        loc = np.einsum("cq,qm->cm", tab.wdet * fq, tab.vals)
-    elif space.kind == "mini":
-        fq = fq.reshape(nc_, nq, 2)
-        loc = np.einsum("cq,qs,cqd->csd", tab.wdet, tab.vals, fq)
-        loc = loc.reshape(nc_, 8)
-    elif space.kind == "edge":
-        fq = fq.reshape(nc_, nq, 2)
-        loc = np.einsum("cq,cqed,cqd->ce", tab.wdet, tab.wvals, fq)
-        if rot_part is not None:
-            rq = np.asarray(rot_part(tab.qp.reshape(-1, 2), t), dtype=float)
-            loc = loc + np.einsum("cq,ce->ce",
-                                  tab.wdet * rq.reshape(nc_, nq), tab.wrot)
-    else:
-        raise ValueError(f"unknown space kind {space.kind!r}")
-
-    full = _scatter_vector(loc, tab.dofs, space.ndof)
-    return full[space.free] if reduce else full
+    tab = CellTables.of(space, quad_degree)
+    rq = None if rot_part is None else rot_part(tab.qp, t)
+    return tab.moments(f(tab.qp, t), rq)
 
 
 def export_matrix(path, mat):

@@ -16,7 +16,7 @@ from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "QuadratureRule", "DegenerateCell", "gauss1d",
-    "p1_values", "p1_ref_grads", "bubble_values", "bubble_grads",
+    "p1_values", "bubble_values",
     "cell_geometry", "p1_mass_reference", "p1_stiffness", "edge1_curl",
     "whitney_values", "whitney_curls", "CANONICAL_EDGE_PAIRS",
 ]
@@ -130,30 +130,10 @@ def p1_values(bary):
     return np.asarray(bary, dtype=float)
 
 
-def p1_ref_grads():
-    """Reference gradients of (lam0, lam1, lam2)."""
-    return np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-
-
 def bubble_values(bary):
     """Cubic bubble 27*lam0*lam1*lam2, equal to 1 at the barycenter."""
     b = np.asarray(bary, dtype=float)
     return 27.0 * b[:, 0] * b[:, 1] * b[:, 2]
-
-
-def bubble_grads(bary, grads):
-    """Bubble gradients at barycentric points, for given lambda gradients.
-
-    grads is (3, 2) (one cell) or broadcastable; returns (nq, 2) for a
-    single cell's (3, 2) input.
-    """
-    b = np.asarray(bary, dtype=float)
-    g = np.asarray(grads, dtype=float)
-    return 27.0 * (
-        np.outer(b[:, 1] * b[:, 2], g[0])
-        + np.outer(b[:, 0] * b[:, 2], g[1])
-        + np.outer(b[:, 0] * b[:, 1], g[2])
-    )
 
 
 # -- per-cell geometry ---------------------------------------------------

@@ -18,7 +18,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .assembly import CellTables, Coefficients
-from .elements import QuadratureRule
 
 __all__ = ["ManufacturedCase", "stokes_case", "eddy2d_case",
            "recover_fields", "StokesInstance"]
@@ -212,11 +211,7 @@ def recover_fields(solution, space, case, H0=0.0):
     dt = solution.grid.dt
     E = np.diff(solution.u, axis=0) / dt
 
-    tab = CellTables(space, QuadratureRule.for_degree(1))
+    rot = CellTables.of(space, 1).der @ solution.u[1:].T   # (cells, N)
     mu = case.coeffs.mu_mag
-    H = np.empty((solution.grid.N, space.mesh.num_cells))
-    for k in range(1, solution.grid.N + 1):
-        full = space.extend(solution.u[k])
-        rot = np.einsum("ce,ce->c", full[tab.dofs], tab.wrot)
-        H[k - 1] = (rot - mu * H0) / mu
+    H = (rot.T - mu * H0) / mu
     return E, H

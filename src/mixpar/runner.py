@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import ConvergenceReport, LevelResult, compute_errors
-from .assembly import assemble_eddy2d, assemble_load, assemble_stokes
+from .assembly import (CellTables, assemble_eddy2d, assemble_load,
+                       assemble_stokes)
 from .mesh import structured_mesh
 from .problems import eddy2d_case, stokes_case
 from .saddle import (DENSE_LIMIT, ResidualTooLarge, SingularSystem,
@@ -117,9 +118,6 @@ def run_level(cfg, level, vtk_dir=None):
 
 
 def _write_snapshots(cfg, level, mesh, ops, case, solution, vtk_dir):
-    from .assembly import CellTables
-    from .elements import QuadratureRule
-
     vtk_dir.mkdir(parents=True, exist_ok=True)
     steps = [n for n in range(solution.grid.N + 1) if n % cfg.vtk_every == 0]
     if solution.grid.N not in steps:
@@ -137,10 +135,8 @@ def _write_snapshots(cfg, level, mesh, ops, case, solution, vtk_dir):
                 title=f"stokes step {n}",
             )
         else:
-            tab = CellTables(ops.primal, QuadratureRule.for_degree(1))
-            full = ops.primal.extend(solution.u[n])
-            uc = np.einsum("cqed,ce->cd", tab.wvals, full[tab.dofs])
-            rot = np.einsum("ce,ce->c", tab.wrot, full[tab.dofs])
+            # one-point rule: cell-centroid field and per-cell curl
+            tab = CellTables.of(ops.primal, 1)
             lam_full = ops.multiplier.extend(solution.lam[n])
             lam_pts = np.zeros(mesh.num_vertices)
             ok = ops.multiplier.vertex_dof >= 0
@@ -148,7 +144,8 @@ def _write_snapshots(cfg, level, mesh, ops, case, solution, vtk_dir):
             vtkio.write_unstructured(
                 path, mesh,
                 point_data={"multiplier": lam_pts},
-                cell_data={"u": uc, "rot_u": rot},
+                cell_data={"u": tab.values(solution.u[n]),
+                           "rot_u": tab.derivs(solution.u[n])},
                 title=f"eddy2d step {n}",
             )
 

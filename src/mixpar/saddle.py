@@ -156,8 +156,7 @@ def estimate_garding(A, R, X, kernel, xi=1.0):
         raise EmptyKernel("discrete kernel is trivial")
     if Z.shape[0] > DENSE_LIMIT:
         raise NotDenseFeasible(f"{Z.shape[0]} primal DOFs exceed {DENSE_LIMIT}")
-    G = (A + xi * R) @ Z
-    Ak = Z.T @ G
+    Ak = Z.T @ ((A + xi * R) @ Z)
     Ak = 0.5 * (Ak + Ak.T)
     Xk = Z.T @ (X @ Z)
     Xk = 0.5 * (Xk + Xk.T)

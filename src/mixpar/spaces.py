@@ -40,6 +40,7 @@ class FeSpace:
     active_cells : cell ids covered by the space (all cells except for
         the multiplier space, which lives on insulator cells)
     ncomp : number of field components (2 for mini/edge, 1 otherwise)
+    tables : quadrature tables by degree (see assembly.CellTables.of)
     """
 
     def __init__(self, mesh, kind, ndof, free, fixed, cell_dofs, active_cells,
@@ -55,6 +56,7 @@ class FeSpace:
         self.vertex_dof = vertex_dof
         self.dof_vertex = dof_vertex
         self.groups = groups or []
+        self.tables = {}
         self.fixed_values = np.zeros(len(fixed))
         self._full_to_free = np.full(ndof, -1, dtype=np.intp)
         self._full_to_free[free] = np.arange(len(free))

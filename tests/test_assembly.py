@@ -1,14 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixpar import build_space, interpolate, structured_mesh
-from mixpar.assembly import (NoConductorCells, SpaceMismatch, assemble_eddy2d,
-                             assemble_load, assemble_stokes, export_matrix,
-                             import_matrix)
+from mixpar.assembly import (CellTables, NoConductorCells, SpaceMismatch,
+                             assemble_eddy2d, assemble_load, assemble_stokes,
+                             export_matrix, import_matrix)
+from mixpar.config import parse_config
 from mixpar.elements import p1_mass_reference
 from mixpar.mesh import CONDUCTOR, TriMesh
+from mixpar.runner import run_level
 from mixpar.spaces import MissingTag
 from conftest import build_eddy, build_stokes, discrete_gradient
 
@@ -170,3 +174,75 @@ def test_eddy_constraint_rows_annihilate_kernel_extractor(eddy3):
     Z = kernel_basis(ops.B)
     assert Z.shape[1] == ops.B.shape[1] - ops.B.shape[0]
     assert np.abs(ops.B @ Z).max() <= 1e-12
+
+
+def _four_spaces():
+    _, V, Q, _ = build_stokes(3)
+    _, E, MU, _ = build_eddy(3)
+    return {"mini": V, "p1": Q, "edge": E, "multiplier": MU}
+
+
+@pytest.mark.parametrize("kind", ["mini", "p1", "edge", "multiplier"])
+def test_moments_adjoint_to_values_and_derivs(kind):
+    space = _four_spaces()[kind]
+    tab = CellTables.of(space)
+    rng = np.random.default_rng(17)
+    u = rng.standard_normal(space.num_free)
+    vals, ders = tab.values(u), tab.derivs(u)
+    fq = rng.standard_normal(vals.shape)
+    dq = rng.standard_normal(ders.shape)
+    lhs = tab.moments(fq, dq) @ u
+    rhs = np.sum(tab.w * ((fq * vals).reshape(len(tab.w), -1).sum(axis=1)
+                          + (dq * ders).reshape(len(tab.w), -1).sum(axis=1)))
+    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+    assert np.allclose(tab.moments(fq) + tab.moments(None, dq),
+                       tab.moments(fq, dq), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("kind", ["mini", "p1", "edge", "multiplier"])
+def test_values_and_derivs_match_per_kind_fields(kind):
+    space = _four_spaces()[kind]
+    tab = CellTables.of(space)
+    u = np.random.default_rng(5).standard_normal(space.num_free)
+    c = space.extend(u)[tab.dofs]
+    nc, nq = tab.wdet.shape
+    if kind == "mini":
+        c4 = c.reshape(nc, 4, 2)
+        vals = np.einsum("qs,csd->cqd", tab.vals, c4)
+        ders = np.einsum("cqsg,csd->cqdg", tab.grads, c4)
+    elif kind == "edge":
+        vals = np.einsum("cqed,ce->cqd", tab.wvals, c)
+        ders = np.repeat(np.einsum("ce,ce->c", tab.wrot, c), nq)
+    else:
+        vals = np.einsum("qm,cm->cq", tab.vals, c)
+        ders = np.repeat(np.einsum("cmd,cm->cd", tab.grads, c), nq, axis=0)
+    assert np.allclose(tab.values(u), vals.reshape(tab.values(u).shape),
+                       rtol=0, atol=1e-12)
+    assert np.allclose(tab.derivs(u), ders.reshape(tab.derivs(u).shape),
+                       rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("case, extra, expected", [
+    ("stokes", "", {("mini", 4), ("p1", 4)}),
+    ("eddy2d", "vtk_every = 1\n",
+     {("edge", 4), ("multiplier", 4), ("edge", 1)}),
+])
+def test_one_level_builds_one_table_per_space_and_degree(
+        monkeypatch, tmp_path, case, extra, expected):
+    built = []
+    init = CellTables.__init__
+
+    def counting_init(self, space, rule=None):
+        init(self, space, rule)
+        built.append((space.kind, self.rule.degree))
+
+    monkeypatch.setattr(CellTables, "__init__", counting_init)
+    n = 2 if case == "stokes" else 3
+    for steps in (2, 5):
+        built.clear()
+        cfg = parse_config(f"case = {case}\nn = {n}\nlevels = 1\n"
+                           f"steps = {steps}\nprobes = false\n{extra}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run_level(cfg, 0, vtk_dir=tmp_path / f"vtk{steps}")
+        assert sorted(built) == sorted(expected)

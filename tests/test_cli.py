@@ -171,11 +171,14 @@ def test_solver_failure_exits_3(tmp_path, monkeypatch):
 def test_run_seed_env_is_ignored(tmp_path):
     cfg_path = tmp_path / "c.cfg"
     cfg_path.write_text("case = stokes\nn = 2\nlevels = 1\nsteps = 2\nT = 0.5\n")
-    env = dict(os.environ, RUN_SEED="12345")
+    # the child runs in tmp_path, so hand it the package by absolute path
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, RUN_SEED="12345", PYTHONPATH=pythonpath)
     cmd = [sys.executable, "-m", "mixpar.cli", "run", str(cfg_path),
            "--out", str(tmp_path / "o1")]
     subprocess.run(cmd, check=True, env=env, cwd=tmp_path)
-    env2 = dict(os.environ, RUN_SEED="99999")
+    env2 = dict(env, RUN_SEED="99999")
     cmd[-1] = str(tmp_path / "o2")
     subprocess.run(cmd, check=True, env=env2, cwd=tmp_path)
     a = (tmp_path / "o1" / "rates.csv").read_bytes()
