@@ -4,8 +4,7 @@ from .mesh import TriMesh, structured_mesh, uniform_refine, check_mesh
 from .spaces import FeSpace, build_space, interpolate
 from .assembly import (Coefficients, OperatorSet, assemble_stokes,
                        assemble_eddy2d, assemble_load)
-from .saddle import (BlockSaddleSystem, solve, estimate_infsup,
-                     estimate_garding, kernel_basis)
+from .saddle import estimate_infsup, estimate_garding, kernel_basis
 from .timestep import TimeGrid, TimeSeriesSolution, run
 from .problems import ManufacturedCase, stokes_case, eddy2d_case, recover_fields
 from .analysis import (ErrorNorms, ConvergenceReport, compute_errors,
@@ -20,8 +19,7 @@ __all__ = [
     "FeSpace", "build_space", "interpolate",
     "Coefficients", "OperatorSet", "assemble_stokes", "assemble_eddy2d",
     "assemble_load",
-    "BlockSaddleSystem", "solve", "estimate_infsup", "estimate_garding",
-    "kernel_basis",
+    "estimate_infsup", "estimate_garding", "kernel_basis",
     "TimeGrid", "TimeSeriesSolution", "run",
     "ManufacturedCase", "stokes_case", "eddy2d_case", "recover_fields",
     "ErrorNorms", "ConvergenceReport", "compute_errors",

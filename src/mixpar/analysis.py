@@ -71,6 +71,8 @@ class LevelResult:
     u_norm_max: float = 0.0
     constraint_max: float = 0.0
     constraint_rel_max: float = 0.0
+    block_residual_max: float = 0.0
+    stability_margin_ok: bool = True
     n_primal: int = 0
     n_multiplier: int = 0
     probed: bool = False

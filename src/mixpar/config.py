@@ -2,8 +2,11 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from .analysis import ErrorNorms
 
 __all__ = ["ExperimentConfig", "parse_config", "load_config",
            "ConfigParseError", "DEFAULT_THRESHOLDS"]
@@ -16,6 +19,8 @@ DEFAULT_THRESHOLDS = {
 }
 
 _CASES = ("stokes", "eddy2d")
+# metrics a rate floor may name: the rooted columns of rates.csv
+_METRICS = tuple(ErrorNorms().rooted())
 
 
 class ConfigParseError(ValueError):
@@ -51,8 +56,13 @@ class ExperimentConfig:
             raise ConfigParseError("n must be >= 1")
         if self.steps < 1:
             raise ConfigParseError("steps must be >= 1")
-        if self.T <= 0:
-            raise ConfigParseError("T must be positive")
+        for key in ("T", "nu", "sigma", "eps", "mu_mag"):
+            val = getattr(self, key)
+            if not (math.isfinite(val) and val > 0):
+                raise ConfigParseError(f"{key} must be finite and positive")
+        # the one-point rule makes the MINI block system singular
+        if self.quad_degree < (2 if self.case == "stokes" else 1):
+            raise ConfigParseError(f"quad_degree too low for {self.case}")
         if self.jobs < 1:
             raise ConfigParseError("jobs must be >= 1")
         if self.case == "eddy2d" and self.n % 3 != 0:
@@ -64,6 +74,8 @@ class ExperimentConfig:
         merged.update(self.thresholds)
         self.thresholds = merged
         for key, val in self.thresholds.items():
+            if key not in _METRICS:
+                raise ConfigParseError(f"unknown threshold metric {key!r}")
             if not (0.0 < val <= 2.0):
                 raise ConfigParseError(
                     f"threshold {key}={val} outside (0, 2]"

@@ -67,7 +67,8 @@ def _build_instance(cfg, level):
 
 def run_level(cfg, level, vtk_dir=None):
     mesh, case, ops, grid, u0, load = _build_instance(cfg, level)
-    if (1.0 + 2.0 * cfg.xi) * grid.dt > 0.5:
+    margin_ok = (1.0 + 2.0 * cfg.xi) * grid.dt <= 0.5
+    if not margin_ok:
         warnings.warn(
             f"level {level}: (1+2*xi)*dt = {(1 + 2 * cfg.xi) * grid.dt:.3f} "
             "> 1/2; the per-step stability margin is not guaranteed",
@@ -110,6 +111,8 @@ def run_level(cfg, level, vtk_dir=None):
         lam_norm_max=lam_norm_max,
         u_norm_max=u_norm_max,
         constraint_max=float(solution.constraint_residuals.max(initial=0.0)),
+        block_residual_max=float(solution.block_residuals.max(initial=0.0)),
+        stability_margin_ok=margin_ok,
         constraint_rel_max=float(constraint_rel_max),
         n_primal=ops.primal.num_free,
         n_multiplier=ops.multiplier.num_free,
@@ -225,6 +228,8 @@ def run_experiment(cfg):
         ],
         "multiplier_norm_max": [r.lam_norm_max for r in results],
         "constraint_residual_max": [r.constraint_max for r in results],
+        "block_residual_max": [r.block_residual_max for r in results],
+        "stability_margin_ok": [r.stability_margin_ok for r in results],
     }
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

@@ -1,13 +1,12 @@
 """Per-step block saddle solves and discrete inf-sup / coercivity probes.
 
-The block system is [[A_dt, B^T], [B, 0]], optionally bordered by a
-scalar mean-value row that pins the pressure gauge without breaking
-symmetry.  Solves use a sparse LU factorization (deterministic for a
-fixed input); probes are dense and guarded to desk-scale sizes.
+The block system is [[A_dt, B^T], [B, 0]], factored without any dense
+border row or column.  Solves use a sparse LU factorization
+(deterministic for a fixed input); probes are dense and guarded to
+desk-scale sizes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -16,13 +15,15 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 __all__ = [
-    "BlockSaddleSystem", "SaddleSolver", "solve", "kernel_basis",
+    "SaddleSolver", "kernel_basis",
     "estimate_infsup", "estimate_garding",
     "SingularSystem", "ResidualTooLarge", "NotDenseFeasible", "EmptyKernel",
-    "DENSE_LIMIT",
+    "DENSE_LIMIT", "RESIDUAL_TOL",
 ]
 
 DENSE_LIMIT = 3000
+# relative block residual above which a solve is rejected
+RESIDUAL_TOL = 1e-10
 
 
 class SingularSystem(RuntimeError):
@@ -46,66 +47,45 @@ class SolveInfo(NamedTuple):
     constraint_residual: float
 
 
-@dataclass
-class BlockSaddleSystem:
-    """One per-step system: A_dt u + B^T lam = F, B u (+ m s) = G."""
-
-    A_dt: sp.spmatrix
-    B: sp.spmatrix
-    F: np.ndarray
-    G: np.ndarray
-    mean_row: np.ndarray | None = None
-
-
 class SaddleSolver:
-    """Factor the block matrix once and solve for many right-hand sides."""
+    """Factor the block matrix once and solve for many right-hand sides.
 
-    def __init__(self, A_dt, B, mean_row=None, residual_tol=1e-10):
+    With `mean_row`, lam is unique only up to a constant (B^T 1 = 0): the
+    first constraint row is left out of the factored matrix and lam is
+    shifted so that mean_row @ lam = 0.  The residual guard checks the
+    full system, so an incompatible G (1^T G != 0) is still rejected.
+    """
+
+    def __init__(self, A_dt, B, mean_row=None):
         self.n = A_dt.shape[0]
-        self.m = B.shape[0]
         if B.shape[1] != self.n:
             raise ValueError("B column count does not match A_dt")
-        self.residual_tol = residual_tol
-        blocks = [[A_dt, B.T], [B, None]]
-        if mean_row is not None:
-            mcol = sp.csr_matrix(
-                (mean_row, (np.arange(self.m), np.zeros(self.m, dtype=np.intp))),
-                shape=(self.m, 1),
-            )
-            blocks = [
-                [A_dt, B.T, None],
-                [B, None, mcol],
-                [None, mcol.T, None],
-            ]
-        self.K = sp.bmat(blocks, format="csc")
+        self.A_dt = sp.csr_matrix(A_dt)
         self.B = sp.csr_matrix(B)
         self.mean_row = mean_row
+        self.dropped = 0 if mean_row is None else 1
+        B1 = self.B[self.dropped:]
+        K = sp.bmat([[self.A_dt, B1.T], [B1, None]], format="csc")
         try:
-            self.lu = spla.splu(self.K)
+            self.lu = spla.splu(K)
         except RuntimeError as err:
             raise SingularSystem(str(err)) from err
 
     def solve(self, F, G):
-        rhs = np.zeros(self.K.shape[0])
-        rhs[: self.n] = F
-        rhs[self.n : self.n + self.m] = G
-        z = self.lu.solve(rhs)
+        z = self.lu.solve(np.concatenate([F, G[self.dropped:]]))
         if not np.all(np.isfinite(z)):
             raise SingularSystem("factorization produced non-finite solution")
-        scale = max(1.0, float(np.linalg.norm(rhs)))
-        rel = float(np.linalg.norm(self.K @ z - rhs)) / scale
-        if rel > self.residual_tol:
-            raise ResidualTooLarge(f"relative residual {rel:.3e}")
         u = z[: self.n]
-        lam = z[self.n : self.n + self.m]
+        lam = np.concatenate([np.zeros(self.dropped), z[self.n :]])
+        if self.mean_row is not None:
+            lam -= (self.mean_row @ lam) / self.mean_row.sum()
         constraint = float(np.linalg.norm(self.B @ u - G))
+        primal = float(np.linalg.norm(self.A_dt @ u + self.B.T @ lam - F))
+        scale = max(1.0, float(np.hypot(np.linalg.norm(F), np.linalg.norm(G))))
+        rel = float(np.hypot(primal, constraint)) / scale
+        if rel > RESIDUAL_TOL:
+            raise ResidualTooLarge(f"relative residual {rel:.3e}")
         return u, lam, SolveInfo(rel, constraint)
-
-
-def solve(system, residual_tol=1e-10):
-    """Solve one BlockSaddleSystem; returns (u, lam, SolveInfo)."""
-    solver = SaddleSolver(system.A_dt, system.B, system.mean_row, residual_tol)
-    return solver.solve(system.F, system.G)
 
 
 def kernel_basis(B):

@@ -3,10 +3,11 @@
 Each step solves
 
     (R + dt A) u^n + B^T lam^n = dt f(t_n) + R u^{n-1} + B^T lam^{n-1}
-    B u^n = g(t_n)
+    B u^n = 0
 
-starting from u^0 = u_{0,h} and lam^0 = 0.  The block matrix is
-time-independent, so it is factorized once and reused for all steps.
+starting from u^0 = u_{0,h} and lam^0 = 0; the constraint data g is
+zero in both problem instances.  The block matrix is time-independent,
+so it is factorized once and reused for all steps.
 """
 from __future__ import annotations
 
@@ -52,19 +53,17 @@ class TimeSeriesSolution:
     constraint_residuals: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
-def run(ops, load, grid, u0h=None, g=None, residual_tol=1e-10):
+def run(ops, load, grid, u0h=None):
     """Advance the backward-Euler scheme over the whole time grid.
 
-    load(t) returns the free-DOF moment vector of f(t); g(t), when
-    given, returns the constraint data (defaults to zero, as in both
-    problem instances).  u0h is the free-DOF initial coefficient vector
-    (defaults to zero).
+    load(t) returns the free-DOF moment vector of f(t).  u0h is the
+    free-DOF initial coefficient vector (defaults to zero).
     """
     nU = ops.A.shape[0]
     nM = ops.B.shape[0]
     dt = grid.dt
     A_dt = (ops.R + dt * ops.A).tocsr()
-    solver = SaddleSolver(A_dt, ops.B, ops.mean_row, residual_tol)
+    solver = SaddleSolver(A_dt, ops.B, ops.mean_row)
 
     u = np.zeros((grid.N + 1, nU))
     lam = np.zeros((grid.N + 1, nM))
@@ -76,10 +75,10 @@ def run(ops, load, grid, u0h=None, g=None, residual_tol=1e-10):
     constraint_res = np.zeros(grid.N)
 
     BT = ops.B.T.tocsr()
+    G = np.zeros(nM)
     for n in range(1, grid.N + 1):
         t = n * dt
         F = dt * load(t) + ops.R @ u[n - 1] + BT @ lam[n - 1]
-        G = g(t) if g is not None else np.zeros(nM)
         try:
             un, ln, info = solver.solve(F, G)
         except SingularSystem as err:

@@ -66,6 +66,9 @@ def test_smoke_run_writes_one_row(tmp_path):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["rates"] is None
     assert summary["passed"] is True
+    assert len(summary["block_residual_max"]) == 1
+    assert 0.0 <= summary["block_residual_max"][0] <= 1e-10
+    assert summary["stability_margin_ok"] == [False]  # (1+2)*0.25 > 1/2
 
 
 def test_malformed_config_exits_2_without_outputs(tmp_path):
@@ -75,6 +78,31 @@ def test_malformed_config_exits_2_without_outputs(tmp_path):
     code = main(["run", str(bad), "--out", str(out)])
     assert code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case, line", [
+    ("stokes", "nu = -1"),
+    ("stokes", "T = nan"),
+    ("stokes", "nu = inf"),
+    ("stokes", "eps = 0"),
+    ("stokes", "quad_degree = 0"),
+    ("stokes", "quad_degree = 1"),
+    ("eddy2d", "quad_degree = 0"),
+    ("eddy2d", "sigma = 0"),
+    ("eddy2d", "mu_mag = 0"),
+    ("stokes", "threshold.bogus = 1.0"),
+])
+def test_nonsense_config_exits_2_without_outputs(tmp_path, case, line):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"case = {case}\nn = 3\nlevels = 3\nsteps = 2\n{line}\n")
+    out = tmp_path / "out"
+    assert main(["run", str(bad), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_eddy_accepts_one_point_rule():
+    cfg = parse_config("case = eddy2d\nn = 3\nquad_degree = 1\n")
+    assert cfg.quad_degree == 1
 
 
 def test_missing_config_exits_2(tmp_path):

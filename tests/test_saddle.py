@@ -4,20 +4,16 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixpar.saddle import (BlockSaddleSystem, EmptyKernel, NotDenseFeasible,
-                           SingularSystem, estimate_garding, estimate_infsup,
-                           kernel_basis, solve)
+from mixpar.saddle import (EmptyKernel, NotDenseFeasible, ResidualTooLarge,
+                           SaddleSolver, SingularSystem, estimate_garding,
+                           estimate_infsup, kernel_basis)
 from conftest import build_eddy, build_stokes
 
 
 def test_two_by_two_by_hand():
-    system = BlockSaddleSystem(
-        A_dt=sp.csr_matrix(np.array([[2.0]])),
-        B=sp.csr_matrix(np.array([[1.0]])),
-        F=np.array([1.0]),
-        G=np.array([0.0]),
-    )
-    u, lam, info = solve(system)
+    solver = SaddleSolver(sp.csr_matrix(np.array([[2.0]])),
+                          sp.csr_matrix(np.array([[1.0]])))
+    u, lam, info = solver.solve(np.array([1.0]), np.array([0.0]))
     assert u[0] == pytest.approx(0.0, abs=1e-14)
     assert lam[0] == pytest.approx(1.0, rel=1e-14)
     assert info.block_residual <= 1e-10
@@ -28,13 +24,8 @@ def test_constructed_solution_identity_block():
     n, m = 9, 4
     B = sp.csr_matrix(rng.standard_normal((m, n)))
     w = rng.standard_normal(n)
-    system = BlockSaddleSystem(
-        A_dt=sp.identity(n, format="csr"),
-        B=B,
-        F=w + B.T @ np.ones(m),
-        G=B @ w,
-    )
-    u, lam, _ = solve(system)
+    solver = SaddleSolver(sp.identity(n, format="csr"), B)
+    u, lam, _ = solver.solve(w + B.T @ np.ones(m), B @ w)
     assert np.abs(u - w).max() <= 1e-11
     assert np.abs(lam - 1.0).max() <= 1e-11
 
@@ -49,8 +40,7 @@ def test_random_spd_matches_dense_lu_oracle(seed):
     Bd = rng.standard_normal((m, n))
     F = rng.standard_normal(n)
     G = rng.standard_normal(m)
-    system = BlockSaddleSystem(sp.csr_matrix(Ad), sp.csr_matrix(Bd), F, G)
-    u, lam, _ = solve(system)
+    u, lam, _ = SaddleSolver(sp.csr_matrix(Ad), sp.csr_matrix(Bd)).solve(F, G)
     K = np.block([[Ad, Bd.T], [Bd, np.zeros((m, m))]])
     z = np.linalg.solve(K, np.concatenate([F, G]))
     scale = max(1.0, np.abs(z).max())
@@ -61,9 +51,8 @@ def test_singular_system_detected():
     # duplicated constraint rows make the block matrix singular
     A = sp.identity(3, format="csr")
     B = sp.csr_matrix(np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
-    system = BlockSaddleSystem(A, B, np.ones(3), np.zeros(2))
     with pytest.raises(SingularSystem):
-        solve(system)
+        SaddleSolver(A, B).solve(np.ones(3), np.zeros(2))
 
 
 def test_solve_deterministic(eddy3):
@@ -71,10 +60,9 @@ def test_solve_deterministic(eddy3):
     rng = np.random.default_rng(0)
     F = rng.standard_normal(ops.A.shape[0])
     G = rng.standard_normal(ops.B.shape[0])
-    sys1 = BlockSaddleSystem(ops.R + 0.1 * ops.A, ops.B, F, G)
-    u1, l1, _ = solve(sys1)
-    sys2 = BlockSaddleSystem(ops.R + 0.1 * ops.A, ops.B, F.copy(), G.copy())
-    u2, l2, _ = solve(sys2)
+    u1, l1, _ = SaddleSolver(ops.R + 0.1 * ops.A, ops.B).solve(F, G)
+    u2, l2, _ = SaddleSolver(ops.R + 0.1 * ops.A, ops.B).solve(F.copy(),
+                                                               G.copy())
     assert np.array_equal(u1, u2)
     assert np.array_equal(l1, l2)
 
@@ -83,13 +71,43 @@ def test_bordered_mean_row_pins_pressure(stokes2):
     _, _, _, ops = stokes2
     rng = np.random.default_rng(4)
     F = rng.standard_normal(ops.A.shape[0])
-    system = BlockSaddleSystem(
-        ops.R + 0.25 * ops.A, ops.B, F, np.zeros(ops.B.shape[0]),
-        mean_row=ops.mean_row,
-    )
-    u, lam, info = solve(system)
+    solver = SaddleSolver(ops.R + 0.25 * ops.A, ops.B, mean_row=ops.mean_row)
+    u, lam, info = solver.solve(F, np.zeros(ops.B.shape[0]))
     assert abs(ops.mean_row @ lam) <= 1e-12 * max(1.0, np.abs(lam).max())
     assert info.constraint_residual <= 1e-10
+
+
+def test_pinned_gauge_matches_dense_bordered_solve():
+    # the bordered system [[A_dt, B^T, 0], [B, 0, m], [0, m^T, 0]] fixes
+    # the same gauge (mean_row @ lam = 0) with one dense row and column
+    _, _, _, ops = build_stokes(4)
+    A_dt = ops.R + 0.25 * ops.A
+    n, m = ops.B.shape[1], ops.B.shape[0]
+    rng = np.random.default_rng(8)
+    F = rng.standard_normal(n)
+    u, lam, _ = SaddleSolver(A_dt, ops.B, ops.mean_row).solve(F, np.zeros(m))
+    Bd = ops.B.toarray()
+    mc = ops.mean_row[:, None]
+    K = np.block([
+        [A_dt.toarray(), Bd.T, np.zeros((n, 1))],
+        [Bd, np.zeros((m, m)), mc],
+        [np.zeros((1, n)), mc.T, np.zeros((1, 1))],
+    ])
+    z = np.linalg.solve(K, np.concatenate([F, np.zeros(m + 1)]))
+    u_ref, lam_ref = z[:n], z[n:n + m]
+    assert np.abs(u - u_ref).max() <= 1e-11 * np.abs(u_ref).max()
+    assert np.abs(lam - lam_ref).max() <= 1e-11 * np.abs(lam_ref).max()
+
+
+def test_pinned_gauge_rejects_incompatible_constraint_data(stokes2):
+    # B^T 1 = 0, so B u = G needs 1^T G = 0; the dropped row must not hide it
+    _, _, _, ops = stokes2
+    m = ops.B.shape[0]
+    G = np.zeros(m)
+    G[0] = 1.0
+    solver = SaddleSolver(ops.R + 0.25 * ops.A, ops.B, ops.mean_row)
+    with pytest.raises(ResidualTooLarge):
+        solver.solve(np.zeros(ops.B.shape[1]), G)
 
 
 def test_infsup_trivial_cases():
@@ -188,7 +206,8 @@ def test_solution_map_is_self_adjoint(eddy3):
     n, m = ops.B.shape[1], ops.B.shape[0]
     A_dt = ops.R + 0.2 * ops.A
     rhs = [(rng.standard_normal(n), rng.standard_normal(m)) for _ in range(2)]
-    sols = [solve(BlockSaddleSystem(A_dt, ops.B, F, G)) for F, G in rhs]
+    solver = SaddleSolver(A_dt, ops.B)
+    sols = [solver.solve(F, G) for F, G in rhs]
     pair01 = sols[0][0] @ rhs[1][0] + sols[0][1] @ rhs[1][1]
     pair10 = sols[1][0] @ rhs[0][0] + sols[1][1] @ rhs[0][1]
     assert pair01 == pytest.approx(pair10, rel=1e-9)

@@ -89,7 +89,7 @@ def test_multiplier_shift_property(eddy3):
 
 def test_factorization_reused_matches_per_step_solves(eddy3, eddy_case_default):
     # the once-factorized run must agree with independent per-step solves
-    from mixpar.saddle import BlockSaddleSystem, solve
+    from mixpar.saddle import SaddleSolver
 
     _, E, _, ops = eddy3
     case = eddy_case_default
@@ -102,8 +102,8 @@ def test_factorization_reused_matches_per_step_solves(eddy3, eddy_case_default):
     for n in range(1, grid.N + 1):
         t = n * grid.dt
         F = grid.dt * load(t) + ops.R @ u_prev + ops.B.T @ lam_prev
-        u_prev, lam_prev, _ = solve(
-            BlockSaddleSystem(A_dt, ops.B, F, np.zeros(ops.B.shape[0]))
+        u_prev, lam_prev, _ = SaddleSolver(A_dt, ops.B).solve(
+            F, np.zeros(ops.B.shape[0])
         )
         assert np.abs(sol.u[n] - u_prev).max() <= 1e-12 * max(
             1.0, np.abs(u_prev).max()
