@@ -19,10 +19,8 @@ from .saddle import DENSE_LIMIT, NotDenseFeasible
 __all__ = [
     "ErrorNorms", "LevelResult", "ConvergenceReport",
     "compute_errors", "best_approximation", "fit_rates", "r_energy",
-    "TooFewLevels", "ROOTED_METRICS",
+    "TooFewLevels",
 ]
-
-ROOTED_METRICS = ("err_u_maxR", "err_u_l2X", "err_lambda_l2M", "err_dtu")
 
 
 class TooFewLevels(ValueError):
@@ -72,6 +70,7 @@ class LevelResult:
     constraint_max: float = 0.0
     constraint_rel_max: float = 0.0
     block_residual_max: float = 0.0
+    factor_fill: int = 0
     stability_margin_ok: bool = True
     n_primal: int = 0
     n_multiplier: int = 0

@@ -32,6 +32,8 @@ def main(argv=None):
                 raise ConfigParseError("--jobs must be >= 1")
             cfg.jobs = args.jobs
         if args.vtk_every is not None:
+            if args.vtk_every < 0:
+                raise ConfigParseError("--vtk-every must be >= 0")
             cfg.vtk_every = args.vtk_every
         if args.out is not None:
             cfg.out = args.out

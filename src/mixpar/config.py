@@ -19,6 +19,7 @@ DEFAULT_THRESHOLDS = {
 }
 
 _CASES = ("stokes", "eddy2d")
+_PATTERNS = ("right", "crossed")
 # metrics a rate floor may name: the rooted columns of rates.csv
 _METRICS = tuple(ErrorNorms().rooted())
 
@@ -60,6 +61,12 @@ class ExperimentConfig:
             val = getattr(self, key)
             if not (math.isfinite(val) and val > 0):
                 raise ConfigParseError(f"{key} must be finite and positive")
+        if not (math.isfinite(self.xi) and self.xi >= 0):
+            raise ConfigParseError("xi must be finite and >= 0")
+        if self.pattern not in _PATTERNS:
+            raise ConfigParseError(f"pattern must be one of {_PATTERNS}")
+        if self.vtk_every < 0:
+            raise ConfigParseError("vtk_every must be >= 0")
         # the one-point rule makes the MINI block system singular
         if self.quad_degree < (2 if self.case == "stokes" else 1):
             raise ConfigParseError(f"quad_degree too low for {self.case}")

@@ -112,6 +112,7 @@ def run_level(cfg, level, vtk_dir=None):
         u_norm_max=u_norm_max,
         constraint_max=float(solution.constraint_residuals.max(initial=0.0)),
         block_residual_max=float(solution.block_residuals.max(initial=0.0)),
+        factor_fill=solution.factor_fill,
         stability_margin_ok=margin_ok,
         constraint_rel_max=float(constraint_rel_max),
         n_primal=ops.primal.num_free,
@@ -229,6 +230,7 @@ def run_experiment(cfg):
         "multiplier_norm_max": [r.lam_norm_max for r in results],
         "constraint_residual_max": [r.constraint_max for r in results],
         "block_residual_max": [r.block_residual_max for r in results],
+        "factor_fill": [r.factor_fill for r in results],
         "stability_margin_ok": [r.stability_margin_ok for r in results],
     }
     with open(out / "summary.json", "w") as fh:

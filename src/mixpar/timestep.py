@@ -44,13 +44,15 @@ class TimeGrid:
 
 @dataclass
 class TimeSeriesSolution:
-    """Coefficients (u^n, lam^n) for n = 0..N plus per-step residuals."""
+    """Coefficients (u^n, lam^n) for n = 0..N, per-step residuals and the
+    fill of the block factorization (SaddleSolver.fill)."""
 
     u: np.ndarray            # (N+1, n_primal_free)
     lam: np.ndarray          # (N+1, n_multiplier_free)
     grid: TimeGrid
     block_residuals: np.ndarray = field(default_factory=lambda: np.zeros(0))
     constraint_residuals: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    factor_fill: int = 0
 
 
 def run(ops, load, grid, u0h=None):
@@ -88,4 +90,5 @@ def run(ops, load, grid, u0h=None):
         block_res[n - 1] = info.block_residual
         constraint_res[n - 1] = info.constraint_residual
 
-    return TimeSeriesSolution(u, lam, grid, block_res, constraint_res)
+    return TimeSeriesSolution(u, lam, grid, block_res, constraint_res,
+                              solver.fill)

@@ -69,6 +69,9 @@ def test_smoke_run_writes_one_row(tmp_path):
     assert len(summary["block_residual_max"]) == 1
     assert 0.0 <= summary["block_residual_max"][0] <= 1e-10
     assert summary["stability_margin_ok"] == [False]  # (1+2)*0.25 > 1/2
+    fill = summary["factor_fill"]
+    assert len(fill) == 1
+    assert all(isinstance(f, int) and f > 0 for f in fill)
 
 
 def test_malformed_config_exits_2_without_outputs(tmp_path):
@@ -91,6 +94,11 @@ def test_malformed_config_exits_2_without_outputs(tmp_path):
     ("eddy2d", "sigma = 0"),
     ("eddy2d", "mu_mag = 0"),
     ("stokes", "threshold.bogus = 1.0"),
+    ("stokes", "xi = nan"),
+    ("stokes", "xi = inf"),
+    ("stokes", "xi = -5"),
+    ("stokes", "pattern = bogus"),
+    ("eddy2d", "vtk_every = -1"),
 ])
 def test_nonsense_config_exits_2_without_outputs(tmp_path, case, line):
     bad = tmp_path / "bad.cfg"
@@ -103,6 +111,14 @@ def test_nonsense_config_exits_2_without_outputs(tmp_path, case, line):
 def test_eddy_accepts_one_point_rule():
     cfg = parse_config("case = eddy2d\nn = 3\nquad_degree = 1\n")
     assert cfg.quad_degree == 1
+
+
+def test_negative_vtk_every_flag_exits_2_without_outputs(tmp_path):
+    cfg = tmp_path / "ok.cfg"
+    cfg.write_text(SMOKE_KV)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--vtk-every", "-1", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_missing_config_exits_2(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -108,6 +109,28 @@ def test_pinned_gauge_rejects_incompatible_constraint_data(stokes2):
     solver = SaddleSolver(ops.R + 0.25 * ops.A, ops.B, ops.mean_row)
     with pytest.raises(ResidualTooLarge):
         solver.solve(np.zeros(ops.B.shape[1]), G)
+
+
+def test_symmetric_ordering_cuts_stokes_fill():
+    # full partial pivoting on top of the symmetric ordering (or COLAMD,
+    # SuperLU's default) would fill at least twice as much here
+    _, _, _, ops = build_stokes(32)
+    A_dt = (ops.R + ops.A / 64).tocsr()
+    solver = SaddleSolver(A_dt, ops.B, ops.mean_row)
+    B1 = sp.csr_matrix(ops.B)[1:]
+    default = spla.splu(sp.bmat([[A_dt, B1.T], [B1, None]], format="csc"))
+    assert solver.lu.shape == default.shape
+    assert 0 < solver.fill <= 0.5 * default.nnz
+
+
+def test_relaxed_pivoting_keeps_eddy_solves_accurate():
+    # without row exchanges (diag_pivot_thresh=0) this residual is about 10
+    _, _, _, ops = build_eddy(24)
+    rng = np.random.default_rng(24)
+    F = rng.standard_normal(ops.A.shape[0])
+    solver = SaddleSolver(ops.R + (0.75 / 40) * ops.A, ops.B)
+    _, _, info = solver.solve(F, np.zeros(ops.B.shape[0]))
+    assert info.block_residual <= 1e-12
 
 
 def test_infsup_trivial_cases():
