@@ -104,7 +104,8 @@ def r_energy(R, e):
 
 def _sq(a):
     """Squared Euclidean norm per point of (m,), (m, 2) or (m, 2, 2) data."""
-    return (a.reshape(len(a), -1) ** 2).sum(axis=1)
+    a = a.reshape(len(a), -1)
+    return np.einsum("ij,ij->i", a, a)
 
 
 def _x_norm_terms(case):

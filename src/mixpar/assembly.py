@@ -79,10 +79,10 @@ class CellTables:
     carries `wvals` (nc, nq, 3, 2) and `wrot` (nc, 3).
 
     Kind-agnostic data over the flat list of quadrature points: `qp`
-    (m, 2), weights `w` (m,), and two sparse maps from free coefficients,
-    built on first use: `val` to the field values and `der` to the
-    gradient (p1, multiplier), the Jacobian (mini) or the scalar curl
-    (edge).  `values`, `derivs` and `moments` sit on top of them.
+    (m, 2, read-only), weights `w` (m,), and two sparse maps from free
+    coefficients, built on first use: `val` to the field values and `der`
+    to the gradient (p1, multiplier), the Jacobian (mini) or the scalar
+    curl (edge).  `values`, `derivs` and `moments` sit on top of them.
     """
 
     def __init__(self, space, rule=None):
@@ -106,6 +106,9 @@ class CellTables:
 
         bary = rule.points
         self.qp = np.einsum("qk,ckd->cqd", bary, pts).reshape(-1, 2)
+        # read-only, so the manufactured cases may cache their spatial
+        # profiles on this array (see problems.py)
+        self.qp.flags.writeable = False
         self.wdet = np.outer(det, rule.weights)  # weights sum to A per cell
         self.w = self.wdet.ravel()
         self.dofs = space.cell_dofs

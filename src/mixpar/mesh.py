@@ -84,21 +84,28 @@ class TriMesh:
             raise ValueError("all cells must have positive signed area")
 
         # global edges, oriented low vertex index -> high vertex index
+        # (sorted lexicographically: the key lo * nv + hi orders as (lo, hi))
         pairs = np.sort(self.cells[:, _LOCAL_EDGES], axis=2).reshape(-1, 2)
-        self.edges, inv = np.unique(pairs, axis=0, return_inverse=True)
+        nv = len(self.vertices)
+        keys, inv = np.unique(pairs[:, 0] * nv + pairs[:, 1],
+                              return_inverse=True)
+        self.edges = np.column_stack(np.divmod(keys, nv))
         self.cell_edges = inv.reshape(nc, 3).astype(np.intp)
         ne = len(self.edges)
 
+        # incident cells of each edge in cell order: a stable sort of the
+        # flat (cell, local edge) list groups each edge's cells ascending
+        flat = self.cell_edges.ravel()
+        counts = np.bincount(flat, minlength=ne)
+        if counts.max(initial=0) > 2:
+            e = int(np.argmax(counts > 2))
+            raise ValueError(f"edge {e} shared by more than two cells")
+        owner = np.argsort(flat, kind="stable") // 3
+        first = np.cumsum(counts) - counts
         self.edge_cells = np.full((ne, 2), -1, dtype=np.intp)
-        for c in range(nc):
-            for k in range(3):
-                e = self.cell_edges[c, k]
-                if self.edge_cells[e, 0] < 0:
-                    self.edge_cells[e, 0] = c
-                elif self.edge_cells[e, 1] < 0:
-                    self.edge_cells[e, 1] = c
-                else:
-                    raise ValueError(f"edge {e} shared by more than two cells")
+        self.edge_cells[:, 0] = owner[first]
+        two = counts == 2
+        self.edge_cells[two, 1] = owner[first[two] + 1]
 
         # local vertex positions of the oriented global endpoints
         lo = self.edges[self.cell_edges, 0]   # (nc, 3) global low vertex
@@ -227,51 +234,32 @@ def structured_mesh(domain, n, conductor=None, pattern="right"):
         if not (i1 > i0 and j1 > j0):
             raise ValueError("conductor must have positive extent")
 
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    grid = np.array([(xs[i], ys[j]) for j in range(n + 1) for i in range(n + 1)])
-
-    cells = []
-    tags = []
-
-    def square_tag(i, j):
-        if conductor is None:
-            return WHOLE
-        inside = i0 <= i < i1 and j0 <= j < j1
-        return CONDUCTOR if inside else INSULATOR
+    # lattice squares in row-major order (j outer, i inner)
+    j, i = np.divmod(np.arange(n * n), n)
+    v00 = j * (n + 1) + i
+    v10, v01 = v00 + 1, v00 + n + 1
+    v11 = v01 + 1
+    grid = np.column_stack([np.tile(xs, n + 1), np.repeat(ys, n + 1)])
+    if conductor is None:
+        square_tags = np.full(n * n, WHOLE, dtype=np.int8)
+    else:
+        inside = (i0 <= i) & (i < i1) & (j0 <= j) & (j < j1)
+        square_tags = np.where(inside, CONDUCTOR, INSULATOR).astype(np.int8)
 
     if pattern == "right":
         vertices = grid
-        for j in range(n):
-            for i in range(n):
-                v00, v10 = vid(i, j), vid(i + 1, j)
-                v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-                cells.append((v00, v10, v11))
-                cells.append((v00, v11, v01))
-                tags.extend([square_tag(i, j)] * 2)
+        corners = [(v00, v10, v11), (v00, v11, v01)]
     else:
-        centers = np.array(
-            [
-                (0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1]))
-                for j in range(n)
-                for i in range(n)
-            ]
-        )
+        centers = np.column_stack([np.tile(0.5 * (xs[:-1] + xs[1:]), n),
+                                   np.repeat(0.5 * (ys[:-1] + ys[1:]), n)])
         vertices = np.vstack([grid, centers])
-        nvg = len(grid)
-        for j in range(n):
-            for i in range(n):
-                v00, v10 = vid(i, j), vid(i + 1, j)
-                v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-                ctr = nvg + j * n + i
-                cells.append((v00, v10, ctr))
-                cells.append((v10, v11, ctr))
-                cells.append((v11, v01, ctr))
-                cells.append((v01, v00, ctr))
-                tags.extend([square_tag(i, j)] * 4)
-
-    return TriMesh(vertices, np.asarray(cells), np.asarray(tags, dtype=np.int8))
+        ctr = len(grid) + np.arange(n * n)
+        corners = [(v00, v10, ctr), (v10, v11, ctr), (v11, v01, ctr),
+                   (v01, v00, ctr)]
+    # the cells of one square are consecutive
+    cells = np.stack([np.stack(c, axis=1) for c in corners], axis=1)
+    tags = np.repeat(square_tags, len(corners))
+    return TriMesh(vertices, cells.reshape(-1, 3), tags)
 
 
 def uniform_refine(mesh):

@@ -5,6 +5,15 @@ is divergence free, satisfies the essential boundary condition, and
 vanishes at t = 0.  Sources are differentiated by hand and hard-coded;
 tests cross-check them against finite differences.
 
+Every exact field is separable: a sum of time factors times spatial
+profiles, sum_k a_k(t) P_k(pts).  A case holds a small set of named
+profiles (`_Profiles`) and its field callables only scale and add them,
+so the profiles are evaluated once per quadrature-point array rather
+than once per step.  Each profile keeps its values for the last
+*read-only* points array it was given (checked with `is`, holding a
+reference, so the array is taken as immutable; `CellTables.qp` is such
+an array); a writable array is evaluated fresh on every call.
+
 The Stokes multiplier approximated by the scheme is the time primitive
 of the physical pressure (the pressure sits inside the time derivative
 of the weak form), so the case exposes both: `pressure` for the
@@ -46,6 +55,45 @@ class ManufacturedCase:
     grad_multiplier: Optional[Callable] = None
 
 
+class _Profiles:
+    """Named spatial profiles of one case, each cached for the last
+    read-only points array it was evaluated on (see the module notes)."""
+
+    def __init__(self, **profiles):
+        self._profiles = profiles
+        self._last = {}                   # name -> (pts, values)
+
+    def __call__(self, name, pts):
+        if pts.flags.writeable:
+            return self.evaluate(name, pts)
+        hit = self._last.get(name)
+        if hit is None or hit[0] is not pts:
+            hit = self._last[name] = (pts, self.evaluate(name, pts))
+        return hit[1]
+
+    def evaluate(self, name, pts):
+        return self._profiles[name](pts)
+
+    def field(self, *terms):
+        """The (pts, t) callable sum a(t) * P(pts) over (a, name) terms."""
+        def f(pts, t):
+            vals = [a(t) * self(name, pts) for a, name in terms]
+            return sum(vals[1:], vals[0])
+        return f
+
+
+# time factors
+def _sin(t):
+    return np.sin(np.pi * t)
+
+def _dsin(t):
+    return np.pi * np.cos(np.pi * t)
+
+def _int_sin(t):
+    # primitive of sin(pi t) vanishing at t = 0
+    return (1.0 - np.cos(np.pi * t)) / np.pi
+
+
 # -- transient Stokes ------------------------------------------------------
 
 def _w(s):
@@ -65,61 +113,56 @@ def stokes_case(nu=1.0, T=0.5):
     """Unit-square transient Stokes with stream function x^2(1-x)^2 y^2(1-y)^2.
 
     u = sin(pi t) curl(psi) is divergence free with zero boundary trace;
-    the physical pressure is sin(pi t)(x - 1/2) and has zero mean.
+    the physical pressure is sin(pi t)(x - 1/2) and has zero mean.  The
+    source is f = pi cos(pi t) curl(psi) + sin(pi t)(-nu lap curl(psi) + e1).
     """
 
-    def u(pts, t):
+    def curl(pts):
         x, y = pts[:, 0], pts[:, 1]
-        s = np.sin(np.pi * t)
-        return np.column_stack([s * _w(x) * _dw(y), -s * _dw(x) * _w(y)])
+        return np.column_stack([_w(x) * _dw(y), -_dw(x) * _w(y)])
 
-    def dudt(pts, t):
+    def jacobian(pts):
         x, y = pts[:, 0], pts[:, 1]
-        c = np.pi * np.cos(np.pi * t)
-        return np.column_stack([c * _w(x) * _dw(y), -c * _dw(x) * _w(y)])
-
-    def grad_u(pts, t):
-        x, y = pts[:, 0], pts[:, 1]
-        s = np.sin(np.pi * t)
         J = np.empty((len(pts), 2, 2))
-        J[:, 0, 0] = s * _dw(x) * _dw(y)
-        J[:, 0, 1] = s * _w(x) * _d2w(y)
-        J[:, 1, 0] = -s * _d2w(x) * _w(y)
-        J[:, 1, 1] = -s * _dw(x) * _dw(y)
+        J[:, 0, 0] = _dw(x) * _dw(y)
+        J[:, 0, 1] = _w(x) * _d2w(y)
+        J[:, 1, 0] = -_d2w(x) * _w(y)
+        J[:, 1, 1] = -_dw(x) * _dw(y)
         return J
 
-    def pressure(pts, t):
-        return np.sin(np.pi * t) * (pts[:, 0] - 0.5)
+    def shift(pts):
+        return pts[:, 0] - 0.5
 
-    def multiplier(pts, t):
-        # time primitive of the pressure; this is what lam_h^n tracks
-        return (1.0 - np.cos(np.pi * t)) / np.pi * (pts[:, 0] - 0.5)
-
-    def grad_multiplier(pts, t):
+    def e1(pts):
         g = np.zeros((len(pts), 2))
-        g[:, 0] = (1.0 - np.cos(np.pi * t)) / np.pi
+        g[:, 0] = 1.0
         return g
 
-    def f_vec(pts, t):
+    def viscous_pressure(pts):
+        # -nu lap curl(psi) + grad(x - 1/2)
         x, y = pts[:, 0], pts[:, 1]
-        s = np.sin(np.pi * t)
-        c = np.pi * np.cos(np.pi * t)
-        f1 = (c * _w(x) * _dw(y)
-              - nu * s * (_d2w(x) * _dw(y) + _w(x) * _d3w(y))
-              + s)
-        f2 = (-c * _dw(x) * _w(y)
-              + nu * s * (_d3w(x) * _w(y) + _dw(x) * _d2w(y)))
-        return np.column_stack([f1, f2])
+        return np.column_stack([
+            1.0 - nu * (_d2w(x) * _dw(y) + _w(x) * _d3w(y)),
+            nu * (_d3w(x) * _w(y) + _dw(x) * _d2w(y)),
+        ])
 
+    P = _Profiles(curl=curl, jacobian=jacobian, shift=shift, e1=e1,
+                  viscous_pressure=viscous_pressure)
+    f_vec = P.field((_dsin, "curl"), (_sin, "viscous_pressure"))
     return ManufacturedCase(
         kind="stokes",
         domain=(0.0, 0.0, 1.0, 1.0),
         conductor=None,
         coeffs=Coefficients(nu=nu),
         T=T,
-        u=u, dudt=dudt, grad_u=grad_u,
-        multiplier=multiplier, grad_multiplier=grad_multiplier,
-        pressure=pressure,
+        u=P.field((_sin, "curl")),
+        dudt=P.field((_dsin, "curl")),
+        grad_u=P.field((_sin, "jacobian")),
+        # the multiplier is the time primitive of the pressure; this is
+        # what lam_h^n tracks
+        multiplier=P.field((_int_sin, "shift")),
+        grad_multiplier=P.field((_int_sin, "e1")),
+        pressure=P.field((_sin, "shift")),
         f_vec=f_vec, f_strong=f_vec,
     )
 
@@ -151,51 +194,47 @@ def eddy2d_case(sigma=1.0, eps=1.0, mu_mag=1.0, T=0.75):
     <f, v> = int_C sigma du/dt . v + int (1/mu_mag) rot(u) rot(v).
     """
 
-    def _in_conductor(pts):
+    def curl(pts):
         x, y = pts[:, 0], pts[:, 1]
-        return ((x >= 1.0) & (x <= 2.0) & (y >= 1.0) & (y <= 2.0)).astype(float)
+        return np.column_stack([_g(x) * _dg(y), -_dg(x) * _g(y)]) / _GNORM
 
-    def u(pts, t):
+    def rot(pts):
         x, y = pts[:, 0], pts[:, 1]
-        s = np.sin(np.pi * t) / _GNORM
-        return np.column_stack([s * _g(x) * _dg(y), -s * _dg(x) * _g(y)])
+        return -(_d2g(x) * _g(y) + _g(x) * _d2g(y)) / _GNORM
 
-    def dudt(pts, t):
+    def sigma_curl(pts):
+        # sigma times the conductor indicator times curl(phi)
         x, y = pts[:, 0], pts[:, 1]
-        c = np.pi * np.cos(np.pi * t) / _GNORM
-        return np.column_stack([c * _g(x) * _dg(y), -c * _dg(x) * _g(y)])
+        inside = (x >= 1.0) & (x <= 2.0) & (y >= 1.0) & (y <= 2.0)
+        return sigma * inside[:, None] * curl(pts)
 
-    def rot_u(pts, t):
+    def curl_rot(pts):
         x, y = pts[:, 0], pts[:, 1]
-        s = np.sin(np.pi * t) / _GNORM
-        return -s * (_d2g(x) * _g(y) + _g(x) * _d2g(y))
+        drot_dx = -(_d3g(x) * _g(y) + _dg(x) * _d2g(y))
+        drot_dy = -(_d2g(x) * _dg(y) + _g(x) * _d3g(y))
+        return np.column_stack([drot_dy, -drot_dx]) / _GNORM
 
     def multiplier(pts, t):
         return np.zeros(len(pts))
 
-    def f_vec(pts, t):
-        return sigma * _in_conductor(pts)[:, None] * dudt(pts, t)
+    def sin_mu(t):
+        return _sin(t) / mu_mag
 
-    def f_rot(pts, t):
-        return rot_u(pts, t) / mu_mag
-
-    def f_strong(pts, t):
-        x, y = pts[:, 0], pts[:, 1]
-        s = np.sin(np.pi * t) / _GNORM
-        drot_dx = -s * (_d3g(x) * _g(y) + _dg(x) * _d2g(y))
-        drot_dy = -s * (_d2g(x) * _dg(y) + _g(x) * _d3g(y))
-        curl_rot = np.column_stack([drot_dy, -drot_dx]) / mu_mag
-        return f_vec(pts, t) + curl_rot
-
+    P = _Profiles(curl=curl, rot=rot, sigma_curl=sigma_curl,
+                  curl_rot=curl_rot)
     return ManufacturedCase(
         kind="eddy2d",
         domain=(0.0, 0.0, 3.0, 3.0),
         conductor=(1.0, 1.0, 2.0, 2.0),
         coeffs=Coefficients(sigma=sigma, eps=eps, mu_mag=mu_mag),
         T=T,
-        u=u, dudt=dudt, rot_u=rot_u,
+        u=P.field((_sin, "curl")),
+        dudt=P.field((_dsin, "curl")),
+        rot_u=P.field((_sin, "rot")),
         multiplier=multiplier,
-        f_vec=f_vec, f_rot=f_rot, f_strong=f_strong,
+        f_vec=P.field((_dsin, "sigma_curl")),
+        f_rot=P.field((sin_mu, "rot")),
+        f_strong=P.field((_dsin, "sigma_curl"), (sin_mu, "curl_rot")),
     )
 
 

@@ -8,6 +8,7 @@ the probe columns.
 from __future__ import annotations
 
 import json
+import shutil
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -179,10 +180,17 @@ def run_experiment(cfg):
     """Execute the configured refinement study; returns the exit code.
 
     0: thresholds met (or too few levels to fit rates), 1: a fitted rate
-    fell below its threshold, 3: solver failure.
+    fell below its threshold, 2: the output directory cannot be created
+    (checked before the first level), 3: solver failure.
     """
     out = Path(cfg.out)
     vtk_dir = out / "vtk" if cfg.vtk_every > 0 else None
+    created = not out.exists()
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        print(f"output error: cannot create {out}: {err}", file=sys.stderr)
+        return 2
 
     try:
         if cfg.jobs > 1:
@@ -196,9 +204,10 @@ def run_experiment(cfg):
             results = [run_level(cfg, lv, vtk_dir) for lv in range(cfg.levels)]
     except (SingularSystem, ResidualTooLarge) as err:
         print(f"solver failure: {err}", file=sys.stderr)
+        if created:
+            shutil.rmtree(out)
         return 3
 
-    out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "rates.csv"
     with open(csv_path, "w") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")

@@ -246,3 +246,14 @@ def test_one_level_builds_one_table_per_space_and_degree(
             warnings.simplefilter("ignore")
             run_level(cfg, 0, vtk_dir=tmp_path / f"vtk{steps}")
         assert sorted(built) == sorted(expected)
+
+
+def test_quadrature_points_are_read_only(stokes2):
+    # the manufactured cases cache their spatial profiles per read-only
+    # points array, so the shared table points must not be writable
+    _, V, Q, _ = stokes2
+    for space in (V, Q):
+        tab = CellTables.of(space, 4)
+        assert not tab.qp.flags.writeable
+        with pytest.raises(ValueError):
+            tab.qp[0, 0] = 0.5

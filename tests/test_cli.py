@@ -121,6 +121,25 @@ def test_negative_vtk_every_flag_exits_2_without_outputs(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("out", ["f/x", "f"])
+def test_uncreatable_output_dir_exits_2_before_any_level(
+        tmp_path, monkeypatch, capsys, out):
+    from mixpar import runner as runner_mod
+
+    def never(cfg, level, vtk_dir=None):
+        raise AssertionError("a level ran")
+
+    monkeypatch.setattr(runner_mod, "run_level", never)
+    cfg = tmp_path / "ok.cfg"
+    cfg.write_text(SMOKE_KV)
+    blocker = tmp_path / "f"
+    blocker.touch()
+    assert main(["run", str(cfg), "--out", str(tmp_path / out)]) == 2
+    assert "output error" in capsys.readouterr().err
+    assert blocker.is_file() and blocker.stat().st_size == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f", "ok.cfg"]
+
+
 def test_missing_config_exits_2(tmp_path):
     code = main(["run", str(tmp_path / "nope.cfg")])
     assert code == 2
@@ -210,6 +229,7 @@ def test_solver_failure_exits_3(tmp_path, monkeypatch):
     cfg = parse_config(SMOKE_KV)
     cfg.out = str(tmp_path / "out")
     assert runner_mod.run_experiment(cfg) == 3
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_seed_env_is_ignored(tmp_path):

@@ -137,3 +137,84 @@ def test_mesh_vtk_export(tmp_path):
     assert f"POINTS {m.num_vertices} double" in lines
     assert f"CELLS {m.num_cells} {4 * m.num_cells}" in lines
     assert "SCALARS subdomain double 1" in lines
+
+
+def _edge_cells_reference(mesh):
+    # the per-cell loop the constructor once ran
+    edge_cells = np.full((mesh.num_edges, 2), -1, dtype=np.intp)
+    for c in range(mesh.num_cells):
+        for k in range(3):
+            e = mesh.cell_edges[c, k]
+            if edge_cells[e, 0] < 0:
+                edge_cells[e, 0] = c
+            elif edge_cells[e, 1] < 0:
+                edge_cells[e, 1] = c
+            else:
+                raise ValueError(f"edge {e} shared by more than two cells")
+    return edge_cells
+
+
+@pytest.mark.parametrize("pattern", ["right", "crossed"])
+def test_edge_cells_match_per_cell_loop(pattern):
+    meshes = [
+        structured_mesh((0, 0, 1, 1), 5, pattern=pattern),
+        uniform_refine(structured_mesh((0, 0, 3, 3), 3, pattern=pattern,
+                                       conductor=(1, 1, 2, 2))),
+    ]
+    for m in meshes:
+        assert m.edge_cells.dtype == np.intp
+        assert np.array_equal(m.edge_cells, _edge_cells_reference(m))
+        # edges are unique and in lexicographic (low, high) order
+        lo, hi = m.edges[:, 0], m.edges[:, 1]
+        assert np.all((lo[1:] > lo[:-1])
+                      | ((lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1])))
+
+
+def _structured_reference(n, pattern, square_tag):
+    # the per-square loops structured_mesh once ran, on the unit square
+    xs = ys = np.linspace(0.0, 1.0, n + 1)
+    vid = lambda i, j: j * (n + 1) + i
+    grid = np.array([(xs[i], ys[j]) for j in range(n + 1)
+                     for i in range(n + 1)])
+    cells, tags, centers = [], [], []
+    for j in range(n):
+        for i in range(n):
+            v00, v10 = vid(i, j), vid(i + 1, j)
+            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
+            if pattern == "right":
+                cells += [(v00, v10, v11), (v00, v11, v01)]
+            else:
+                ctr = len(grid) + j * n + i
+                centers.append((0.5 * (xs[i] + xs[i + 1]),
+                                0.5 * (ys[j] + ys[j + 1])))
+                cells += [(v00, v10, ctr), (v10, v11, ctr),
+                          (v11, v01, ctr), (v01, v00, ctr)]
+            tags += [square_tag(i, j)] * (2 if pattern == "right" else 4)
+    vertices = np.vstack([grid] + ([np.array(centers)] if centers else []))
+    return vertices, np.array(cells), np.array(tags, dtype=np.int8)
+
+
+@pytest.mark.parametrize("pattern", ["right", "crossed"])
+def test_structured_mesh_matches_per_square_loops(pattern):
+    def banded(i, j):
+        # conductor [1/3, 2/3]^2 on the 6 x 6 lattice
+        return CONDUCTOR if 2 <= i < 4 and 2 <= j < 4 else INSULATOR
+
+    for n, conductor, square_tag in (
+            (5, None, lambda i, j: WHOLE),
+            (6, (1 / 3, 1 / 3, 2 / 3, 2 / 3), banded)):
+        m = structured_mesh((0, 0, 1, 1), n, conductor=conductor,
+                            pattern=pattern)
+        vertices, cells, tags = _structured_reference(n, pattern, square_tag)
+        assert np.array_equal(m.vertices, vertices)
+        assert np.array_equal(m.cells, cells)
+        assert np.array_equal(m.cell_subdomain, tags)
+
+
+def test_edge_shared_by_three_cells_rejected():
+    # three positively oriented triangles on the edge (0,0)-(1,0)
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, 2.0],
+                      [0.2, 0.5]])
+    cells = np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]])
+    with pytest.raises(ValueError, match="shared by more than two cells"):
+        TriMesh(verts, cells)

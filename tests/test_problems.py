@@ -1,11 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from mixpar import build_space, interpolate, structured_mesh
+from mixpar import problems
 from mixpar.assembly import CellTables, assemble_load
+from mixpar.config import parse_config
 from mixpar.elements import QuadratureRule
 from mixpar.problems import (StokesInstance, eddy2d_case, recover_fields,
                              stokes_case)
+from mixpar.runner import run_level
 from mixpar.timestep import TimeGrid, TimeSeriesSolution, run
 from conftest import build_eddy
 
@@ -243,3 +248,189 @@ def test_recovered_field_errors_decrease_across_levels():
     for k in range(2):
         assert rels[k + 1][0] < rels[k][0]
         assert rels[k + 1][1] < rels[k][1]
+
+
+# -- separable fields against the closed forms -------------------------------
+#
+# The oracles below are the per-field closed forms the cases used before
+# their fields were written as time factors times cached spatial profiles.
+
+def _w(s):
+    return s * s * (1.0 - s) ** 2
+
+def _dw(s):
+    return 2.0 * s - 6.0 * s ** 2 + 4.0 * s ** 3
+
+def _d2w(s):
+    return 2.0 - 12.0 * s + 12.0 * s ** 2
+
+def _d3w(s):
+    return -12.0 + 24.0 * s
+
+
+def _closed_form_stokes(nu):
+    def u(pts, t):
+        x, y = pts[:, 0], pts[:, 1]
+        s = np.sin(np.pi * t)
+        return np.column_stack([s * _w(x) * _dw(y), -s * _dw(x) * _w(y)])
+
+    def dudt(pts, t):
+        x, y = pts[:, 0], pts[:, 1]
+        c = np.pi * np.cos(np.pi * t)
+        return np.column_stack([c * _w(x) * _dw(y), -c * _dw(x) * _w(y)])
+
+    def grad_u(pts, t):
+        x, y = pts[:, 0], pts[:, 1]
+        s = np.sin(np.pi * t)
+        J = np.empty((len(pts), 2, 2))
+        J[:, 0, 0] = s * _dw(x) * _dw(y)
+        J[:, 0, 1] = s * _w(x) * _d2w(y)
+        J[:, 1, 0] = -s * _d2w(x) * _w(y)
+        J[:, 1, 1] = -s * _dw(x) * _dw(y)
+        return J
+
+    def pressure(pts, t):
+        return np.sin(np.pi * t) * (pts[:, 0] - 0.5)
+
+    def multiplier(pts, t):
+        return (1.0 - np.cos(np.pi * t)) / np.pi * (pts[:, 0] - 0.5)
+
+    def grad_multiplier(pts, t):
+        g = np.zeros((len(pts), 2))
+        g[:, 0] = (1.0 - np.cos(np.pi * t)) / np.pi
+        return g
+
+    def f_vec(pts, t):
+        x, y = pts[:, 0], pts[:, 1]
+        s = np.sin(np.pi * t)
+        c = np.pi * np.cos(np.pi * t)
+        f1 = (c * _w(x) * _dw(y)
+              - nu * s * (_d2w(x) * _dw(y) + _w(x) * _d3w(y))
+              + s)
+        f2 = (-c * _dw(x) * _w(y)
+              + nu * s * (_d3w(x) * _w(y) + _dw(x) * _d2w(y)))
+        return np.column_stack([f1, f2])
+
+    return dict(u=u, dudt=dudt, grad_u=grad_u, pressure=pressure,
+                multiplier=multiplier, grad_multiplier=grad_multiplier,
+                f_vec=f_vec, f_strong=f_vec)
+
+
+def _g(s):
+    return s * s * (3.0 - s) ** 2
+
+def _dg(s):
+    return 18.0 * s - 18.0 * s ** 2 + 4.0 * s ** 3
+
+def _d2g(s):
+    return 18.0 - 36.0 * s + 12.0 * s ** 2
+
+def _d3g(s):
+    return -36.0 + 24.0 * s
+
+_GNORM = _g(1.5) ** 2
+
+
+def _closed_form_eddy(sigma, mu_mag):
+    def in_conductor(pts):
+        x, y = pts[:, 0], pts[:, 1]
+        return ((x >= 1.0) & (x <= 2.0) & (y >= 1.0) & (y <= 2.0)).astype(float)
+
+    def u(pts, t):
+        x, y = pts[:, 0], pts[:, 1]
+        s = np.sin(np.pi * t) / _GNORM
+        return np.column_stack([s * _g(x) * _dg(y), -s * _dg(x) * _g(y)])
+
+    def dudt(pts, t):
+        x, y = pts[:, 0], pts[:, 1]
+        c = np.pi * np.cos(np.pi * t) / _GNORM
+        return np.column_stack([c * _g(x) * _dg(y), -c * _dg(x) * _g(y)])
+
+    def rot_u(pts, t):
+        x, y = pts[:, 0], pts[:, 1]
+        s = np.sin(np.pi * t) / _GNORM
+        return -s * (_d2g(x) * _g(y) + _g(x) * _d2g(y))
+
+    def multiplier(pts, t):
+        return np.zeros(len(pts))
+
+    def f_vec(pts, t):
+        return sigma * in_conductor(pts)[:, None] * dudt(pts, t)
+
+    def f_rot(pts, t):
+        return rot_u(pts, t) / mu_mag
+
+    def f_strong(pts, t):
+        x, y = pts[:, 0], pts[:, 1]
+        s = np.sin(np.pi * t) / _GNORM
+        drot_dx = -s * (_d3g(x) * _g(y) + _dg(x) * _d2g(y))
+        drot_dy = -s * (_d2g(x) * _dg(y) + _g(x) * _d3g(y))
+        curl_rot = np.column_stack([drot_dy, -drot_dx]) / mu_mag
+        return f_vec(pts, t) + curl_rot
+
+    return dict(u=u, dudt=dudt, rot_u=rot_u, multiplier=multiplier,
+                f_vec=f_vec, f_rot=f_rot, f_strong=f_strong)
+
+
+def _assert_close(new, old):
+    assert new.shape == old.shape
+    assert np.abs(new - old).max() <= 1e-14 * np.abs(old).max()
+
+
+@pytest.mark.parametrize("kind", ["stokes", "eddy2d"])
+def test_separable_fields_match_closed_forms(kind):
+    if kind == "stokes":
+        case, oracle = stokes_case(nu=0.7), _closed_form_stokes(0.7)
+        mesh = structured_mesh(case.domain, 4)
+        space = build_space(mesh, "mini", bc="zero_outer")
+    else:
+        case = eddy2d_case(sigma=2.5, mu_mag=1.7)
+        oracle = _closed_form_eddy(2.5, 1.7)
+        mesh = structured_mesh(case.domain, 6, conductor=case.conductor)
+        space = build_space(mesh, "edge", bc="zero_outer")
+    # two read-only arrays and one writable array
+    qp4, qp2 = CellTables.of(space, 4).qp, CellTables.of(space, 2).qp
+    rng = np.random.default_rng(21)
+    lo, hi = case.domain[0], case.domain[2]
+    loose = rng.uniform(lo, hi, size=(200, 2))
+    times = (0.0, 0.13, 0.37, case.T)
+    for name, exact in oracle.items():
+        field = getattr(case, name)
+        # every array comes back at each later time, after the others:
+        # cached profiles must be rescaled and never mixed up
+        for t in times:
+            for pts in (qp4, qp2, loose):
+                _assert_close(field(pts, t), exact(pts, t))
+        # a writable array edited in place is evaluated afresh
+        edited = loose.copy()
+        field(edited, 0.37)
+        edited[:] = rng.uniform(lo, hi, size=edited.shape)
+        _assert_close(field(edited, 0.37), exact(edited, 0.37))
+
+
+@pytest.mark.parametrize("case, expected", [
+    ("stokes", {"curl", "jacobian", "shift", "viscous_pressure"}),
+    ("eddy2d", {"curl", "rot", "sigma_curl"}),
+])
+def test_one_level_evaluates_each_profile_once_per_points_array(
+        monkeypatch, case, expected):
+    calls = []
+    evaluate = problems._Profiles.evaluate
+
+    def spy(self, name, pts):
+        if not pts.flags.writeable:
+            calls.append((name, pts))   # keeps pts alive: ids stay unique
+        return evaluate(self, name, pts)
+
+    monkeypatch.setattr(problems._Profiles, "evaluate", spy)
+    n = 2 if case == "stokes" else 3
+    for steps in (2, 5):
+        calls.clear()
+        cfg = parse_config(f"case = {case}\nn = {n}\nlevels = 1\n"
+                           f"steps = {steps}\nprobes = false\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run_level(cfg, 0)
+        keys = [(name, id(pts)) for name, pts in calls]
+        assert len(keys) == len(set(keys))
+        assert {name for name, _ in calls} == expected
