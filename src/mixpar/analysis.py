@@ -147,12 +147,15 @@ def compute_errors(solution, case, ops, quad_degree=4, steps=None):
     norms = ErrorNorms()
     relE_num = relE_den = relH_num = relH_den = 0.0
     l2X = l2M = dtR = 0.0
+    v_prev = tu.values(solution.u[n0 - 1])
     for n in range(n0, n1 + 1):
         t = n * dt
         u = solution.u[n]
+        v = tu.values(u)
         due = case.dudt(tu.qp, t)
-        e2 = _sq(case.u(tu.qp, t) - tu.values(u))
-        de2 = _sq(due - tu.values((u - solution.u[n - 1]) / dt))
+        e2 = _sq(case.u(tu.qp, t) - v)
+        de2 = _sq(due - (v - v_prev) / dt)
+        v_prev = v
         der_e = exact_der(tu.qp, t)
         der2 = float(tu.w @ _sq(der_e - tu.derivs(u)))
         norms.max_R = max(norms.max_R, float(wR @ e2))

@@ -1,9 +1,12 @@
 """Global operator assembly for the Stokes and eddy-current instances.
 
-Assembly loops run in deterministic cell order via whole-mesh einsum
-contractions followed by a single COO scatter, so serial runs produce
-bitwise-identical matrices.  Operators are reduced to the free DOFs of
-their spaces (essential conditions are homogeneous).
+Every operator is a weighted Gram product Pᵀ diag(w) Q of the sparse
+point maps of `CellTables` (field values or derivatives at the
+quadrature points), so the operators, the load and the error norms use
+one quadrature path.  The maps act on free coefficients, so operators
+live on the free DOFs of their spaces (essential conditions are
+homogeneous), and they store no exact zeros.  Sparse products run in a
+fixed order, so serial runs produce bitwise-identical matrices.
 """
 from __future__ import annotations
 
@@ -73,16 +76,17 @@ class CellTables:
     operator assembly, the load, the error norms, the projections and the
     field recovery.
 
-    Per-kind fields used by the operator assembly: p1 / multiplier carry
-    `vals` (nq, 3) and `grads` (nc, 3, 2); mini carries `vals` (nq, 4)
-    and `grads` (nc, nq, 4, 2) for the scalar P1+bubble basis; edge
-    carries `wvals` (nc, nq, 3, 2) and `wrot` (nc, 3).
-
     Kind-agnostic data over the flat list of quadrature points: `qp`
     (m, 2, read-only), weights `w` (m,), and two sparse maps from free
     coefficients, built on first use: `val` to the field values and `der`
     to the gradient (p1, multiplier), the Jacobian (mini) or the scalar
-    curl (edge).  `values`, `derivs` and `moments` sit on top of them.
+    curl (edge).  `values`, `derivs` and `moments` sit on top of them,
+    and every operator is a weighted product of them (see `_gram`).
+
+    Per-kind local basis data, from which the maps are built: p1 /
+    multiplier carry `vals` (nq, 3) and `grads` (nc, 3, 2); mini carries
+    `vals` (nq, 4) and `grads` (nc, nq, 4, 2) for the scalar P1+bubble
+    basis; edge carries `wvals` (nc, nq, 3, 2) and `wrot` (nc, 3).
     """
 
     def __init__(self, space, rule=None):
@@ -95,7 +99,6 @@ class CellTables:
         d1 = pts[:, 1] - pts[:, 0]
         d2 = pts[:, 2] - pts[:, 0]
         det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        self.area = 0.5 * det
         # physical gradients of the barycentric coordinates
         g = np.empty((len(cells), 3, 2))
         for k in range(3):
@@ -226,36 +229,33 @@ class CellTables:
         return (self.w[:, None] * a).ravel()
 
 
-def _scatter_square(local, dofs, ndof):
-    nl = dofs.shape[1]
-    rows = np.repeat(dofs, nl, axis=1).ravel()
-    cols = np.tile(dofs, (1, nl)).ravel()
-    mat = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(ndof, ndof))
-    return mat.tocsr()
+def _gram(P, w, Q=None):
+    """Pᵀ diag(w) Q of two point maps (Q defaults to P), no stored zeros.
 
-def _scatter_rect(local, row_dofs, col_dofs, shape):
-    nr, nc_ = row_dofs.shape[1], col_dofs.shape[1]
-    rows = np.repeat(row_dofs, nc_, axis=1).ravel()
-    cols = np.tile(col_dofs, (1, nr)).ravel()
-    mat = sp.coo_matrix((local.ravel(), (rows, cols)), shape=shape)
-    return mat.tocsr()
-
-def _scatter_vector(local, dofs, ndof):
-    out = np.zeros(ndof)
-    np.add.at(out, dofs.ravel(), local.ravel())
-    return out
-
-def _reduce(mat, row_free, col_free):
-    return mat[row_free][:, col_free]
+    w holds one weight per quadrature point, shared by that point's rows.
+    Both factors are scaled by √w, so Pᵀ diag(w) P is exactly symmetric.
+    """
+    s = np.sqrt(w)
+    Ps = _scale_rows(P, s)
+    Qs = Ps if Q is None else _scale_rows(Q, s)
+    G = (Ps.T @ Qs).tocsr()
+    G.eliminate_zeros()
+    return G
 
 
-def _interleave_vector_blocks(scalar_local):
-    """Embed an (nc, ns, ns) scalar block as (nc, 2ns, 2ns) per component."""
-    nc_, ns, _ = scalar_local.shape
-    out = np.zeros((nc_, 2 * ns, 2 * ns))
-    out[:, 0::2, 0::2] = scalar_local
-    out[:, 1::2, 1::2] = scalar_local
-    return out
+def _scale_rows(P, s):
+    """P with each point's rows scaled by s[point]; shares P's index
+    arrays, so it must not be modified in place."""
+    s = np.repeat(s, P.shape[0] // len(s))
+    return sp.csr_matrix(
+        (P.data * np.repeat(s, np.diff(P.indptr)), P.indices, P.indptr),
+        shape=P.shape)
+
+
+def _rows_at(P, pts, npts):
+    """The rows of point map P at the points pts, out of npts points."""
+    k = P.shape[0] // npts
+    return P[(k * pts[:, None] + np.arange(k)).ravel()]
 
 
 def assemble_stokes(velocity, pressure, nu=1.0, quad_degree=4):
@@ -263,8 +263,8 @@ def assemble_stokes(velocity, pressure, nu=1.0, quad_degree=4):
 
     R is the vector L2 mass, A = nu * vector stiffness, and
     B[q, v] = -int q div(v), so the multiplier equation reads B u = 0.
-    X (the H1_0 inner product) shares the stiffness assembly, making
-    A = nu * X an exact matrix identity.
+    X (the H1_0 inner product) is the Gram matrix of the Jacobian map,
+    making A = nu * X an exact matrix identity.
     """
     if velocity.mesh is not pressure.mesh:
         raise SpaceMismatch("velocity and pressure live on different meshes")
@@ -273,39 +273,20 @@ def assemble_stokes(velocity, pressure, nu=1.0, quad_degree=4):
     tv = CellTables.of(velocity, quad_degree)
     tp = CellTables.of(pressure, quad_degree)
 
-    mass4 = np.einsum("cq,qs,qt->cst", tv.wdet, tv.vals, tv.vals)
-    stiff4 = np.einsum("cq,cqsg,cqtg->cst", tv.wdet, tv.grads, tv.grads)
-    R_full = _scatter_square(_interleave_vector_blocks(mass4),
-                             tv.dofs, velocity.ndof)
-    X_full = _scatter_square(_interleave_vector_blocks(stiff4),
-                             tv.dofs, velocity.ndof)
-
-    # -int q d_i(phi) against pressure basis q
-    div_loc = -np.einsum("cq,qm,cqtd->cmtd", tv.wdet, tp.vals, tv.grads)
-    div_loc = div_loc.reshape(len(tv.cells), 3, 8)
-    B_full = _scatter_rect(div_loc, tp.dofs, tv.dofs,
-                           (pressure.ndof, velocity.ndof))
-
-    mp = np.einsum("cq,qm,qn->cmn", tp.wdet, tp.vals, tp.vals)
-    M_full = _scatter_square(mp, tp.dofs, pressure.ndof)
-    mean_full = _scatter_vector(
-        np.einsum("cq,qm->cm", tp.wdet, tp.vals), tp.dofs, pressure.ndof
-    )
-
-    vf, pf = velocity.free, pressure.free
-    X = _reduce(X_full, vf, vf)
-    ops = OperatorSet(
-        R=_reduce(R_full, vf, vf),
-        A=(nu * X).tocsr(),
-        B=_reduce(B_full, pf, vf),
-        X=X.tocsr(),
-        M=_reduce(M_full, pf, pf),
+    # Jacobian rows are (d_x v_x, d_y v_x, d_x v_y, d_y v_y) per point
+    div = tv.der[0::4] + tv.der[3::4]
+    X = _gram(tv.der, tv.w)
+    return OperatorSet(
+        R=_gram(tv.val, tv.w),
+        A=nu * X,
+        B=-_gram(tp.val, tp.w, div),
+        X=X,
+        M=_gram(tp.val, tp.w),
         primal=velocity,
         multiplier=pressure,
         coeffs=Coefficients(nu=nu),
-        mean_row=mean_full[pf],
+        mean_row=tp.val.T @ tp.w,
     )
-    return ops
 
 
 def assemble_eddy2d(edge, multiplier, sigma=1.0, eps=1.0, mu_mag=1.0,
@@ -321,42 +302,25 @@ def assemble_eddy2d(edge, multiplier, sigma=1.0, eps=1.0, mu_mag=1.0,
         raise SpaceMismatch("edge and multiplier live on different meshes")
     if edge.kind != "edge" or multiplier.kind != "multiplier":
         raise SpaceMismatch("expected edge primal and multiplier spaces")
-    mesh = edge.mesh
-    cond = np.where(mesh.cell_subdomain == meshmod.CONDUCTOR)[0]
-    if len(cond) == 0 or sigma <= 0.0:
+    in_cond = (edge.mesh.cell_subdomain[edge.active_cells]
+               == meshmod.CONDUCTOR)
+    if not in_cond.any() or sigma <= 0.0:
         raise NoConductorCells("degenerate mass term has empty support")
 
     te = CellTables.of(edge, quad_degree)
     tm = CellTables.of(multiplier, quad_degree)
-
-    mass_loc = np.einsum("cq,cqed,cqfd->cef", te.wdet, te.wvals, te.wvals)
-    rot_loc = np.einsum("c,ce,cf->cef", te.area, te.wrot, te.wrot)
-
-    in_cond = np.isin(te.cells, cond)
-    R_full = sigma * _scatter_square(mass_loc[in_cond], te.dofs[in_cond],
-                                     edge.ndof)
-    A_full = (1.0 / mu_mag) * _scatter_square(rot_loc, te.dofs, edge.ndof)
-    X_full = _scatter_square(mass_loc + rot_loc, te.dofs, edge.ndof)
-
-    # edge tables restricted to the multiplier's insulator cells
-    pos = {c: i for i, c in enumerate(te.cells)}
-    ins_idx = np.array([pos[c] for c in tm.cells], dtype=np.intp)
-    b_loc = eps * np.einsum("cq,cqed,cmd->cme",
-                            te.wdet[ins_idx], te.wvals[ins_idx], tm.grads)
-    B_full = _scatter_rect(b_loc, tm.dofs, te.dofs[ins_idx],
-                           (multiplier.ndof, edge.ndof))
-
-    m_mass = np.einsum("cq,qm,qn->cmn", tm.wdet, tm.vals, tm.vals)
-    m_stiff = np.einsum("c,cmd,cnd->cmn", tm.area, tm.grads, tm.grads)
-    M_full = _scatter_square(m_mass + m_stiff, tm.dofs, multiplier.ndof)
-
-    ef, mf = edge.free, multiplier.free
+    nq = te.wdet.shape[1]
+    cond = np.flatnonzero(np.repeat(in_cond, nq))
+    # the multiplier's points are the edge table's points on its cells
+    ins = (np.searchsorted(te.cells, tm.cells)[:, None] * nq
+           + np.arange(nq)).ravel()
+    rot = _gram(te.der, te.w)
     return OperatorSet(
-        R=_reduce(R_full, ef, ef).tocsr(),
-        A=_reduce(A_full, ef, ef).tocsr(),
-        B=_reduce(B_full, mf, ef),
-        X=_reduce(X_full, ef, ef),
-        M=_reduce(M_full, mf, mf),
+        R=sigma * _gram(_rows_at(te.val, cond, len(te.w)), te.w[cond]),
+        A=rot / mu_mag,
+        B=eps * _gram(tm.der, tm.w, _rows_at(te.val, ins, len(te.w))),
+        X=_gram(te.val, te.w) + rot,
+        M=_gram(tm.val, tm.w) + _gram(tm.der, tm.w),
         primal=edge,
         multiplier=multiplier,
         coeffs=Coefficients(sigma=sigma, eps=eps, mu_mag=mu_mag),

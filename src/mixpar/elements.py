@@ -1,4 +1,4 @@
-"""Reference-triangle shape functions, curls, and quadrature rules.
+"""Reference-triangle shape functions and quadrature rules.
 
 The reference triangle has vertices (0,0), (1,0), (0,1) and area 1/2.
 Barycentric coordinates follow the convention lam0 = 1-x-y, lam1 = x,
@@ -17,12 +17,8 @@ from numpy.polynomial.legendre import leggauss
 __all__ = [
     "QuadratureRule", "DegenerateCell", "gauss1d",
     "p1_values", "bubble_values",
-    "cell_geometry", "p1_mass_reference", "p1_stiffness", "edge1_curl",
-    "whitney_values", "whitney_curls", "CANONICAL_EDGE_PAIRS",
+    "cell_geometry", "p1_mass_reference", "p1_stiffness",
 ]
-
-# canonical local edge orientation used by the standalone edge1_curl op
-CANONICAL_EDGE_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
 class DegenerateCell(ValueError):
@@ -168,29 +164,3 @@ def p1_stiffness(pts):
     """Exact P1 stiffness matrix of the triangle with vertices pts."""
     area, grads = cell_geometry(pts)
     return area * (grads @ grads.T)
-
-
-def whitney_values(bary, grads, pairs):
-    """Whitney edge functions w_ab = lam_a grad(lam_b) - lam_b grad(lam_a).
-
-    Returns (nq, len(pairs), 2) for one cell.
-    """
-    b = np.asarray(bary, dtype=float)
-    out = np.empty((len(b), len(pairs), 2))
-    for k, (a, c) in enumerate(pairs):
-        out[:, k, :] = np.outer(b[:, a], grads[c]) - np.outer(b[:, c], grads[a])
-    return out
-
-
-def whitney_curls(grads, pairs):
-    """Scalar curls rot(w_ab) = 2 (dx la dy lb - dy la dx lb), per pair."""
-    g = np.asarray(grads, dtype=float)
-    return np.array(
-        [2.0 * (g[a, 0] * g[c, 1] - g[a, 1] * g[c, 0]) for a, c in pairs]
-    )
-
-
-def edge1_curl(pts, pairs=CANONICAL_EDGE_PAIRS):
-    """Per-DOF scalar curl of the lowest-order edge element on a cell."""
-    _, grads = cell_geometry(pts)
-    return whitney_curls(grads, pairs)

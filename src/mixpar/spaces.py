@@ -153,15 +153,14 @@ def build_space(mesh, kind, bc="zero_outer"):
         dof_of_vertex[ins_vertices] = inv
         ndof = len(used)
 
+        # each DOF's representative is its smallest vertex
         dof_vertex = np.full(ndof, mesh.num_vertices, dtype=np.intp)
-        for v in ins_vertices[::-1]:
-            dof_vertex[dof_of_vertex[v]] = v
+        np.minimum.at(dof_vertex, inv, ins_vertices)
 
         fixed_mask = np.zeros(ndof, dtype=bool)
         if bc == "zero_outer":
-            for v in np.where(_outer_vertex_mask(mesh))[0]:
-                if dof_of_vertex[v] >= 0:
-                    fixed_mask[dof_of_vertex[v]] = True
+            outer = dof_of_vertex[_outer_vertex_mask(mesh)]
+            fixed_mask[outer[outer >= 0]] = True
         free, fixed = _partition(ndof, fixed_mask)
         cell_dofs = dof_of_vertex[mesh.cells[ins_cells]]
         return FeSpace(mesh, kind, ndof, free, fixed, cell_dofs, ins_cells, 1,

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -257,3 +258,101 @@ def test_quadrature_points_are_read_only(stokes2):
         assert not tab.qp.flags.writeable
         with pytest.raises(ValueError):
             tab.qp[0, 0] = 0.5
+
+
+# -- the per-kind einsum-and-scatter assembly that the Gram products of
+# the point maps replaced, kept as the oracle of the operators
+
+def _scatter(local, row_dofs, col_dofs, shape):
+    nr, nc = row_dofs.shape[1], col_dofs.shape[1]
+    rows = np.repeat(row_dofs, nc, axis=1).ravel()
+    cols = np.tile(col_dofs, (1, nr)).ravel()
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=shape).tocsr()
+
+
+def _reduce(mat, row_space, col_space):
+    return mat[row_space.free][:, col_space.free]
+
+
+def _interleave_vector_blocks(scalar_local):
+    nc, ns, _ = scalar_local.shape
+    out = np.zeros((nc, 2 * ns, 2 * ns))
+    out[:, 0::2, 0::2] = scalar_local
+    out[:, 1::2, 1::2] = scalar_local
+    return out
+
+
+def _stokes_oracle(V, Q, nu, degree):
+    tv, tp = CellTables.of(V, degree), CellTables.of(Q, degree)
+    sq = lambda s: (s.ndof, s.ndof)
+    mass4 = np.einsum("cq,qs,qt->cst", tv.wdet, tv.vals, tv.vals)
+    stiff4 = np.einsum("cq,cqsg,cqtg->cst", tv.wdet, tv.grads, tv.grads)
+    R = _scatter(_interleave_vector_blocks(mass4), tv.dofs, tv.dofs, sq(V))
+    X = _scatter(_interleave_vector_blocks(stiff4), tv.dofs, tv.dofs, sq(V))
+    div = -np.einsum("cq,qm,cqtd->cmtd", tv.wdet, tp.vals, tv.grads)
+    B = _scatter(div.reshape(len(tv.cells), 3, 8), tp.dofs, tv.dofs,
+                 (Q.ndof, V.ndof))
+    mp = np.einsum("cq,qm,qn->cmn", tp.wdet, tp.vals, tp.vals)
+    M = _scatter(mp, tp.dofs, tp.dofs, sq(Q))
+    mean = np.zeros(Q.ndof)
+    np.add.at(mean, tp.dofs.ravel(),
+              np.einsum("cq,qm->cm", tp.wdet, tp.vals).ravel())
+    X = _reduce(X, V, V)
+    return {"R": _reduce(R, V, V), "A": nu * X, "B": _reduce(B, Q, V),
+            "X": X, "M": _reduce(M, Q, Q), "mean_row": mean[Q.free]}
+
+
+def _eddy_oracle(E, MU, sigma, eps, mu_mag, degree):
+    te, tm = CellTables.of(E, degree), CellTables.of(MU, degree)
+    mesh = E.mesh
+    sq = lambda s: (s.ndof, s.ndof)
+    mass = np.einsum("cq,cqed,cqfd->cef", te.wdet, te.wvals, te.wvals)
+    rot = np.einsum("c,ce,cf->cef", mesh.cell_areas[te.cells], te.wrot,
+                    te.wrot)
+    cond = mesh.cell_subdomain[te.cells] == CONDUCTOR
+    R = sigma * _scatter(mass[cond], te.dofs[cond], te.dofs[cond], sq(E))
+    A = _scatter(rot, te.dofs, te.dofs, sq(E)) / mu_mag
+    X = _scatter(mass + rot, te.dofs, te.dofs, sq(E))
+    ins = np.searchsorted(te.cells, tm.cells)
+    b = eps * np.einsum("cq,cqed,cmd->cme", te.wdet[ins], te.wvals[ins],
+                        tm.grads)
+    B = _scatter(b, tm.dofs, te.dofs[ins], (MU.ndof, E.ndof))
+    m_mass = np.einsum("cq,qm,qn->cmn", tm.wdet, tm.vals, tm.vals)
+    m_stiff = np.einsum("c,cmd,cnd->cmn", mesh.cell_areas[tm.cells],
+                        tm.grads, tm.grads)
+    M = _scatter(m_mass + m_stiff, tm.dofs, tm.dofs, sq(MU))
+    return {"R": _reduce(R, E, E), "A": _reduce(A, E, E),
+            "B": _reduce(B, MU, E), "X": _reduce(X, E, E),
+            "M": _reduce(M, MU, MU)}
+
+
+@pytest.mark.parametrize("pattern", ["right", "crossed"])
+@pytest.mark.parametrize("case, degree", [
+    ("stokes", 2), ("stokes", 4), ("stokes", 7),
+    ("eddy2d", 1), ("eddy2d", 4),
+])
+def test_operators_match_scatter_assembly(case, degree, pattern):
+    if case == "stokes":
+        mesh = structured_mesh((0, 0, 1, 1), 4, pattern=pattern)
+        V = build_space(mesh, "mini")
+        Q = build_space(mesh, "p1", bc=None)
+        ops = assemble_stokes(V, Q, nu=0.37, quad_degree=degree)
+        want = _stokes_oracle(V, Q, 0.37, degree)
+    else:
+        mesh = structured_mesh((0, 0, 3, 3), 6, conductor=(1, 1, 2, 2),
+                               pattern=pattern)
+        E = build_space(mesh, "edge")
+        MU = build_space(mesh, "multiplier")
+        ops = assemble_eddy2d(E, MU, sigma=2.5, eps=0.4, mu_mag=3.0,
+                              quad_degree=degree)
+        want = _eddy_oracle(E, MU, 2.5, 0.4, 3.0, degree)
+        assert ops.mean_row is None
+    for name, ref in want.items():
+        got = getattr(ops, name)
+        assert got.shape == ref.shape, name
+        assert abs(got - ref).max() <= 1e-14 * abs(ref).max(), name
+        if name != "mean_row":
+            assert (got.data == 0).sum() == 0, name
+    for name in ("R", "A", "X", "M"):
+        got = getattr(ops, name)
+        assert (got != got.T).nnz == 0, name

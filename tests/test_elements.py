@@ -5,12 +5,41 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixpar.elements import (CANONICAL_EDGE_PAIRS, DegenerateCell,
-                             QuadratureRule, bubble_values, cell_geometry,
-                             edge1_curl, gauss1d, p1_mass_reference,
-                             p1_stiffness, p1_values, whitney_values)
+from mixpar import build_space
+from mixpar.assembly import CellTables
+from mixpar.elements import (DegenerateCell, QuadratureRule, bubble_values,
+                             cell_geometry, gauss1d, p1_mass_reference,
+                             p1_stiffness, p1_values)
+from mixpar.mesh import TriMesh
 
 REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+
+def _edge_space(verts, cell=(0, 1, 2)):
+    """Edge space on the one-cell mesh of verts, all DOFs free."""
+    mesh = TriMesh(np.asarray(verts, dtype=float), np.array([cell]))
+    return mesh, build_space(mesh, "edge", bc=None)
+
+
+def _edge_dof(mesh, a, b):
+    """Index of the edge between vertices a and b (oriented low -> high)."""
+    return int(np.flatnonzero((mesh.edges == sorted((a, b))).all(axis=1))[0])
+
+
+def _tables_at(space, bary):
+    """The runtime edge tables evaluated at barycentric points of the cell."""
+    bary = np.asarray(bary, dtype=float)
+    return CellTables(space, QuadratureRule(1, bary, np.ones(len(bary))))
+
+
+def _points_on_edges(pairs, npts):
+    """Barycentric Gauss points along each local edge a -> b, and weights."""
+    s, w = gauss1d(npts)
+    bary = np.zeros((len(pairs), npts, 3))
+    for k, (a, b) in enumerate(pairs):
+        bary[k, :, a] = 1.0 - s
+        bary[k, :, b] = s
+    return bary.reshape(-1, 3), w
 
 
 @pytest.mark.parametrize("degree", [1, 2, 4, 6, 8])
@@ -73,60 +102,60 @@ def test_degenerate_cell_rejected():
 
 
 def test_edge_curl_magnitude_is_inverse_area():
-    curls = edge1_curl(REF)
-    assert np.allclose(np.abs(curls), 2.0, atol=1e-14)  # area 1/2
-    big = edge1_curl(3.0 * REF)
-    assert np.allclose(np.abs(big), 1.0 / (0.5 * 9.0), atol=1e-14)
+    for scale in (1.0, 3.0):
+        _, space = _edge_space(scale * REF)
+        curls = CellTables.of(space).der.toarray()   # (points, DOFs)
+        assert np.allclose(np.abs(curls), 1.0 / (0.5 * scale ** 2),
+                           rtol=0, atol=1e-14)
 
 
 def test_edge_curl_orientation_flip():
-    c_fwd = edge1_curl(REF, pairs=((0, 1),))
-    c_rev = edge1_curl(REF, pairs=((1, 0),))
-    assert c_fwd[0] == pytest.approx(-c_rev[0], rel=1e-15)
+    # the same triangle with vertices 0 and 1 relabelled: the edge
+    # between (0,0) and (1,0) is oriented the other way
+    m_fwd, fwd = _edge_space(REF)
+    m_rev, rev = _edge_space(REF[[1, 0, 2]], cell=(1, 0, 2))
+    i_fwd, i_rev = _edge_dof(m_fwd, 0, 1), _edge_dof(m_rev, 0, 1)
+    assert np.array_equal(m_fwd.vertices[m_fwd.edges[i_fwd]],
+                          m_rev.vertices[m_rev.edges[i_rev]][::-1])
+    t_fwd, t_rev = CellTables.of(fwd), CellTables.of(rev)
+    assert np.array_equal(t_fwd.qp, t_rev.qp)
+    u_fwd, u_rev = np.eye(3)[i_fwd], np.eye(3)[i_rev]
+    assert np.allclose(t_fwd.derivs(u_fwd), -t_rev.derivs(u_rev),
+                       rtol=1e-15, atol=0)
+    assert np.allclose(t_fwd.values(u_fwd), -t_rev.values(u_rev),
+                       rtol=0, atol=1e-15)
 
 
 def test_whitney_stokes_line_integral_identity():
     # sum of the three boundary-oriented edge functions: circulation on
     # the boundary equals area times curl
     tri = np.array([[0.2, 0.1], [1.3, 0.4], [0.5, 1.6]])
-    area, grads = cell_geometry(tri)
+    area, _ = cell_geometry(tri)
+    mesh, space = _edge_space(tri)
     pairs = ((0, 1), (1, 2), (2, 0))
-    curls = edge1_curl(tri, pairs=pairs)
-    s, w = gauss1d(4)
-    circulation = 0.0
+    u = np.zeros(3)
     for a, b in pairs:
-        vec = tri[b] - tri[a]
-        for sg, wg in zip(s, w):
-            pt = tri[a] + sg * vec
-            # barycentric coordinates of pt
-            lam = np.linalg.solve(
-                np.vstack([tri.T, np.ones(3)]), np.array([pt[0], pt[1], 1.0])
-            )
-            wsum = np.zeros(2)
-            for (pa, pb) in pairs:
-                wsum += lam[pa] * grads[pb] - lam[pb] * grads[pa]
-            circulation += wg * wsum @ vec
-    assert circulation == pytest.approx(area * curls.sum(), rel=1e-12)
-    assert curls.sum() == pytest.approx(3.0 / area, rel=1e-12)
+        u[_edge_dof(mesh, a, b)] = 1.0 if a < b else -1.0
+    bary, w = _points_on_edges(pairs, 4)
+    tab = _tables_at(space, bary)
+    vals = tab.values(u).reshape(len(pairs), -1, 2)
+    circulation = sum(w @ (vals[k] @ (tri[b] - tri[a]))
+                      for k, (a, b) in enumerate(pairs))
+    curl = tab.derivs(u)
+    assert np.ptp(curl) <= 1e-12 * abs(curl[0])
+    assert circulation == pytest.approx(area * curl[0], rel=1e-12)
+    assert curl[0] == pytest.approx(3.0 / area, rel=1e-12)
 
 
 def test_edge_tangential_trace_kronecker():
     tri = np.array([[0.0, 0.3], [1.1, 0.0], [0.4, 1.2]])
-    _, grads = cell_geometry(tri)
-    s, w = gauss1d(3)
-    for i, (a, b) in enumerate(CANONICAL_EDGE_PAIRS):
-        for j, (c, d) in enumerate(CANONICAL_EDGE_PAIRS):
-            vec = tri[d] - tri[c]
-            total = 0.0
-            for sg, wg in zip(s, w):
-                pt = tri[c] + sg * vec
-                lam = np.linalg.solve(
-                    np.vstack([tri.T, np.ones(3)]),
-                    np.array([pt[0], pt[1], 1.0]),
-                )
-                wf = lam[a] * grads[b] - lam[b] * grads[a]
-                total += wg * wf @ vec
-            assert total == pytest.approx(1.0 if i == j else 0.0, abs=1e-13)
+    mesh, space = _edge_space(tri)
+    bary, w = _points_on_edges([tuple(e) for e in mesh.edges], 3)
+    vals = _tables_at(space, bary).val.toarray().reshape(3, -1, 2, 3)
+    tangents = tri[mesh.edges[:, 1]] - tri[mesh.edges[:, 0]]
+    # trace[j, i]: moment of basis function i along edge j
+    trace = np.einsum("q,jqdi,jd->ji", w, vals, tangents)
+    assert np.allclose(trace, np.eye(3), rtol=0, atol=1e-13)
 
 
 def test_bubble_vanishes_on_boundary():
@@ -151,9 +180,9 @@ def test_p1_partition_of_unity():
 
 def test_whitney_values_reference_edge():
     # w_01 on the reference triangle is (1 - y, x)
-    _, grads = cell_geometry(REF)
+    mesh, space = _edge_space(REF)
     pts = np.array([[0.2, 0.3, 0.5], [0.6, 0.1, 0.3]])
-    vals = whitney_values(pts, grads, ((0, 1),))
+    vals = _tables_at(space, pts).values(np.eye(3)[_edge_dof(mesh, 0, 1)])
     x, y = pts[:, 1], pts[:, 2]
-    assert np.allclose(vals[:, 0, 0], 1.0 - y, atol=1e-14)
-    assert np.allclose(vals[:, 0, 1], x, atol=1e-14)
+    assert np.allclose(vals[:, 0], 1.0 - y, atol=1e-14)
+    assert np.allclose(vals[:, 1], x, atol=1e-14)

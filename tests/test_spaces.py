@@ -4,6 +4,7 @@ import pytest
 from mixpar import build_space, interpolate, structured_mesh, uniform_refine
 from mixpar.assembly import CellTables
 from mixpar.elements import QuadratureRule
+from mixpar.mesh import INSULATOR
 from mixpar.spaces import MissingTag
 
 
@@ -176,3 +177,30 @@ def test_interpolate_multiplier_uses_group_representative():
     rep = grp.min()
     got = coef[mu.vertex_dof[grp[0]]]
     assert got == pytest.approx(m.vertices[rep].sum(), rel=1e-15)
+
+
+@pytest.mark.parametrize("pattern", ["right", "crossed"])
+@pytest.mark.parametrize("n, bc", [(3, "zero_outer"), (6, "zero_outer"),
+                                   (6, None), (9, "zero_outer")])
+def test_multiplier_arrays_match_per_vertex_loops(pattern, n, bc):
+    m = structured_mesh((0, 0, 3, 3), n, conductor=(1, 1, 2, 2),
+                        pattern=pattern)
+    mu = build_space(m, "multiplier", bc=bc)
+    # reference: the per-vertex loops the array operations replaced
+    dof_of_vertex = mu.vertex_dof
+    ins_cells = np.where(m.cell_subdomain == INSULATOR)[0]
+    dof_vertex = np.full(mu.ndof, m.num_vertices, dtype=np.intp)
+    for v in np.unique(m.cells[ins_cells])[::-1]:
+        dof_vertex[dof_of_vertex[v]] = v
+    fixed_mask = np.zeros(mu.ndof, dtype=bool)
+    if bc == "zero_outer":
+        outer = np.zeros(m.num_vertices, dtype=bool)
+        outer[m.outer_vertices] = True
+        for v in np.where(outer)[0]:
+            if dof_of_vertex[v] >= 0:
+                fixed_mask[dof_of_vertex[v]] = True
+    for got, want in ((mu.dof_vertex, dof_vertex),
+                      (mu.fixed, np.where(fixed_mask)[0]),
+                      (mu.free, np.where(~fixed_mask)[0])):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
