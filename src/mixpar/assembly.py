@@ -183,21 +183,24 @@ class CellTables:
         return tab
 
     def _point_map(self, data, cols):
-        # every row keeps one slot per local basis function: a constrained
-        # DOF's slot holds an explicit zero in column 0, so the arrays are
-        # built in place with no masked copies
+        # laid out with one slot per local basis function (a constrained
+        # DOF's slot holds a zero in column 0), then every exact zero is
+        # dropped, constrained slots and vanishing gradient components
+        # alike, so no product with the map pays for them
         shape = self.wdet.shape + np.broadcast_shapes(data.shape,
                                                       cols.shape)[2:]
-        free = cols >= 0
-        data = np.where(free, data, 0.0)
-        cols = np.where(free, cols, 0)
+        free = np.broadcast_to(cols >= 0, shape)
         width = shape[-1]
         nnz = int(np.prod(shape))
-        return sp.csr_matrix(
-            (np.broadcast_to(data, shape).ravel(),
-             np.broadcast_to(cols, shape).ravel(),
+        # np.where writes fresh full-size arrays, which the in-place
+        # eliminate_zeros needs
+        P = sp.csr_matrix(
+            (np.where(free, data, 0.0).ravel(),
+             np.where(free, cols, 0).ravel(),
              np.arange(0, nnz + 1, width, dtype=cols.dtype)),
             shape=(nnz // width, self.nfree))
+        P.eliminate_zeros()
+        return P
 
     @cached_property
     def val(self):

@@ -5,8 +5,13 @@ dense border row or column.  Solves use a sparse LU factorization
 (deterministic for a fixed input) in SuperLU's symmetric mode: a
 minimum-degree ordering of the pattern of K^T + K, applied to rows and
 columns alike, and diagonal pivots kept unless they fall below 0.1 of
-the largest entry in their column (see SPLU_OPTIONS).  Probes are dense
-and guarded to desk-scale sizes.
+the largest entry in their column (see SPLU_OPTIONS).
+
+The runtime probes are sparse: `estimate_infsup` factors X and solves
+for all of B^T at once, keeping only a dense eigensolve the width of the
+multiplier space; `estimate_coercivity` runs shift-invert Lanczos on
+the kernel pencil through a `SaddleSolver`.  `kernel_basis` and
+`estimate_garding` are their dense oracles, guarded to desk-scale sizes.
 """
 from __future__ import annotations
 
@@ -19,7 +24,7 @@ import scipy.sparse.linalg as spla
 
 __all__ = [
     "SaddleSolver", "kernel_basis",
-    "estimate_infsup", "estimate_garding",
+    "estimate_infsup", "estimate_coercivity", "estimate_garding",
     "SingularSystem", "ResidualTooLarge", "NotDenseFeasible", "EmptyKernel",
     "DENSE_LIMIT", "RESIDUAL_TOL", "SPLU_OPTIONS",
 ]
@@ -37,7 +42,8 @@ SPLU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
 
 
 class SingularSystem(RuntimeError):
-    """Factorization failed or produced non-finite values."""
+    """Factorization failed or produced non-finite values, or an
+    eigensolver iterating on a factorization did not converge."""
 
 
 class ResidualTooLarge(RuntimeError):
@@ -117,26 +123,59 @@ def estimate_infsup(X, B, M, project_out=None):
     """Discrete inf-sup constant of b over the given inner products.
 
     Computed as sqrt of the smallest eigenvalue of the generalized
-    problem  B X^{-1} B^T q = beta^2 M q.  `project_out`, when given, is
-    a row functional whose kernel the multiplier space is restricted to
-    (the pressure mean for the Stokes pair).
+    problem  B X^{-1} B^T q = beta^2 M q, with X factored sparsely.
+    `project_out`, when given, restricts the multiplier space to its
+    kernel (the pressure mean for the Stokes pair).  It must be M z for
+    a null vector z of B^T (mean_row = M 1 with B^T 1 = 0): z is then an
+    eigenvector for the eigenvalue 0, and the restricted spectrum is the
+    full one without it.
     """
     n = X.shape[0]
     if n > DENSE_LIMIT:
         raise NotDenseFeasible(f"{n} primal DOFs exceed {DENSE_LIMIT}")
-    Xd = np.asarray(sp.csr_matrix(X).todense())
-    Bd = np.asarray(sp.csr_matrix(B).todense())
-    Md = np.asarray(sp.csr_matrix(M).todense())
-    S = Bd @ scipy.linalg.solve(Xd, Bd.T, assume_a="pos")
-    S = 0.5 * (S + S.T)
-    if project_out is not None:
-        Z = scipy.linalg.null_space(np.atleast_2d(project_out))
-        S = Z.T @ S @ Z
-        Md = Z.T @ Md @ Z
-    if S.shape[0] == 0:
+    first = 0 if project_out is None else 1
+    if B.shape[0] <= first:
         return 0.0
-    eigs = scipy.linalg.eigh(S, Md, eigvals_only=True)
-    return float(np.sqrt(max(eigs[0], 0.0)))
+    B = sp.csr_matrix(B)
+    Y = spla.splu(sp.csc_matrix(X)).solve(B.T.toarray())
+    S = B @ Y
+    S = 0.5 * (S + S.T)
+    Md = sp.csr_matrix(M).toarray()
+    eig = scipy.linalg.eigh(S, Md, eigvals_only=True,
+                            subset_by_index=[first, first])
+    return float(np.sqrt(max(eig[0], 0.0)))
+
+
+def estimate_coercivity(A, R, X, B, xi, shift, mean_row=None):
+    """Coercivity constant of A + xi R on the discrete kernel, sparsely.
+
+    Returns shift + the smallest eigenvalue of (A + xi R - shift X, X)
+    on {v : B v = 0}, the sparse counterpart of `estimate_garding`.
+    `shift` must be the smallest eigenvalue of (A, X) on that kernel,
+    known from the discretization (nu for Stokes, where A = nu X; 0 for
+    eddy, where discrete gradients supported in the conductor lie in
+    ker A and ker B), and xi >= 0.  The shifted pencil is then positive
+    semidefinite, so shift-invert Lanczos about 0 finds its bottom; each
+    step is one solve of the saddle system of A + xi R - shift X (with
+    `mean_row` pinning the multiplier gauge as in `SaddleSolver`).  At
+    xi = 0 that matrix is singular on the kernel and the answer is
+    `shift` itself.  The start vector is fixed, so repeated calls agree
+    bitwise.
+    """
+    if xi == 0:
+        return float(shift)
+    K = (A - shift * X) + xi * R
+    solver = SaddleSolver(K, B, mean_row)
+    n = K.shape[0]
+    zeros = np.zeros(B.shape[0])
+    inv = spla.LinearOperator((n, n), dtype=float,
+                              matvec=lambda y: solver.solve(y, zeros)[0])
+    try:
+        mu = spla.eigsh(K, k=1, M=X, sigma=0.0, which="LM", OPinv=inv,
+                        v0=inv @ (X @ np.ones(n)), return_eigenvectors=False)
+    except spla.ArpackError as err:
+        raise SingularSystem(f"coercivity probe: {err}") from err
+    return float(shift + mu[0])
 
 
 def estimate_garding(A, R, X, kernel, xi=1.0):

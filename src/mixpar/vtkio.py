@@ -5,6 +5,13 @@ import numpy as np
 
 __all__ = ["write_unstructured", "write_mesh"]
 
+# blocks are formatted column-wise from .tolist() values: a str.format
+# of Python numbers is about twice as fast as an f-string per numpy
+# scalar and gives the same text
+_SCALAR = "{:.12g}".format
+_VECTOR = "{:.12g} {:.12g} 0".format
+_TRIANGLE = "3 {} {} {}".format
+
 
 def write_unstructured(path, mesh, point_data=None, cell_data=None,
                        title="mixpar snapshot"):
@@ -21,11 +28,9 @@ def write_unstructured(path, mesh, point_data=None, cell_data=None,
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {nv} double",
     ]
-    for x, y in mesh.vertices:
-        lines.append(f"{x:.12g} {y:.12g} 0")
+    lines.extend(map(_VECTOR, *_columns(mesh.vertices, 2)))
     lines.append(f"CELLS {nc} {4 * nc}")
-    for a, b, c in mesh.cells:
-        lines.append(f"3 {a} {b} {c}")
+    lines.extend(map(_TRIANGLE, *_columns(mesh.cells, 3)))
     lines.append(f"CELL_TYPES {nc}")
     lines.extend(["5"] * nc)
 
@@ -36,10 +41,10 @@ def write_unstructured(path, mesh, point_data=None, cell_data=None,
             if arr.ndim == 1:
                 lines.append(f"SCALARS {name} double 1")
                 lines.append("LOOKUP_TABLE default")
-                lines.extend(f"{v:.12g}" for v in arr)
+                lines.extend(map(_SCALAR, arr.tolist()))
             else:
                 lines.append(f"VECTORS {name} double")
-                lines.extend(f"{v[0]:.12g} {v[1]:.12g} 0" for v in arr)
+                lines.extend(map(_VECTOR, *_columns(arr, 2)))
 
     if point_data:
         emit("POINT_DATA", nv, point_data)
@@ -48,6 +53,11 @@ def write_unstructured(path, mesh, point_data=None, cell_data=None,
 
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _columns(arr, k):
+    """The first k columns of a 2D array as Python lists."""
+    return np.asarray(arr)[:, :k].T.tolist()
 
 
 def write_mesh(path, mesh):

@@ -5,16 +5,17 @@ from mixpar import (assemble_eddy2d, assemble_stokes, build_space,
                     eddy2d_case, stokes_case, structured_mesh)
 
 
-def build_stokes(n, nu=1.0, bc="zero_outer"):
-    mesh = structured_mesh((0, 0, 1, 1), n)
+def build_stokes(n, nu=1.0, bc="zero_outer", pattern="right"):
+    mesh = structured_mesh((0, 0, 1, 1), n, pattern=pattern)
     V = build_space(mesh, "mini", bc=bc)
     Q = build_space(mesh, "p1", bc=None)
     ops = assemble_stokes(V, Q, nu=nu)
     return mesh, V, Q, ops
 
 
-def build_eddy(n, sigma=1.0, eps=1.0, mu_mag=1.0):
-    mesh = structured_mesh((0, 0, 3, 3), n, conductor=(1, 1, 2, 2))
+def build_eddy(n, sigma=1.0, eps=1.0, mu_mag=1.0, pattern="right"):
+    mesh = structured_mesh((0, 0, 3, 3), n, conductor=(1, 1, 2, 2),
+                           pattern=pattern)
     E = build_space(mesh, "edge", bc="zero_outer")
     MU = build_space(mesh, "multiplier", bc="zero_outer")
     ops = assemble_eddy2d(E, MU, sigma=sigma, eps=eps, mu_mag=mu_mag)

@@ -356,3 +356,69 @@ def test_operators_match_scatter_assembly(case, degree, pattern):
     for name in ("R", "A", "X", "M"):
         got = getattr(ops, name)
         assert (got != got.T).nnz == 0, name
+
+
+def _padded_map(tab, data, cols):
+    """A point map with one stored slot per local basis function, exact
+    zeros included (a constrained DOF's slot holds 0 in column 0)."""
+    shape = tab.wdet.shape + np.broadcast_shapes(data.shape, cols.shape)[2:]
+    free = cols >= 0
+    data = np.broadcast_to(np.where(free, data, 0.0), shape).ravel()
+    cols = np.broadcast_to(np.where(free, cols, 0), shape).ravel()
+    width = shape[-1]
+    return sp.csr_matrix(
+        (data, cols, np.arange(0, len(data) + 1, width)),
+        shape=(len(data) // width, tab.nfree))
+
+
+def _instance_spaces(case, pattern):
+    if case == "stokes":
+        mesh = structured_mesh((0, 0, 1, 1), 6, pattern=pattern)
+        spaces = (build_space(mesh, "mini"), build_space(mesh, "p1", bc=None))
+        return spaces, lambda V, Q: assemble_stokes(V, Q, nu=0.37)
+    mesh = structured_mesh((0, 0, 3, 3), 6, conductor=(1, 1, 2, 2),
+                           pattern=pattern)
+    spaces = (build_space(mesh, "edge"), build_space(mesh, "multiplier"))
+    return spaces, lambda E, MU: assemble_eddy2d(E, MU, sigma=2.5, eps=0.4,
+                                                 mu_mag=3.0)
+
+
+@pytest.mark.parametrize("pattern", ["right", "crossed"])
+@pytest.mark.parametrize("case", ["stokes", "eddy2d"])
+def test_point_maps_drop_zeros_without_changing_results(case, pattern):
+    spaces, assemble = _instance_spaces(case, pattern)
+    ops = assemble(*spaces)
+    rng = np.random.default_rng(2)
+    for space in spaces:
+        tab = CellTables.of(space)
+        padded = {"val": _padded_map(tab, *tab._val),
+                  "der": _padded_map(tab, *tab._der)}
+        assert (padded["der"].data == 0).any(), space.kind
+        for name, ref in padded.items():
+            P = getattr(tab, name)
+            assert (P.data == 0).sum() == 0, (space.kind, name)
+            assert (P != ref).nnz == 0, (space.kind, name)
+        u = rng.standard_normal(tab.nfree)
+        npts = len(tab.w)
+        assert np.array_equal(tab.values(u).ravel(), padded["val"] @ u)
+        assert np.array_equal(tab.derivs(u).ravel(), padded["der"] @ u)
+        fq = rng.standard_normal(padded["val"].shape[0])
+        dq = rng.standard_normal(padded["der"].shape[0])
+        kf, kd = len(fq) // npts, len(dq) // npts
+        want = (padded["val"].T @ (np.repeat(tab.w, kf) * fq)
+                + padded["der"].T @ (np.repeat(tab.w, kd) * dq))
+        assert np.array_equal(tab.moments(fq, dq), want)
+
+    # the operators of fresh spaces whose tables hold the padded maps
+    fresh, _ = _instance_spaces(case, pattern)
+    for space in fresh:
+        tab = CellTables.of(space)
+        tab.val = _padded_map(tab, *tab._val)
+        tab.der = _padded_map(tab, *tab._der)
+    ref = assemble(*fresh)
+    for name in ("R", "A", "B", "X", "M"):
+        got, want = getattr(ops, name), getattr(ref, name)
+        assert got.nnz == want.nnz, name
+        assert np.array_equal(got.toarray(), want.toarray()), name
+    if case == "stokes":
+        assert np.array_equal(ops.mean_row, ref.mean_row)

@@ -232,6 +232,38 @@ def test_solver_failure_exits_3(tmp_path, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+def _arpack_stuck(*args, **kwargs):
+    import scipy.sparse.linalg as spla
+    raise spla.ArpackNoConvergence("No convergence", np.empty(0),
+                                   np.empty((0, 0)))
+
+
+def _shifted_factor_singular(*args, **kwargs):
+    from mixpar.saddle import SingularSystem
+    raise SingularSystem("Factor is exactly singular")
+
+
+@pytest.mark.parametrize("case", ["stokes", "eddy2d"])
+@pytest.mark.parametrize("target, injected", [
+    ("eigsh", _arpack_stuck),
+    ("SaddleSolver", _shifted_factor_singular),
+])
+def test_coercivity_probe_failure_exits_3(tmp_path, monkeypatch, capsys,
+                                          case, target, injected):
+    # the step solves use timestep's own SaddleSolver name, so only the
+    # probe's shifted factorization fails
+    from mixpar import saddle
+    owner = saddle.spla if target == "eigsh" else saddle
+    monkeypatch.setattr(owner, target, injected)
+    cfg_path = tmp_path / "probe.cfg"
+    cfg_path.write_text(f"case = {case}\nn = 3\nlevels = 2\nsteps = 2\n"
+                        "probes = true\n")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 3
+    assert "solver failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_seed_env_is_ignored(tmp_path):
     cfg_path = tmp_path / "c.cfg"
     cfg_path.write_text("case = stokes\nn = 2\nlevels = 1\nsteps = 2\nT = 0.5\n")

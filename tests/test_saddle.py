@@ -1,14 +1,21 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixpar.config import load_config
+from mixpar.runner import run_experiment
 from mixpar.saddle import (EmptyKernel, NotDenseFeasible, ResidualTooLarge,
-                           SaddleSolver, SingularSystem, estimate_garding,
-                           estimate_infsup, kernel_basis)
+                           SaddleSolver, SingularSystem, estimate_coercivity,
+                           estimate_garding, estimate_infsup, kernel_basis)
 from conftest import build_eddy, build_stokes
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_two_by_two_by_hand():
@@ -245,3 +252,107 @@ def test_step_matrix_positive_on_discrete_kernel(eddy3):
         Ak = Z.T @ A_dt @ Z
         eigs = np.linalg.eigvalsh(0.5 * (Ak + Ak.T))
         assert eigs.min() > 0.0
+
+
+# -- sparse probes against their dense oracles -------------------------------
+
+def _dense_infsup(X, B, M, project_out=None):
+    """beta_h with a dense X solve and an explicit null_space projection."""
+    Xd, Bd, Md = X.toarray(), B.toarray(), M.toarray()
+    S = Bd @ scipy.linalg.solve(Xd, Bd.T, assume_a="pos")
+    S = 0.5 * (S + S.T)
+    if project_out is not None:
+        Z = scipy.linalg.null_space(np.atleast_2d(project_out))
+        S = Z.T @ S @ Z
+        Md = Z.T @ Md @ Z
+    eigs = scipy.linalg.eigh(S, Md, eigvals_only=True)
+    return float(np.sqrt(max(eigs[0], 0.0)))
+
+
+def _probe_instance(case, n, nu=1.0, **kw):
+    """Operators and the coercivity shift (nu for Stokes, 0 for eddy)."""
+    if case == "stokes":
+        return build_stokes(n, nu=nu, **kw)[3], nu
+    return build_eddy(n, **kw)[3], 0.0
+
+
+# every probed level of configs/stokes.cfg (n = 4, 8, 16; n = 32 exceeds
+# DENSE_LIMIT) and configs/eddy2d.json (n = 3, 6, 12, 24), then other
+# coefficients on the crossed pattern
+@pytest.mark.parametrize("case, n, kw, xi", [
+    *[("stokes", n, {}, 1.0) for n in (4, 8, 16)],
+    *[("eddy", n, {}, 1.0) for n in (3, 6, 12, 24)],
+    ("stokes", 8, dict(nu=2.5, pattern="crossed"), 1.0),
+    ("eddy", 6, dict(sigma=2.5, eps=0.4, mu_mag=3.0, pattern="crossed"),
+     0.3),
+])
+def test_sparse_probes_match_dense_oracles(case, n, kw, xi):
+    ops, shift = _probe_instance(case, n, **kw)
+    beta = estimate_infsup(ops.X, ops.B, ops.M, project_out=ops.mean_row)
+    beta_ref = _dense_infsup(ops.X, ops.B, ops.M, project_out=ops.mean_row)
+    assert beta == pytest.approx(beta_ref, rel=1e-10)
+    alpha = estimate_coercivity(ops.A, ops.R, ops.X, ops.B, xi, shift,
+                                ops.mean_row)
+    alpha_ref = estimate_garding(ops.A, ops.R, ops.X, kernel_basis(ops.B),
+                                 xi=xi)
+    assert alpha == pytest.approx(alpha_ref, rel=1e-10)
+
+
+def test_coercivity_at_xi_zero_is_the_shift():
+    for nu in (1.0, 2.5):
+        ops, shift = _probe_instance("stokes", 4, nu=nu)
+        alpha = estimate_coercivity(ops.A, ops.R, ops.X, ops.B, 0.0, shift,
+                                    ops.mean_row)
+        assert alpha == nu
+        # the limit xi -> 0 from above: nu + xi * min (R, X) on the kernel
+        small = estimate_coercivity(ops.A, ops.R, ops.X, ops.B, 1e-3, shift,
+                                    ops.mean_row)
+        assert nu < small < nu + 1e-3
+    ops, shift = _probe_instance("eddy", 6)
+    alpha = estimate_coercivity(ops.A, ops.R, ops.X, ops.B, 0.0, shift)
+    alpha_ref = estimate_garding(ops.A, ops.R, ops.X, kernel_basis(ops.B),
+                                 xi=0.0)
+    assert alpha <= 1e-10
+    assert abs(alpha - alpha_ref) <= 1e-10
+
+
+def test_sparse_probes_repeat_bitwise(eddy6):
+    _, _, _, ops = eddy6
+    betas = [estimate_infsup(ops.X, ops.B, ops.M) for _ in range(2)]
+    alphas = [estimate_coercivity(ops.A, ops.R, ops.X, ops.B, 1.0, 0.0)
+              for _ in range(2)]
+    assert betas[0] == betas[1]
+    assert alphas[0] == alphas[1]
+
+
+def test_coercivity_singular_shifted_matrix_is_a_solver_failure():
+    # without the conductor mass, discrete gradients stay in ker A and
+    # ker B, so the shifted saddle matrix is singular
+    _, _, _, ops = build_eddy(6)
+    Rzero = sp.csr_matrix(ops.R.shape)
+    with pytest.raises((SingularSystem, ResidualTooLarge)):
+        estimate_coercivity(ops.A, Rzero, ops.X, ops.B, 1.0, 0.0)
+
+
+def test_coercivity_nonconvergence_is_a_solver_failure(eddy3, monkeypatch):
+    _, _, _, ops = eddy3
+
+    def stuck(*args, **kwargs):
+        raise spla.ArpackNoConvergence("No convergence", np.empty(0),
+                                       np.empty((0, 0)))
+
+    monkeypatch.setattr(spla, "eigsh", stuck)
+    with pytest.raises(SingularSystem, match="coercivity probe"):
+        estimate_coercivity(ops.A, ops.R, ops.X, ops.B, 1.0, 0.0)
+
+
+def test_probed_study_rates_independent_of_jobs(tmp_path):
+    blobs = []
+    for jobs in (1, 2):
+        cfg = load_config(CONFIGS / "eddy2d.json")
+        assert cfg.probes
+        cfg.jobs = jobs
+        cfg.out = str(tmp_path / f"jobs{jobs}")
+        assert run_experiment(cfg) == 0
+        blobs.append((tmp_path / f"jobs{jobs}" / "rates.csv").read_bytes())
+    assert blobs[0] == blobs[1]
