@@ -334,18 +334,6 @@ def test_coercivity_singular_shifted_matrix_is_a_solver_failure():
         estimate_coercivity(ops.A, Rzero, ops.X, ops.B, 1.0, 0.0)
 
 
-def test_coercivity_nonconvergence_is_a_solver_failure(eddy3, monkeypatch):
-    _, _, _, ops = eddy3
-
-    def stuck(*args, **kwargs):
-        raise spla.ArpackNoConvergence("No convergence", np.empty(0),
-                                       np.empty((0, 0)))
-
-    monkeypatch.setattr(spla, "eigsh", stuck)
-    with pytest.raises(SingularSystem, match="coercivity probe"):
-        estimate_coercivity(ops.A, ops.R, ops.X, ops.B, 1.0, 0.0)
-
-
 def test_probed_study_rates_independent_of_jobs(tmp_path):
     blobs = []
     for jobs in (1, 2):
