@@ -1,4 +1,4 @@
-"""Discrete error norms, best-approximation diagnostics, and rate fits.
+"""Discrete error norms and convergence-rate fits.
 
 Error integrands evaluate the exact solution pointwise at quadrature
 nodes (never its interpolant) against the discrete coefficient fields.
@@ -10,16 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import mesh as meshmod
 from .assembly import CellTables
-from .saddle import DENSE_LIMIT, NotDenseFeasible
 
 __all__ = [
     "ErrorNorms", "LevelResult", "ConvergenceReport",
-    "compute_errors", "best_approximation", "fit_rates", "r_energy",
-    "TooFewLevels",
+    "compute_errors", "fit_rates", "TooFewLevels",
 ]
 
 
@@ -35,7 +32,8 @@ class ErrorNorms:
     l2_X  : dt sum_n ||e^n||_X^2
     l2_M  : dt sum_n ||lam(t_n) - lam_h^n||_M^2
     dt_R  : dt sum_k <R(du/dt(t_k) - dbar u_h^k), same>
-    rel_E, rel_H : relative percentage errors of the recovered fields
+    rel_E, rel_H : relative percentage errors of the electric field
+        E = du/dt on the conductor and the magnetic field H = rot(u)/mu_mag
         (eddy instance only; zero otherwise)
     """
 
@@ -96,27 +94,10 @@ class ConvergenceReport:
         return out
 
 
-def r_energy(R, e):
-    """Quadratic form <R e, e> of a coefficient vector."""
-    e = np.asarray(e, dtype=float)
-    return float(e @ (R @ e))
-
-
 def _sq(a):
     """Squared Euclidean norm per point of (m,), (m, 2) or (m, 2, 2) data."""
     a = a.reshape(len(a), -1)
     return np.einsum("ij,ij->i", a, a)
-
-
-def _x_norm_terms(case):
-    """Exact derivative entering the X norm, and whether X adds the L2 term.
-
-    X is the H1_0 seminorm (Stokes) or the H(curl) norm (eddy); for the
-    eddy case M likewise adds the H1 seminorm to the L2 norm.
-    """
-    if case.kind == "eddy2d":
-        return case.rot_u, True
-    return case.grad_u, False
 
 
 def compute_errors(solution, case, ops, quad_degree=4, steps=None):
@@ -134,13 +115,15 @@ def compute_errors(solution, case, ops, quad_degree=4, steps=None):
     if not (1 <= n0 <= n1 <= grid.N):
         raise ValueError("invalid step range")
 
-    exact_der, full_norms = _x_norm_terms(case)
+    # X is the H1_0 seminorm (Stokes) or the H(curl) norm (eddy); for the
+    # eddy case M likewise adds the H1 seminorm to the L2 norm
+    full_norms = case.kind == "eddy2d"
+    exact_der = case.rot_u if full_norms else case.grad_u
     if full_norms:
         cells = tu.cells.repeat(tu.wdet.shape[1])
         w_cond = tu.w * (ops.primal.mesh.cell_subdomain[cells]
                          == meshmod.CONDUCTOR)
         wR = case.coeffs.sigma * w_cond
-        grad_lam = case.grad_multiplier or (lambda p, t: np.zeros((len(p), 2)))
     else:
         wR = tu.w
 
@@ -165,7 +148,8 @@ def compute_errors(solution, case, ops, quad_degree=4, steps=None):
         lam = solution.lam[n]
         l2M += float(tm.w @ _sq(case.multiplier(tm.qp, t) - tm.values(lam)))
         if full_norms:
-            l2M += float(tm.w @ _sq(grad_lam(tm.qp, t) - tm.derivs(lam)))
+            l2M += float(tm.w @ _sq(case.grad_multiplier(tm.qp, t)
+                                    - tm.derivs(lam)))
             relE_num += float(w_cond @ de2)
             relE_den += float(w_cond @ _sq(due))
             # H = rot(u) / mu_mag; the factor cancels in the ratio
@@ -181,29 +165,6 @@ def compute_errors(solution, case, ops, quad_degree=4, steps=None):
         norms.rel_H = 100.0 * float(np.sqrt(relH_num / relH_den)) \
             if relH_den > 0 else 0.0
     return norms
-
-
-def best_approximation(space, ops, case, times, quad_degree=4):
-    """X-orthogonal projection error of the exact field per time sample.
-
-    A computable upper-bound proxy for the best-approximation infimum
-    appearing in the error estimates.
-    """
-    if space.num_free > DENSE_LIMIT:
-        raise NotDenseFeasible(f"{space.num_free} DOFs exceed {DENSE_LIMIT}")
-    tab = CellTables.of(space, quad_degree)
-    lu = spla.splu(ops.X.tocsc())
-    exact_der, full_norms = _x_norm_terms(case)
-    out = []
-    for t in np.atleast_1d(times):
-        ue = case.u(tab.qp, t) if full_norms else None
-        de = exact_der(tab.qp, t)
-        coef = lu.solve(tab.moments(ue, de))
-        err2 = _sq(de - tab.derivs(coef))
-        if full_norms:
-            err2 += _sq(ue - tab.values(coef))
-        out.append(np.sqrt(float(tab.w @ err2)))
-    return np.asarray(out)
 
 
 def fit_rates(hs, errors):

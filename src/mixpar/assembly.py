@@ -10,11 +10,10 @@ fixed order, so serial runs produce bitwise-identical matrices.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 from . import mesh as meshmod
@@ -24,7 +23,6 @@ from .spaces import FeSpace
 __all__ = [
     "Coefficients", "OperatorSet", "CellTables",
     "assemble_stokes", "assemble_eddy2d", "assemble_load",
-    "export_matrix", "import_matrix",
     "SpaceMismatch", "NoConductorCells",
 ]
 
@@ -64,7 +62,6 @@ class OperatorSet:
     M: sp.spmatrix
     primal: FeSpace
     multiplier: FeSpace
-    coeffs: Coefficients = field(default_factory=Coefficients)
     mean_row: np.ndarray | None = None
 
 
@@ -73,8 +70,7 @@ class CellTables:
 
     The one way to evaluate a discrete field at quadrature points.  Built
     once per space and quadrature degree (see `of`) and shared by the
-    operator assembly, the load, the error norms, the projections and the
-    field recovery.
+    operator assembly, the load, the error norms and the VTK output.
 
     Kind-agnostic data over the flat list of quadrature points: `qp`
     (m, 2, read-only), weights `w` (m,), and two sparse maps from free
@@ -287,7 +283,6 @@ def assemble_stokes(velocity, pressure, nu=1.0, quad_degree=4):
         M=_gram(tp.val, tp.w),
         primal=velocity,
         multiplier=pressure,
-        coeffs=Coefficients(nu=nu),
         mean_row=tp.val.T @ tp.w,
     )
 
@@ -326,7 +321,6 @@ def assemble_eddy2d(edge, multiplier, sigma=1.0, eps=1.0, mu_mag=1.0,
         M=_gram(tm.val, tm.w) + _gram(tm.der, tm.w),
         primal=edge,
         multiplier=multiplier,
-        coeffs=Coefficients(sigma=sigma, eps=eps, mu_mag=mu_mag),
         mean_row=None,
     )
 
@@ -342,13 +336,3 @@ def assemble_load(space, f, t, rot_part=None, quad_degree=4):
     tab = CellTables.of(space, quad_degree)
     rq = None if rot_part is None else rot_part(tab.qp, t)
     return tab.moments(f(tab.qp, t), rq)
-
-
-def export_matrix(path, mat):
-    """Write a matrix in MatrixMarket coordinate format."""
-    scipy.io.mmwrite(str(path), sp.coo_matrix(mat))
-
-
-def import_matrix(path):
-    """Read a MatrixMarket file back as CSR."""
-    return sp.csr_matrix(scipy.io.mmread(str(path)))

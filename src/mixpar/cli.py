@@ -7,6 +7,7 @@ ignored by the deterministic paths.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .config import ConfigParseError, load_config
@@ -25,18 +26,12 @@ def main(argv=None):
     runp.add_argument("--out", default=None, help="output directory")
     args = parser.parse_args(argv)
 
+    overrides = {key: getattr(args, key)
+                 for key in ("jobs", "vtk_every", "out")
+                 if getattr(args, key) is not None}
     try:
-        cfg = load_config(args.config)
-        if args.jobs is not None:
-            if args.jobs < 1:
-                raise ConfigParseError("--jobs must be >= 1")
-            cfg.jobs = args.jobs
-        if args.vtk_every is not None:
-            if args.vtk_every < 0:
-                raise ConfigParseError("--vtk-every must be >= 0")
-            cfg.vtk_every = args.vtk_every
-        if args.out is not None:
-            cfg.out = args.out
+        # replace() validates the overridden config like a parsed one
+        cfg = dataclasses.replace(load_config(args.config), **overrides)
     except ConfigParseError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

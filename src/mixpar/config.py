@@ -100,8 +100,14 @@ _FIELD_TYPES = {
 }
 
 
-def _coerce(key, raw):
-    typ = _FIELD_TYPES[key]
+def _coerce(key, raw, typ=None):
+    """`raw` as a value of `typ` (by default the type of field `key`).
+
+    Text arrives as str; JSON may also give a bool, a number or null.  A
+    number takes no bool or null, and an int no non-integral number, so
+    nothing is silently truncated.
+    """
+    typ = typ or _FIELD_TYPES[key]
     if typ is bool:
         if isinstance(raw, bool):
             return raw
@@ -110,9 +116,16 @@ def _coerce(key, raw):
         except KeyError:
             raise ConfigParseError(f"bad boolean for {key}: {raw!r}") from None
     try:
-        return typ(raw)
-    except (TypeError, ValueError):
-        raise ConfigParseError(f"bad value for {key}: {raw!r}") from None
+        if isinstance(raw, str):
+            return typ(raw)
+        number = isinstance(raw, (int, float)) and not isinstance(raw, bool)
+        if number and typ is float:
+            return float(raw)
+        if number and typ is int and float(raw).is_integer():
+            return int(raw)
+    except (ValueError, OverflowError):
+        pass
+    raise ConfigParseError(f"bad value for {key}: {raw!r}")
 
 
 def parse_config(text):
@@ -131,7 +144,8 @@ def parse_config(text):
             if key == "thresholds":
                 if not isinstance(val, dict):
                     raise ConfigParseError("thresholds must be an object")
-                thresholds = {k: float(v) for k, v in val.items()}
+                thresholds = {k: _coerce(f"threshold.{k}", v, float)
+                              for k, v in val.items()}
             elif key in _FIELD_TYPES:
                 fields[key] = _coerce(key, val)
             else:
@@ -146,12 +160,7 @@ def parse_config(text):
             key, _, raw = line.partition("=")
             key, raw = key.strip(), raw.strip()
             if key.startswith("threshold."):
-                try:
-                    thresholds[key.split(".", 1)[1]] = float(raw)
-                except ValueError:
-                    raise ConfigParseError(
-                        f"line {lineno}: bad threshold {raw!r}"
-                    ) from None
+                thresholds[key.split(".", 1)[1]] = _coerce(key, raw, float)
             elif key in _FIELD_TYPES:
                 fields[key] = _coerce(key, raw)
             else:

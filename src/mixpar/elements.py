@@ -37,11 +37,6 @@ class QuadratureRule:
     points: np.ndarray
     weights: np.ndarray
 
-    @property
-    def xy(self):
-        """Reference (x, y) coordinates of the quadrature points."""
-        return self.points[:, 1:]
-
     @staticmethod
     def for_degree(degree):
         if degree <= 1:

@@ -13,8 +13,7 @@ import numpy as np
 __all__ = [
     "WHOLE", "CONDUCTOR", "INSULATOR",
     "INTERIOR", "OUTER_BOUNDARY", "INTERFACE",
-    "TriMesh", "structured_mesh", "uniform_refine", "check_mesh",
-    "subdomain_areas", "ConductorNotOnLattice", "MeshInvariantError",
+    "TriMesh", "structured_mesh", "ConductorNotOnLattice",
 ]
 
 # cell subdomain tags
@@ -33,10 +32,6 @@ _LOCAL_EDGES = ((1, 2), (2, 0), (0, 1))
 
 class ConductorNotOnLattice(ValueError):
     """Conductor rectangle corners must coincide with grid points."""
-
-
-class MeshInvariantError(Exception):
-    """A TriMesh invariant failed."""
 
 
 def _cross2(a, b):
@@ -150,11 +145,6 @@ class TriMesh:
         return self.vertices[self.cells].mean(axis=1)
 
     @property
-    def boundary_edges(self):
-        """Edges tagged OUTER_BOUNDARY or INTERFACE."""
-        return np.where(self.edge_tag != INTERIOR)[0]
-
-    @property
     def outer_edges(self):
         return np.where(self.edge_tag == OUTER_BOUNDARY)[0]
 
@@ -260,61 +250,3 @@ def structured_mesh(domain, n, conductor=None, pattern="right"):
     cells = np.stack([np.stack(c, axis=1) for c in corners], axis=1)
     tags = np.repeat(square_tags, len(corners))
     return TriMesh(vertices, cells.reshape(-1, 3), tags)
-
-
-def uniform_refine(mesh):
-    """Split every triangle into 4 congruent children by edge midpoints."""
-    nv = mesh.num_vertices
-    mids = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
-    vertices = np.vstack([mesh.vertices, mids])
-
-    # midpoint of local edge k (opposite vertex k)
-    m = nv + mesh.cell_edges
-    v = mesh.cells
-    children = np.empty((mesh.num_cells * 4, 3), dtype=np.intp)
-    children[0::4] = np.stack([v[:, 0], m[:, 2], m[:, 1]], axis=1)
-    children[1::4] = np.stack([v[:, 1], m[:, 0], m[:, 2]], axis=1)
-    children[2::4] = np.stack([v[:, 2], m[:, 1], m[:, 0]], axis=1)
-    children[3::4] = m
-    tags = np.repeat(mesh.cell_subdomain, 4)
-    return TriMesh(vertices, children, tags)
-
-
-def subdomain_areas(mesh):
-    """Total area per subdomain tag, as a dict."""
-    out = {}
-    for tag in (WHOLE, CONDUCTOR, INSULATOR):
-        sel = mesh.cell_subdomain == tag
-        if np.any(sel):
-            out[tag] = float(mesh.cell_areas[sel].sum())
-    return out
-
-
-def check_mesh(mesh, expected_area=None):
-    """Validate TriMesh invariants, raising MeshInvariantError on failure."""
-    if np.any(_signed_areas(mesh.vertices, mesh.cells) <= 0.0):
-        raise MeshInvariantError("cell with non-positive signed area")
-
-    counts = (mesh.edge_cells >= 0).sum(axis=1)
-    if np.any((counts < 1) | (counts > 2)):
-        raise MeshInvariantError("non-conforming edge incidence")
-    if np.any((counts == 1) != (mesh.edge_tag == OUTER_BOUNDARY)):
-        raise MeshInvariantError("boundary edge tagging inconsistent")
-
-    for e in mesh.interface_edges:
-        c0, c1 = mesh.edge_cells[e]
-        t = {mesh.cell_subdomain[c0], mesh.cell_subdomain[c1]}
-        if t != {CONDUCTOR, INSULATOR}:
-            raise MeshInvariantError("interface edge does not separate subdomains")
-
-    uniq = np.unique(mesh.vertices.round(decimals=14), axis=0)
-    if len(uniq) != mesh.num_vertices:
-        raise MeshInvariantError("duplicate vertices")
-
-    if expected_area is not None:
-        total = float(mesh.cell_areas.sum())
-        if abs(total - expected_area) > 1e-12 * max(1.0, abs(expected_area)):
-            raise MeshInvariantError(
-                f"area sum {total} != expected {expected_area}"
-            )
-    return True

@@ -26,14 +26,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .assembly import CellTables, Coefficients
+from .assembly import Coefficients
 
-__all__ = ["ManufacturedCase", "stokes_case", "eddy2d_case",
-           "recover_fields", "StokesInstance"]
-
-
-class StokesInstance(ValueError):
-    """Field recovery is only defined for the eddy instance."""
+__all__ = ["ManufacturedCase", "stokes_case", "eddy2d_case"]
 
 
 @dataclass(frozen=True)
@@ -52,7 +47,7 @@ class ManufacturedCase:
     pressure: Optional[Callable] = None
     f_rot: Optional[Callable] = None   # (pts, t) -> (m,), moment against rot v
     f_strong: Optional[Callable] = None
-    grad_multiplier: Optional[Callable] = None
+    grad_multiplier: Optional[Callable] = None  # (pts, t) -> (m, 2), eddy
 
 
 class _Profiles:
@@ -133,11 +128,6 @@ def stokes_case(nu=1.0, T=0.5):
     def shift(pts):
         return pts[:, 0] - 0.5
 
-    def e1(pts):
-        g = np.zeros((len(pts), 2))
-        g[:, 0] = 1.0
-        return g
-
     def viscous_pressure(pts):
         # -nu lap curl(psi) + grad(x - 1/2)
         x, y = pts[:, 0], pts[:, 1]
@@ -146,7 +136,7 @@ def stokes_case(nu=1.0, T=0.5):
             nu * (_d3w(x) * _w(y) + _dw(x) * _d2w(y)),
         ])
 
-    P = _Profiles(curl=curl, jacobian=jacobian, shift=shift, e1=e1,
+    P = _Profiles(curl=curl, jacobian=jacobian, shift=shift,
                   viscous_pressure=viscous_pressure)
     f_vec = P.field((_dsin, "curl"), (_sin, "viscous_pressure"))
     return ManufacturedCase(
@@ -161,7 +151,6 @@ def stokes_case(nu=1.0, T=0.5):
         # the multiplier is the time primitive of the pressure; this is
         # what lam_h^n tracks
         multiplier=P.field((_int_sin, "shift")),
-        grad_multiplier=P.field((_int_sin, "e1")),
         pressure=P.field((_sin, "shift")),
         f_vec=f_vec, f_strong=f_vec,
     )
@@ -217,6 +206,9 @@ def eddy2d_case(sigma=1.0, eps=1.0, mu_mag=1.0, T=0.75):
     def multiplier(pts, t):
         return np.zeros(len(pts))
 
+    def grad_multiplier(pts, t):
+        return np.zeros((len(pts), 2))
+
     def sin_mu(t):
         return _sin(t) / mu_mag
 
@@ -232,25 +224,8 @@ def eddy2d_case(sigma=1.0, eps=1.0, mu_mag=1.0, T=0.75):
         dudt=P.field((_dsin, "curl")),
         rot_u=P.field((_sin, "rot")),
         multiplier=multiplier,
+        grad_multiplier=grad_multiplier,
         f_vec=P.field((_dsin, "sigma_curl")),
         f_rot=P.field((sin_mu, "rot")),
         f_strong=P.field((_dsin, "sigma_curl"), (sin_mu, "curl_rot")),
     )
-
-
-def recover_fields(solution, space, case, H0=0.0):
-    """Per-step electric and magnetic fields of the eddy instance.
-
-    E_h^k is the backward difference of the primal coefficients over dt
-    (an edge-element field, returned as free coefficients for k=1..N);
-    H_h^k is the per-cell scalar (rot u_h^k - mu_mag H0) / mu_mag.
-    """
-    if case.kind != "eddy2d":
-        raise StokesInstance("field recovery is undefined for this instance")
-    dt = solution.grid.dt
-    E = np.diff(solution.u, axis=0) / dt
-
-    rot = CellTables.of(space, 1).der @ solution.u[1:].T   # (cells, N)
-    mu = case.coeffs.mu_mag
-    H = (rot.T - mu * H0) / mu
-    return E, H

@@ -57,7 +57,6 @@ class FeSpace:
         self.dof_vertex = dof_vertex
         self.groups = groups or []
         self.tables = {}
-        self.fixed_values = np.zeros(len(fixed))
         self._full_to_free = np.full(ndof, -1, dtype=np.intp)
         self._full_to_free[free] = np.arange(len(free))
 

@@ -1,16 +1,13 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixpar import build_space, interpolate, structured_mesh
-from mixpar.analysis import (TooFewLevels, best_approximation, compute_errors,
-                             fit_rates, r_energy)
+from mixpar.analysis import TooFewLevels, compute_errors, fit_rates
 from mixpar.assembly import Coefficients, assemble_eddy2d, assemble_load
-from mixpar.problems import ManufacturedCase, stokes_case
+from mixpar.problems import ManufacturedCase
 from mixpar.timestep import TimeGrid, TimeSeriesSolution, run
-from conftest import build_stokes
 
 
 def _series_case_in_space(E):
@@ -33,6 +30,7 @@ def _series_case_in_space(E):
         coeffs=Coefficients(), T=1.0,
         u=u, dudt=dudt, rot_u=rot_u,
         multiplier=lambda p, t: np.zeros(len(p)),
+        grad_multiplier=lambda p, t: np.zeros((len(p), 2)),
         f_vec=lambda p, t: np.zeros((len(p), 2)),
     )
 
@@ -64,18 +62,9 @@ def test_l2m_matches_coefficient_quadratic_form(eddy3, eddy_case_default):
     sol = run(ops, load, grid)
     norms = compute_errors(sol, case, ops)
     direct = grid.dt * sum(
-        r_energy(ops.M, sol.lam[n]) for n in range(1, grid.N + 1)
+        sol.lam[n] @ (ops.M @ sol.lam[n]) for n in range(1, grid.N + 1)
     )
     assert norms.l2_M == pytest.approx(direct, rel=1e-10, abs=1e-25)
-
-
-def test_r_energy_hand_computation():
-    # 3-step, 2-DOF series with diagonal R: energies 2, 4, 3
-    R = sp.csr_matrix(np.diag([2.0, 1.0]))
-    errs = [np.array([1.0, 0.0]), np.array([0.0, 2.0]), np.array([1.0, 1.0])]
-    energies = [r_energy(R, e) for e in errs]
-    assert energies == [2.0, 4.0, 3.0]
-    assert max(energies) == 4.0
 
 
 def test_errors_translation_consistent():
@@ -100,7 +89,8 @@ def test_errors_translation_consistent():
         coeffs=case.coeffs, T=case.T,
         u=lambda p, t: case.u(p, t) + shift,
         dudt=case.dudt, rot_u=case.rot_u,
-        multiplier=case.multiplier, f_vec=case.f_vec,
+        multiplier=case.multiplier, grad_multiplier=case.grad_multiplier,
+        f_vec=case.f_vec,
     )
     sol2 = TimeSeriesSolution(u + shift_coef[E.free], sol.lam, grid)
     shifted = compute_errors(sol2, case2, ops)
@@ -122,46 +112,6 @@ def test_l2_norms_additive_over_step_ranges(eddy3, eddy_case_default):
     assert total.l2_M == pytest.approx(first.l2_M + second.l2_M, rel=1e-12)
     assert total.dt_R == pytest.approx(first.dt_R + second.dt_R, rel=1e-12)
     assert total.max_R == pytest.approx(max(first.max_R, second.max_R), rel=1e-12)
-
-
-def test_best_approximation_zero_for_space_member():
-    mesh = structured_mesh((0, 0, 3, 3), 3, conductor=(1, 1, 2, 2))
-    E = build_space(mesh, "edge", bc=None)
-    MU = build_space(mesh, "multiplier", bc=None)
-    ops = assemble_eddy2d(E, MU)
-    case = _series_case_in_space(E)
-    errs = best_approximation(E, ops, case, [0.25, 0.5])
-    assert np.abs(errs).max() <= 1e-10
-
-
-def test_best_approximation_bounded_by_interpolation():
-    from mixpar.assembly import CellTables
-    from mixpar.elements import QuadratureRule
-
-    case = stokes_case()
-    for n in (4, 8):
-        mesh, V, Q, ops = build_stokes(n)
-        t = 0.5
-        proj = best_approximation(V, ops, case, [t])[0]
-        coef = interpolate(V, lambda p: case.u(p, t))
-        tab = CellTables(V, QuadratureRule.for_degree(4))
-        c4 = coef[tab.dofs].reshape(len(tab.cells), 4, 2)
-        jac = np.einsum("cqsg,csd->cqdg", tab.grads, c4)
-        je = case.grad_u(tab.qp.reshape(-1, 2), t).reshape(jac.shape) - jac
-        interp = np.sqrt(
-            (tab.wdet * np.einsum("cqde,cqde->cq", je, je)).sum()
-        )
-        assert proj <= interp * (1.0 + 1e-6)
-
-
-def test_best_approximation_halves_per_refinement():
-    case = stokes_case()
-    errs = []
-    for n in (4, 8, 16):
-        mesh, V, Q, ops = build_stokes(n)
-        errs.append(best_approximation(V, ops, case, [0.5])[0])
-    for k in range(2):
-        assert 1.7 < errs[k] / errs[k + 1] < 2.4
 
 
 def test_fit_rates_trivial_sequences():

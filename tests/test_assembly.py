@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from mixpar import build_space, interpolate, structured_mesh
 from mixpar.assembly import (CellTables, NoConductorCells, SpaceMismatch,
-                             assemble_eddy2d, assemble_load, assemble_stokes,
-                             export_matrix, import_matrix)
+                             assemble_eddy2d, assemble_load, assemble_stokes)
 from mixpar.config import parse_config
 from mixpar.elements import p1_mass_reference
 from mixpar.mesh import CONDUCTOR, TriMesh
@@ -158,14 +157,6 @@ def test_mean_row_is_vertex_area_weights(stokes2):
     ones = np.ones(Q.num_free)
     # mean row equals M @ 1 (both are the basis integrals)
     assert np.allclose(ops.mean_row, ops.M @ ones, atol=1e-15)
-
-
-def test_matrixmarket_roundtrip(tmp_path, eddy3):
-    _, _, _, ops = eddy3
-    path = tmp_path / "R.mtx"
-    export_matrix(path, ops.R)
-    back = import_matrix(path)
-    assert abs(ops.R - back).max() <= 1e-15
 
 
 def test_eddy_constraint_rows_annihilate_kernel_extractor(eddy3):

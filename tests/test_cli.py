@@ -38,6 +38,14 @@ def test_keyvalue_and_json_configs_agree():
     a = parse_config(SMOKE_KV)
     b = parse_config(SMOKE_JSON)
     assert a == b
+    # an integral JSON number reads as an int, thresholds as floats
+    c = parse_config('{"case": "stokes", "n": 3.0, "T": 1, '
+                     '"thresholds": {"err_u_l2X": 1}}')
+    d = parse_config("case = stokes\nn = 3\nT = 1\n"
+                     "threshold.err_u_l2X = 1\n")
+    assert c == d
+    assert type(c.n) is int and type(c.T) is float
+    assert type(c.thresholds["err_u_l2X"]) is float
 
 
 def test_config_validation_errors():
@@ -117,8 +125,45 @@ def test_negative_vtk_every_flag_exits_2_without_outputs(tmp_path):
     cfg = tmp_path / "ok.cfg"
     cfg.write_text(SMOKE_KV)
     out = tmp_path / "out"
-    assert main(["run", str(cfg), "--vtk-every", "-1", "--out", str(out)]) == 2
+    for flag, val in (("--vtk-every", "-1"), ("--jobs", "0")):
+        assert main(["run", str(cfg), flag, val, "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("entry", [
+    {"thresholds": {"err_u_l2X": "abc"}},
+    {"thresholds": {"err_u_l2X": None}},
+    {"thresholds": {"err_u_l2X": True}},
+    {"n": 2.7},
+    {"steps": True},
+    {"levels": None},
+    {"T": True},
+    {"out": None},
+], ids=["threshold-str", "threshold-null", "threshold-bool", "n-float",
+        "steps-bool", "levels-null", "T-bool", "out-null"])
+def test_json_config_wrong_types_exit_2_without_outputs(tmp_path, capsys,
+                                                        entry):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**json.loads(SMOKE_JSON), **entry}))
+    out = tmp_path / "out"
+    assert main(["run", str(bad), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_flag_overrides_keep_the_config_thresholds(tmp_path, monkeypatch):
+    from mixpar import cli
+
+    seen = []
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg: seen.append(cfg))
+    path = tmp_path / "t.cfg"
+    path.write_text("case = stokes\nthreshold.err_u_l2X = 1.5\n")
+    out = str(tmp_path / "o")
+    main(["run", str(path), "--jobs", "2", "--vtk-every", "3", "--out", out])
+    cfg, = seen
+    assert (cfg.jobs, cfg.vtk_every, cfg.out) == (2, 3, out)
+    assert cfg.thresholds == parse_config(path.read_text()).thresholds
+    assert cfg.thresholds["err_u_l2X"] == 1.5
 
 
 @pytest.mark.parametrize("out", ["f/x", "f"])

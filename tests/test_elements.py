@@ -45,7 +45,7 @@ def _points_on_edges(pairs, npts):
 @pytest.mark.parametrize("degree", [1, 2, 4, 6, 8])
 def test_quadrature_integrates_monomials_exactly(degree):
     rule = QuadratureRule.for_degree(degree)
-    x, y = rule.xy[:, 0], rule.xy[:, 1]
+    x, y = rule.points[:, 1], rule.points[:, 2]
     for a in range(degree + 1):
         for b in range(degree + 1 - a):
             exact = factorial(a) * factorial(b) / factorial(a + b + 2)

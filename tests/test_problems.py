@@ -8,10 +8,9 @@ from mixpar import problems
 from mixpar.assembly import CellTables, assemble_load
 from mixpar.config import parse_config
 from mixpar.elements import QuadratureRule
-from mixpar.problems import (StokesInstance, eddy2d_case, recover_fields,
-                             stokes_case)
+from mixpar.problems import eddy2d_case, stokes_case
 from mixpar.runner import run_level
-from mixpar.timestep import TimeGrid, TimeSeriesSolution, run
+from mixpar.timestep import TimeGrid, run
 from conftest import build_eddy
 
 
@@ -193,45 +192,7 @@ def test_eddy_weak_residual_strong_vs_residual_form(eddy3):
         assert abs(v @ (L_strong - L_resid)) <= 1e-8 * scale
 
 
-# -- field recovery ----------------------------------------------------------
-
-def _fake_solution(E, grid, series):
-    u = np.zeros((grid.N + 1, E.num_free))
-    for k, vec in enumerate(series):
-        u[k] = vec
-    return TimeSeriesSolution(u, np.zeros((grid.N + 1, 0)), grid)
-
-
-def test_recover_fields_constant_in_time(eddy3, eddy_case_default):
-    _, E, _, _ = eddy3
-    grid = TimeGrid(1.0, 4)
-    rng = np.random.default_rng(14)
-    w = rng.standard_normal(E.num_free)
-    sol = _fake_solution(E, grid, [np.zeros_like(w)] + [w] * grid.N)
-    Efield, H = recover_fields(sol, E, eddy_case_default)
-    assert np.abs(Efield[0] - w / grid.dt).max() <= 1e-12
-    assert np.abs(Efield[1:]).max() == 0.0
-
-
-def test_recover_fields_linear_in_time(eddy3, eddy_case_default):
-    _, E, _, _ = eddy3
-    grid = TimeGrid(1.0, 5)
-    rng = np.random.default_rng(15)
-    w = rng.standard_normal(E.num_free)
-    sol = _fake_solution(
-        E, grid, [k * grid.dt * w for k in range(grid.N + 1)]
-    )
-    Efield, H = recover_fields(sol, E, eddy_case_default)
-    assert np.abs(Efield - w).max() <= 1e-12
-
-
-def test_recover_fields_rejects_stokes(eddy3):
-    _, E, _, _ = eddy3
-    grid = TimeGrid(1.0, 2)
-    sol = _fake_solution(E, grid, [np.zeros(E.num_free)])
-    with pytest.raises(StokesInstance):
-        recover_fields(sol, E, stokes_case())
-
+# -- electric and magnetic field errors -------------------------------------
 
 def test_recovered_field_errors_decrease_across_levels():
     from mixpar.analysis import compute_errors
@@ -295,11 +256,6 @@ def _closed_form_stokes(nu):
     def multiplier(pts, t):
         return (1.0 - np.cos(np.pi * t)) / np.pi * (pts[:, 0] - 0.5)
 
-    def grad_multiplier(pts, t):
-        g = np.zeros((len(pts), 2))
-        g[:, 0] = (1.0 - np.cos(np.pi * t)) / np.pi
-        return g
-
     def f_vec(pts, t):
         x, y = pts[:, 0], pts[:, 1]
         s = np.sin(np.pi * t)
@@ -312,8 +268,7 @@ def _closed_form_stokes(nu):
         return np.column_stack([f1, f2])
 
     return dict(u=u, dudt=dudt, grad_u=grad_u, pressure=pressure,
-                multiplier=multiplier, grad_multiplier=grad_multiplier,
-                f_vec=f_vec, f_strong=f_vec)
+                multiplier=multiplier, f_vec=f_vec, f_strong=f_vec)
 
 
 def _g(s):
@@ -354,6 +309,9 @@ def _closed_form_eddy(sigma, mu_mag):
     def multiplier(pts, t):
         return np.zeros(len(pts))
 
+    def grad_multiplier(pts, t):
+        return np.zeros((len(pts), 2))
+
     def f_vec(pts, t):
         return sigma * in_conductor(pts)[:, None] * dudt(pts, t)
 
@@ -369,7 +327,8 @@ def _closed_form_eddy(sigma, mu_mag):
         return f_vec(pts, t) + curl_rot
 
     return dict(u=u, dudt=dudt, rot_u=rot_u, multiplier=multiplier,
-                f_vec=f_vec, f_rot=f_rot, f_strong=f_strong)
+                grad_multiplier=grad_multiplier, f_vec=f_vec, f_rot=f_rot,
+                f_strong=f_strong)
 
 
 def _assert_close(new, old):

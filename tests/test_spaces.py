@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from mixpar import build_space, interpolate, structured_mesh, uniform_refine
+from mixpar import build_space, interpolate, structured_mesh
 from mixpar.assembly import CellTables
 from mixpar.elements import QuadratureRule
 from mixpar.mesh import INSULATOR
 from mixpar.spaces import MissingTag
+from meshes import uniform_refine
 
 
 def test_p1_zero_boundary_counts():

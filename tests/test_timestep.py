@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mixpar.assembly import Coefficients, OperatorSet, assemble_load
+from mixpar.assembly import OperatorSet, assemble_load
 from mixpar.timestep import TimeGrid, run
 
 
@@ -15,7 +15,6 @@ def toy_ops(r=1.0, a=1.0):
         M=sp.csr_matrix((0, 0)),
         primal=None,
         multiplier=None,
-        coeffs=Coefficients(),
     )
 
 
