@@ -7,7 +7,7 @@ from .assembly import (Coefficients, OperatorSet, assemble_stokes,
 from .saddle import estimate_infsup, estimate_garding, kernel_basis
 from .timestep import TimeGrid, TimeSeriesSolution, run
 from .problems import ManufacturedCase, stokes_case, eddy2d_case
-from .analysis import ErrorNorms, ConvergenceReport, compute_errors, fit_rates
+from .analysis import ErrorNorms, compute_errors, fit_rates
 from .config import ExperimentConfig, load_config, parse_config
 from .runner import run_experiment
 
@@ -21,6 +21,6 @@ __all__ = [
     "estimate_infsup", "estimate_garding", "kernel_basis",
     "TimeGrid", "TimeSeriesSolution", "run",
     "ManufacturedCase", "stokes_case", "eddy2d_case",
-    "ErrorNorms", "ConvergenceReport", "compute_errors", "fit_rates",
+    "ErrorNorms", "compute_errors", "fit_rates",
     "ExperimentConfig", "load_config", "parse_config", "run_experiment",
 ]

@@ -7,7 +7,7 @@ are their square roots, so fitted rates read as O(h + dt).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,8 +15,8 @@ from . import mesh as meshmod
 from .assembly import CellTables
 
 __all__ = [
-    "ErrorNorms", "LevelResult", "ConvergenceReport",
-    "compute_errors", "fit_rates", "TooFewLevels",
+    "ErrorNorms", "LevelResult", "compute_errors", "fit_rates",
+    "TooFewLevels",
 ]
 
 
@@ -73,25 +73,6 @@ class LevelResult:
     n_primal: int = 0
     n_multiplier: int = 0
     probed: bool = False
-
-
-@dataclass
-class ConvergenceReport:
-    case: str
-    levels: list = field(default_factory=list)
-
-    def __post_init__(self):
-        hs = [lv.h for lv in self.levels]
-        if any(b >= a for a, b in zip(hs, hs[1:])):
-            raise ValueError("levels must be strictly decreasing in h")
-
-    def rates(self, metrics):
-        hs = np.array([lv.h for lv in self.levels])
-        out = {}
-        for m in metrics:
-            vals = np.array([lv.norms.rooted()[m] for lv in self.levels])
-            out[m] = fit_rates(hs, vals)
-        return out
 
 
 def _sq(a):

@@ -85,9 +85,7 @@ class CellTables:
     basis; edge carries `wvals` (nc, nq, 3, 2) and `wrot` (nc, 3).
     """
 
-    def __init__(self, space, rule=None):
-        if rule is None:
-            rule = QuadratureRule.for_degree(4)
+    def __init__(self, space, rule):
         self.rule = rule
         mesh = space.mesh
         cells = space.active_cells

@@ -2,8 +2,9 @@
 
 Both cases use a stream function times sin(pi t), so the primal field
 is divergence free, satisfies the essential boundary condition, and
-vanishes at t = 0.  Sources are differentiated by hand and hard-coded;
-tests cross-check them against finite differences.
+vanishes at t = 0.  Every spatial profile is derived from one
+polynomial stream function (`_stream`); tests check the fields against
+hand-written closed forms and finite differences.
 
 Every exact field is separable: a sum of time factors times spatial
 profiles, sum_k a_k(t) P_k(pts).  A case holds a small set of named
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from .assembly import Coefficients
 
@@ -89,20 +91,47 @@ def _int_sin(t):
     return (1.0 - np.cos(np.pi * t)) / np.pi
 
 
+def _stream(p, scale=1.0):
+    """Spatial profiles of the stream function psi = scale p(x) p(y).
+
+    p is a `Polynomial`.  Returns curl psi = (d_y psi, -d_x psi), its
+    Jacobian J[:, i, j] = d_j (curl psi)_i, rot curl psi = -lap psi and
+    lap curl psi, each a function of a points array (m, 2).
+    """
+    dx = [scale * p.deriv(k) for k in range(4)]
+    dy = [p.deriv(k) for k in range(4)]
+
+    def psi(pts, i, j):
+        # d_x^i d_y^j psi, one product at a time so that few point-sized
+        # temporaries are alive at once
+        return dx[i](pts[:, 0]) * dy[j](pts[:, 1])
+
+    def curl(pts):
+        return np.column_stack([psi(pts, 0, 1), -psi(pts, 1, 0)])
+
+    def jacobian(pts):
+        d11 = psi(pts, 1, 1)
+        J = [d11, psi(pts, 0, 2), -psi(pts, 2, 0), -d11]
+        return np.stack(J, axis=-1).reshape(-1, 2, 2)
+
+    def rot_curl(pts):
+        return -(psi(pts, 2, 0) + psi(pts, 0, 2))
+
+    def lap_curl(pts):
+        return np.column_stack([psi(pts, 2, 1) + psi(pts, 0, 3),
+                                -(psi(pts, 3, 0) + psi(pts, 1, 2))])
+
+    return curl, jacobian, rot_curl, lap_curl
+
+
+# the cases' stream functions; their profiles are pure functions of the
+# points, so they are built once here rather than once per case
+_PSI = _stream(Polynomial.fromroots([0, 0, 1, 1]))
+# peak 1: p(1.5) = 1.5^4 for p = s^2 (3 - s)^2
+_PHI = _stream(Polynomial.fromroots([0, 0, 3, 3]), scale=1.0 / 1.5 ** 8)
+
+
 # -- transient Stokes ------------------------------------------------------
-
-def _w(s):
-    return s * s * (1.0 - s) ** 2
-
-def _dw(s):
-    return 2.0 * s - 6.0 * s ** 2 + 4.0 * s ** 3
-
-def _d2w(s):
-    return 2.0 - 12.0 * s + 12.0 * s ** 2
-
-def _d3w(s):
-    return -12.0 + 24.0 * s
-
 
 def stokes_case(nu=1.0, T=0.5):
     """Unit-square transient Stokes with stream function x^2(1-x)^2 y^2(1-y)^2.
@@ -111,30 +140,14 @@ def stokes_case(nu=1.0, T=0.5):
     the physical pressure is sin(pi t)(x - 1/2) and has zero mean.  The
     source is f = pi cos(pi t) curl(psi) + sin(pi t)(-nu lap curl(psi) + e1).
     """
-
-    def curl(pts):
-        x, y = pts[:, 0], pts[:, 1]
-        return np.column_stack([_w(x) * _dw(y), -_dw(x) * _w(y)])
-
-    def jacobian(pts):
-        x, y = pts[:, 0], pts[:, 1]
-        J = np.empty((len(pts), 2, 2))
-        J[:, 0, 0] = _dw(x) * _dw(y)
-        J[:, 0, 1] = _w(x) * _d2w(y)
-        J[:, 1, 0] = -_d2w(x) * _w(y)
-        J[:, 1, 1] = -_dw(x) * _dw(y)
-        return J
+    curl, jacobian, _, lap_curl = _PSI
 
     def shift(pts):
         return pts[:, 0] - 0.5
 
     def viscous_pressure(pts):
         # -nu lap curl(psi) + grad(x - 1/2)
-        x, y = pts[:, 0], pts[:, 1]
-        return np.column_stack([
-            1.0 - nu * (_d2w(x) * _dw(y) + _w(x) * _d3w(y)),
-            nu * (_d3w(x) * _w(y) + _dw(x) * _d2w(y)),
-        ])
+        return np.array([1.0, 0.0]) - nu * lap_curl(pts)
 
     P = _Profiles(curl=curl, jacobian=jacobian, shift=shift,
                   viscous_pressure=viscous_pressure)
@@ -158,21 +171,6 @@ def stokes_case(nu=1.0, T=0.5):
 
 # -- 2D eddy-current analog -------------------------------------------------
 
-def _g(s):
-    return s * s * (3.0 - s) ** 2
-
-def _dg(s):
-    return 18.0 * s - 18.0 * s ** 2 + 4.0 * s ** 3
-
-def _d2g(s):
-    return 18.0 - 36.0 * s + 12.0 * s ** 2
-
-def _d3g(s):
-    return -36.0 + 24.0 * s
-
-_GNORM = _g(1.5) ** 2   # stream function normalized to peak 1
-
-
 def eddy2d_case(sigma=1.0, eps=1.0, mu_mag=1.0, T=0.75):
     """Degenerate eddy analog on [0,3]^2 with conductor [1,2]^2.
 
@@ -182,14 +180,7 @@ def eddy2d_case(sigma=1.0, eps=1.0, mu_mag=1.0, T=0.75):
     zero.  The source enters the discrete load in weak form:
     <f, v> = int_C sigma du/dt . v + int (1/mu_mag) rot(u) rot(v).
     """
-
-    def curl(pts):
-        x, y = pts[:, 0], pts[:, 1]
-        return np.column_stack([_g(x) * _dg(y), -_dg(x) * _g(y)]) / _GNORM
-
-    def rot(pts):
-        x, y = pts[:, 0], pts[:, 1]
-        return -(_d2g(x) * _g(y) + _g(x) * _d2g(y)) / _GNORM
+    curl, _, rot, lap_curl = _PHI
 
     def sigma_curl(pts):
         # sigma times the conductor indicator times curl(phi)
@@ -198,10 +189,7 @@ def eddy2d_case(sigma=1.0, eps=1.0, mu_mag=1.0, T=0.75):
         return sigma * inside[:, None] * curl(pts)
 
     def curl_rot(pts):
-        x, y = pts[:, 0], pts[:, 1]
-        drot_dx = -(_d3g(x) * _g(y) + _dg(x) * _d2g(y))
-        drot_dy = -(_d2g(x) * _dg(y) + _g(x) * _d3g(y))
-        return np.column_stack([drot_dy, -drot_dx]) / _GNORM
+        return -lap_curl(pts)
 
     def multiplier(pts, t):
         return np.zeros(len(pts))

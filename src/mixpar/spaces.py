@@ -39,12 +39,11 @@ class FeSpace:
     cell_dofs : (n_active_cells, nl) global DOF per cell basis function
     active_cells : cell ids covered by the space (all cells except for
         the multiplier space, which lives on insulator cells)
-    ncomp : number of field components (2 for mini/edge, 1 otherwise)
     tables : quadrature tables by degree (see assembly.CellTables.of)
     """
 
     def __init__(self, mesh, kind, ndof, free, fixed, cell_dofs, active_cells,
-                 ncomp, vertex_dof=None, dof_vertex=None, groups=None):
+                 vertex_dof=None, dof_vertex=None, groups=None):
         self.mesh = mesh
         self.kind = kind
         self.ndof = ndof
@@ -52,7 +51,6 @@ class FeSpace:
         self.fixed = fixed
         self.cell_dofs = cell_dofs
         self.active_cells = active_cells
-        self.ncomp = ncomp
         self.vertex_dof = vertex_dof
         self.dof_vertex = dof_vertex
         self.groups = groups or []
@@ -63,10 +61,6 @@ class FeSpace:
     @property
     def num_free(self):
         return len(self.free)
-
-    def restrict(self, full):
-        """Free-DOF part of a full coefficient vector."""
-        return np.asarray(full)[self.free]
 
     def extend(self, free_vec):
         """Full coefficient vector with zeros on constrained DOFs."""
@@ -104,7 +98,7 @@ def build_space(mesh, kind, bc="zero_outer"):
         free, fixed = _partition(ndof, fixed_mask)
         vertex_dof = np.arange(ndof, dtype=np.intp)
         return FeSpace(mesh, kind, ndof, free, fixed,
-                       mesh.cells.copy(), all_cells, 1,
+                       mesh.cells.copy(), all_cells,
                        vertex_dof=vertex_dof, dof_vertex=vertex_dof.copy())
 
     if kind == "mini":
@@ -120,7 +114,7 @@ def build_space(mesh, kind, bc="zero_outer"):
         for d in range(2):
             cell_dofs[:, d:6:2] = 2 * mesh.cells + d
             cell_dofs[:, 6 + d] = 2 * nv + 2 * all_cells + d
-        return FeSpace(mesh, kind, ndof, free, fixed, cell_dofs, all_cells, 2)
+        return FeSpace(mesh, kind, ndof, free, fixed, cell_dofs, all_cells)
 
     if kind == "edge":
         ndof = mesh.num_edges
@@ -129,7 +123,7 @@ def build_space(mesh, kind, bc="zero_outer"):
             fixed_mask[mesh.outer_edges] = True
         free, fixed = _partition(ndof, fixed_mask)
         return FeSpace(mesh, kind, ndof, free, fixed,
-                       mesh.cell_edges.copy(), all_cells, 2)
+                       mesh.cell_edges.copy(), all_cells)
 
     if kind == "multiplier":
         ins_cells = np.where(mesh.cell_subdomain == meshmod.INSULATOR)[0]
@@ -162,7 +156,7 @@ def build_space(mesh, kind, bc="zero_outer"):
             fixed_mask[outer[outer >= 0]] = True
         free, fixed = _partition(ndof, fixed_mask)
         cell_dofs = dof_of_vertex[mesh.cells[ins_cells]]
-        return FeSpace(mesh, kind, ndof, free, fixed, cell_dofs, ins_cells, 1,
+        return FeSpace(mesh, kind, ndof, free, fixed, cell_dofs, ins_cells,
                        vertex_dof=dof_of_vertex, dof_vertex=dof_vertex,
                        groups=groups)
 

@@ -134,11 +134,3 @@ def test_fit_rates_scale_invariant(c):
     base = fit_rates(hs, errs)
     assert fit_rates(hs, c * errs) == pytest.approx(base, rel=1e-9)
 
-
-def test_convergence_report_requires_decreasing_h():
-    from mixpar.analysis import ConvergenceReport, ErrorNorms, LevelResult
-
-    mk = lambda h: LevelResult(level=0, h=h, dt=h, norms=ErrorNorms())
-    with pytest.raises(ValueError):
-        ConvergenceReport("stokes", [mk(0.1), mk(0.2)])
-    ConvergenceReport("stokes", [mk(0.2), mk(0.1)])

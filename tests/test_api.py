@@ -30,3 +30,26 @@ def test_cli_import_leaves_out_scipy_io():
     done = subprocess.run([sys.executable, "-c", code, src], check=True,
                           capture_output=True, text=True)
     assert done.stdout.strip() == "False"
+
+
+def test_benchmark_tracer_installs_and_restores(monkeypatch):
+    # perfbench/tracing.py patches names in these modules; install fails
+    # on any name they no longer define
+    from mixpar import runner, timestep, vtkio
+
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    modules = (runner, timestep, vtkio)
+    before = [dict(vars(mod)) for mod in modules]
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        patched = {name for mod, old in zip(modules, before)
+                   for name, val in vars(mod).items() if old[name] is not val}
+        assert {"run_level", "assemble_load", "interpolate", "SaddleSolver",
+                "write_unstructured"} <= patched
+    finally:
+        tracer.restore()
+    for mod, old in zip(modules, before):
+        assert {k: v for k, v in vars(mod).items() if old.get(k) is not v} == {}

@@ -102,6 +102,8 @@ def test_malformed_config_exits_2_without_outputs(tmp_path):
     ("eddy2d", "sigma = 0"),
     ("eddy2d", "mu_mag = 0"),
     ("stokes", "threshold.bogus = 1.0"),
+    ("stokes", "threshold.rel_E_pct = 0.5"),
+    ("stokes", "threshold.rel_H_pct = 0.5"),
     ("stokes", "xi = nan"),
     ("stokes", "xi = inf"),
     ("stokes", "xi = -5"),
@@ -275,6 +277,30 @@ def test_solver_failure_exits_3(tmp_path, monkeypatch):
     cfg.out = str(tmp_path / "out")
     assert runner_mod.run_experiment(cfg) == 3
     assert not (tmp_path / "out").exists()
+
+
+def test_parallel_failure_cancels_pending_levels(tmp_path, monkeypatch):
+    import time
+    from mixpar import runner as runner_mod
+    from mixpar.saddle import SingularSystem
+
+    started = []
+
+    def fail_first(cfg, level, vtk_dir=None):
+        started.append(level)
+        if level == 0:
+            raise SingularSystem("step 1: injected failure")
+        time.sleep(0.2)
+
+    monkeypatch.setattr(runner_mod, "run_level", fail_first)
+    cfg = parse_config("case = stokes\nn = 2\nlevels = 6\nsteps = 2\n"
+                       "jobs = 2\n")
+    cfg.out = str(tmp_path / "out")
+    assert runner_mod.run_experiment(cfg) == 3
+    assert not (tmp_path / "out").exists()
+    # level 0 fails while level 1 runs, and the freed worker may take
+    # level 2 before the pool is shut down; nothing later starts
+    assert len(started) <= 3
 
 
 def _arpack_stuck(*args, **kwargs):

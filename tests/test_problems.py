@@ -213,8 +213,8 @@ def test_recovered_field_errors_decrease_across_levels():
 
 # -- separable fields against the closed forms -------------------------------
 #
-# The oracles below are the per-field closed forms the cases used before
-# their fields were written as time factors times cached spatial profiles.
+# The oracles below are hand-written closed forms of every field, kept
+# independent of the stream-function derivation in `problems._stream`.
 
 def _w(s):
     return s * s * (1.0 - s) ** 2
