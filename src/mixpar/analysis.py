@@ -81,20 +81,12 @@ def _sq(a):
     return np.einsum("ij,ij->i", a, a)
 
 
-def compute_errors(solution, case, ops, quad_degree=4, steps=None):
-    """Error norms of a time series against the manufactured case.
-
-    steps, when given, is an inclusive (first, last) step range for the
-    time sums; the squared l2-type norms are additive over disjoint
-    ranges by construction.
-    """
+def compute_errors(solution, case, ops, quad_degree=4):
+    """Error norms of a time series against the manufactured case."""
     tu = CellTables.of(ops.primal, quad_degree)
     tm = CellTables.of(ops.multiplier, quad_degree)
     grid = solution.grid
     dt = grid.dt
-    n0, n1 = steps if steps is not None else (1, grid.N)
-    if not (1 <= n0 <= n1 <= grid.N):
-        raise ValueError("invalid step range")
 
     # X is the H1_0 seminorm (Stokes) or the H(curl) norm (eddy); for the
     # eddy case M likewise adds the H1 seminorm to the L2 norm
@@ -111,8 +103,8 @@ def compute_errors(solution, case, ops, quad_degree=4, steps=None):
     norms = ErrorNorms()
     relE_num = relE_den = relH_num = relH_den = 0.0
     l2X = l2M = dtR = 0.0
-    v_prev = tu.values(solution.u[n0 - 1])
-    for n in range(n0, n1 + 1):
+    v_prev = tu.values(solution.u[0])
+    for n in range(1, grid.N + 1):
         t = n * dt
         u = solution.u[n]
         v = tu.values(u)

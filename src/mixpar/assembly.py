@@ -17,7 +17,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import mesh as meshmod
-from .elements import QuadratureRule, bubble_values, p1_values
+from .elements import (QuadratureRule, bubble_values, cell_geometry,
+                       p1_values)
 from .spaces import FeSpace
 
 __all__ = [
@@ -90,16 +91,9 @@ class CellTables:
         mesh = space.mesh
         cells = space.active_cells
         pts = mesh.vertices[mesh.cells[cells]]          # (nc, 3, 2)
-        d1 = pts[:, 1] - pts[:, 0]
-        d2 = pts[:, 2] - pts[:, 0]
-        det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        # physical gradients of the barycentric coordinates
-        g = np.empty((len(cells), 3, 2))
-        for k in range(3):
-            e = pts[:, (k + 2) % 3] - pts[:, (k + 1) % 3]
-            g[:, k, 0] = -e[:, 1]
-            g[:, k, 1] = e[:, 0]
-        g /= det[:, None, None]
+        # g: physical gradients of the barycentric coordinates
+        area, g = cell_geometry(pts)
+        det = 2.0 * area
 
         bary = rule.points
         self.qp = np.einsum("qk,ckd->cqd", bary, pts).reshape(-1, 2)

@@ -130,23 +130,25 @@ def bubble_values(bary):
 # -- per-cell geometry ---------------------------------------------------
 
 def cell_geometry(pts):
-    """Area and physical barycentric gradients of one triangle.
+    """Areas and physical barycentric gradients of triangles.
 
-    pts is (3, 2).  Raises DegenerateCell when the signed area is <= 0.
+    pts is (..., 3, 2); returns areas (...) and gradients (..., 3, 2).
+    Raises DegenerateCell when any signed area is <= 0.
     """
     p = np.asarray(pts, dtype=float)
-    d1 = p[1] - p[0]
-    d2 = p[2] - p[0]
-    det = d1[0] * d2[1] - d1[1] * d2[0]
+    d1 = p[..., 1, :] - p[..., 0, :]
+    d2 = p[..., 2, :] - p[..., 0, :]
+    det = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
     area = 0.5 * det
-    if area <= 0.0:
-        raise DegenerateCell(f"signed area {area} <= 0")
-    grads = np.empty((3, 2))
+    if np.any(area <= 0.0):
+        raise DegenerateCell("all cells must have positive signed area")
+    grads = np.empty(p.shape)
     # grad(lam_k) = perp(p_{k+2} - p_{k+1}) / (2A), perp(v) = (-vy, vx)
     for k in range(3):
-        e = p[(k + 2) % 3] - p[(k + 1) % 3]
-        grads[k] = (-e[1], e[0])
-    grads /= det
+        e = p[..., (k + 2) % 3, :] - p[..., (k + 1) % 3, :]
+        grads[..., k, 0] = -e[..., 1]
+        grads[..., k, 1] = e[..., 0]
+    grads /= det[..., None, None]
     return area, grads
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .elements import cell_geometry
+
 __all__ = [
     "WHOLE", "CONDUCTOR", "INSULATOR",
     "INTERIOR", "OUTER_BOUNDARY", "INTERFACE",
@@ -32,15 +34,6 @@ _LOCAL_EDGES = ((1, 2), (2, 0), (0, 1))
 
 class ConductorNotOnLattice(ValueError):
     """Conductor rectangle corners must coincide with grid points."""
-
-
-def _cross2(a, b):
-    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-
-
-def _signed_areas(vertices, cells):
-    p = vertices[cells]
-    return 0.5 * _cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
 
 
 class TriMesh:
@@ -74,9 +67,7 @@ class TriMesh:
         if self.cell_subdomain.shape != (nc,):
             raise ValueError("cell_subdomain must be (nc,)")
 
-        self.cell_areas = _signed_areas(self.vertices, self.cells)
-        if np.any(self.cell_areas <= 0.0):
-            raise ValueError("all cells must have positive signed area")
+        self.cell_areas, _ = cell_geometry(self.vertices[self.cells])
 
         # global edges, oriented low vertex index -> high vertex index
         # (sorted lexicographically: the key lo * nv + hi orders as (lo, hi))

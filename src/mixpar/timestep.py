@@ -5,7 +5,7 @@ Each step solves
     (R + dt A) u^n + B^T lam^n = dt f(t_n) + R u^{n-1} + B^T lam^{n-1}
     B u^n = 0
 
-starting from u^0 = u_{0,h} and lam^0 = 0; the constraint data g is
+starting from rest, u^0 = 0 and lam^0 = 0; the constraint data g is
 zero in both problem instances.  The block matrix is time-independent,
 so it is factorized once and reused for all steps.
 """
@@ -55,11 +55,10 @@ class TimeSeriesSolution:
     factor_fill: int = 0
 
 
-def run(ops, load, grid, u0h=None):
-    """Advance the backward-Euler scheme over the whole time grid.
+def run(ops, load, grid):
+    """Advance the backward-Euler scheme from rest over the time grid.
 
-    load(t) returns the free-DOF moment vector of f(t).  u0h is the
-    free-DOF initial coefficient vector (defaults to zero).
+    load(t) returns the free-DOF moment vector of f(t).
     """
     nU = ops.A.shape[0]
     nM = ops.B.shape[0]
@@ -69,10 +68,6 @@ def run(ops, load, grid, u0h=None):
 
     u = np.zeros((grid.N + 1, nU))
     lam = np.zeros((grid.N + 1, nM))
-    if u0h is not None:
-        if len(u0h) != nU:
-            raise ValueError("u0h length does not match the free primal DOFs")
-        u[0] = u0h
     block_res = np.zeros(grid.N)
     constraint_res = np.zeros(grid.N)
 

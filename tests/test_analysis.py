@@ -99,21 +99,6 @@ def test_errors_translation_consistent():
     assert shifted.dt_R == pytest.approx(base.dt_R, rel=1e-9, abs=1e-18)
 
 
-def test_l2_norms_additive_over_step_ranges(eddy3, eddy_case_default):
-    _, E, MU, ops = eddy3
-    case = eddy_case_default
-    grid = TimeGrid(case.T, 6)
-    load = lambda t: assemble_load(E, case.f_vec, t, rot_part=case.f_rot)
-    sol = run(ops, load, grid)
-    total = compute_errors(sol, case, ops)
-    first = compute_errors(sol, case, ops, steps=(1, 3))
-    second = compute_errors(sol, case, ops, steps=(4, 6))
-    assert total.l2_X == pytest.approx(first.l2_X + second.l2_X, rel=1e-12)
-    assert total.l2_M == pytest.approx(first.l2_M + second.l2_M, rel=1e-12)
-    assert total.dt_R == pytest.approx(first.dt_R + second.dt_R, rel=1e-12)
-    assert total.max_R == pytest.approx(max(first.max_R, second.max_R), rel=1e-12)
-
-
 def test_fit_rates_trivial_sequences():
     hs = [0.4, 0.2, 0.1]
     assert fit_rates(hs, [0.4, 0.2, 0.1]) == pytest.approx(1.0, abs=1e-12)

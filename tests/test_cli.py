@@ -104,6 +104,7 @@ def test_malformed_config_exits_2_without_outputs(tmp_path):
     ("stokes", "threshold.bogus = 1.0"),
     ("stokes", "threshold.rel_E_pct = 0.5"),
     ("stokes", "threshold.rel_H_pct = 0.5"),
+    ("eddy2d", "threshold.err_lambda_l2M = 0.5"),
     ("stokes", "xi = nan"),
     ("stokes", "xi = inf"),
     ("stokes", "xi = -5"),
@@ -190,6 +191,15 @@ def test_uncreatable_output_dir_exits_2_before_any_level(
 def test_missing_config_exits_2(tmp_path):
     code = main(["run", str(tmp_path / "nope.cfg")])
     assert code == 2
+
+
+def test_undecodable_config_exits_2_without_outputs(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"case = stokes\nn = 2\xff\n")
+    out = tmp_path / "out"
+    assert main(["run", str(bad), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_serial_reruns_byte_identical(tmp_path):

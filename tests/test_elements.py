@@ -10,7 +10,7 @@ from mixpar.assembly import CellTables
 from mixpar.elements import (DegenerateCell, QuadratureRule, bubble_values,
                              cell_geometry, gauss1d, p1_mass_reference,
                              p1_stiffness, p1_values)
-from mixpar.mesh import TriMesh
+from mixpar.mesh import TriMesh, structured_mesh
 
 REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -99,6 +99,50 @@ def test_degenerate_cell_rejected():
         p1_stiffness(flat)
     with pytest.raises(DegenerateCell):
         cell_geometry(np.array([[0, 0], [0, 1], [1, 0]], dtype=float))
+
+
+def _one_cell_geometry(p):
+    """Area and barycentric gradients of one (3, 2) triangle, written
+    out per cell as the reference for the batched routine."""
+    d1 = p[1] - p[0]
+    d2 = p[2] - p[0]
+    det = d1[0] * d2[1] - d1[1] * d2[0]
+    grads = np.empty((3, 2))
+    for k in range(3):
+        e = p[(k + 2) % 3] - p[(k + 1) % 3]
+        grads[k] = (-e[1], e[0])
+    grads /= det
+    return 0.5 * det, grads
+
+
+@pytest.mark.parametrize("pattern", ["right", "crossed"])
+def test_batched_geometry_matches_one_cell_formula_bitwise(pattern):
+    mesh = structured_mesh((0, 0, 3, 3), 3, conductor=(1, 1, 2, 2),
+                           pattern=pattern)
+    pts = mesh.vertices[mesh.cells]                 # (nc, 3, 2)
+    ref = [_one_cell_geometry(p) for p in pts]
+    ref_area = np.array([a for a, _ in ref])
+    ref_grads = np.array([g for _, g in ref])
+    assert mesh.cell_areas.tobytes() == ref_area.tobytes()
+    for batch, area_ref, grads_ref in (
+            (pts[5], ref_area[5], ref_grads[5]),
+            (pts, ref_area, ref_grads),
+            (pts.reshape(2, -1, 3, 2), ref_area.reshape(2, -1),
+             ref_grads.reshape(2, -1, 3, 2))):
+        area, grads = cell_geometry(batch)
+        assert area.shape == area_ref.shape
+        assert grads.shape == grads_ref.shape
+        assert area.tobytes() == area_ref.tobytes()
+        assert grads.tobytes() == grads_ref.tobytes()
+
+
+def test_clockwise_cell_rejected_in_batch_and_mesh():
+    pts = np.tile(REF, (4, 1, 1))
+    pts[2] = REF[[0, 2, 1]]
+    with pytest.raises(DegenerateCell, match="positive signed area"):
+        cell_geometry(pts)
+    with pytest.raises(DegenerateCell, match="positive signed area"):
+        TriMesh(REF, np.array([[0, 2, 1]]))
 
 
 def test_edge_curl_magnitude_is_inverse_area():
