@@ -81,10 +81,10 @@ def _sq(a):
     return np.einsum("ij,ij->i", a, a)
 
 
-def compute_errors(solution, case, ops, quad_degree=4):
+def compute_errors(solution, case, ops):
     """Error norms of a time series against the manufactured case."""
-    tu = CellTables.of(ops.primal, quad_degree)
-    tm = CellTables.of(ops.multiplier, quad_degree)
+    tu = CellTables.of(ops.primal)
+    tm = CellTables.of(ops.multiplier)
     grid = solution.grid
     dt = grid.dt
 

@@ -140,19 +140,18 @@ class CellTables:
                          vcols[:, :, :, None])
             self._shapes = (2,), (2, 2)
         elif kind == "edge":
-            loc = mesh.cell_edge_local[cells]           # (nc, 3, 2)
-            la, lb = loc[:, :, 0], loc[:, :, 1]
-            ga = np.take_along_axis(g, la[:, :, None], axis=1)
-            gb = np.take_along_axis(g, lb[:, :, None], axis=1)
+            # local edge k runs from vertex k+1 to k+2; signing both
+            # endpoint gradients turns it to the global low -> high edge
+            s = mesh.cell_edge_sign[cells][:, :, None]     # (nc, 3, 1)
+            ga = s * g[:, [1, 2, 0]]
+            gb = s * g[:, [2, 0, 1]]
             lam = p1_values(bary)                       # (nq, 3)
-            la_vals = lam[:, la]                        # (nq, nc, 3)
-            lb_vals = lam[:, lb]
             wvals = (
-                np.einsum("qce,ced->cqed", la_vals, gb)
-                - np.einsum("qce,ced->cqed", lb_vals, ga)
+                np.einsum("qe,ced->cqed", lam[:, [1, 2, 0]], gb)
+                - np.einsum("qe,ced->cqed", lam[:, [2, 0, 1]], ga)
             )
             self.wvals = wvals
-            self.wrot = 2.0 * (
+            self.wrot = 2.0 * s[:, :, 0] * (
                 ga[:, :, 0] * gb[:, :, 1] - ga[:, :, 1] * gb[:, :, 0]
             )
             self._val = (wvals.transpose(0, 1, 3, 2), cols[:, :, None])
@@ -249,7 +248,7 @@ def _rows_at(P, pts, npts):
     return P[(k * pts[:, None] + np.arange(k)).ravel()]
 
 
-def assemble_stokes(velocity, pressure, nu=1.0, quad_degree=4):
+def assemble_stokes(velocity, pressure, nu=1.0):
     """Operators of the transient Stokes instance on the MINI pair.
 
     R is the vector L2 mass, A = nu * vector stiffness, and
@@ -261,8 +260,8 @@ def assemble_stokes(velocity, pressure, nu=1.0, quad_degree=4):
         raise SpaceMismatch("velocity and pressure live on different meshes")
     if velocity.kind != "mini" or pressure.kind != "p1":
         raise SpaceMismatch("expected mini velocity and p1 pressure")
-    tv = CellTables.of(velocity, quad_degree)
-    tp = CellTables.of(pressure, quad_degree)
+    tv = CellTables.of(velocity)
+    tp = CellTables.of(pressure)
 
     # Jacobian rows are (d_x v_x, d_y v_x, d_x v_y, d_y v_y) per point
     div = tv.der[0::4] + tv.der[3::4]
@@ -279,8 +278,7 @@ def assemble_stokes(velocity, pressure, nu=1.0, quad_degree=4):
     )
 
 
-def assemble_eddy2d(edge, multiplier, sigma=1.0, eps=1.0, mu_mag=1.0,
-                    quad_degree=4):
+def assemble_eddy2d(edge, multiplier, sigma=1.0, eps=1.0, mu_mag=1.0):
     """Operators of the 2D eddy-current instance on edge elements.
 
     R is the sigma-weighted edge mass restricted to conductor cells,
@@ -297,8 +295,8 @@ def assemble_eddy2d(edge, multiplier, sigma=1.0, eps=1.0, mu_mag=1.0,
     if not in_cond.any() or sigma <= 0.0:
         raise NoConductorCells("degenerate mass term has empty support")
 
-    te = CellTables.of(edge, quad_degree)
-    tm = CellTables.of(multiplier, quad_degree)
+    te = CellTables.of(edge)
+    tm = CellTables.of(multiplier)
     nq = te.wdet.shape[1]
     cond = np.flatnonzero(np.repeat(in_cond, nq))
     # the multiplier's points are the edge table's points on its cells
@@ -317,7 +315,7 @@ def assemble_eddy2d(edge, multiplier, sigma=1.0, eps=1.0, mu_mag=1.0,
     )
 
 
-def assemble_load(space, f, t, rot_part=None, quad_degree=4):
+def assemble_load(space, f, t, rot_part=None):
     """Quadrature load vector int f(t) . basis (+ int rot_part rot basis).
 
     f maps (points (m, 2), t) to (m,) for scalar kinds or (m, 2) for
@@ -325,6 +323,6 @@ def assemble_load(space, f, t, rot_part=None, quad_degree=4):
     scalar field against the basis curls (the weak-form contribution of
     a magnetization-like source).  Returns the free-DOF vector.
     """
-    tab = CellTables.of(space, quad_degree)
+    tab = CellTables.of(space)
     rq = None if rot_part is None else rot_part(tab.qp, t)
     return tab.moments(f(tab.qp, t), rq)

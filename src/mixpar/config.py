@@ -46,7 +46,6 @@ class ExperimentConfig:
     mu_mag: float = 1.0
     probes: bool = True
     xi: float = 1.0
-    quad_degree: int = 4
     pattern: str = "right"
     out: str = "out"
     jobs: int = 1
@@ -72,9 +71,6 @@ class ExperimentConfig:
             raise ConfigParseError(f"pattern must be one of {_PATTERNS}")
         if self.vtk_every < 0:
             raise ConfigParseError("vtk_every must be >= 0")
-        # the one-point rule makes the MINI block system singular
-        if self.quad_degree < (2 if self.case == "stokes" else 1):
-            raise ConfigParseError(f"quad_degree too low for {self.case}")
         if self.jobs < 1:
             raise ConfigParseError("jobs must be >= 1")
         if self.case == "eddy2d" and self.n % 3 != 0:

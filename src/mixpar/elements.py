@@ -41,11 +41,9 @@ class QuadratureRule:
     def for_degree(degree):
         if degree <= 1:
             return _RULE_DEG1
-        if degree <= 2:
-            return _RULE_DEG2
         if degree <= 4:
             return _RULE_DEG4
-        return _collapsed_rule(degree)
+        raise ValueError(f"no quadrature rule of degree {degree}")
 
 
 def _frozen(points, weights):
@@ -59,12 +57,6 @@ def _frozen(points, weights):
 def _make_deg1():
     p, w = _frozen([[1 / 3, 1 / 3, 1 / 3]], [0.5])
     return QuadratureRule(1, p, w)
-
-
-def _make_deg2():
-    pts = [[2 / 3, 1 / 6, 1 / 6], [1 / 6, 2 / 3, 1 / 6], [1 / 6, 1 / 6, 2 / 3]]
-    p, w = _frozen(pts, [1 / 6] * 3)
-    return QuadratureRule(2, p, w)
 
 
 def _make_deg4():
@@ -86,25 +78,7 @@ def _make_deg4():
     return QuadratureRule(4, p, w)
 
 
-def _collapsed_rule(degree):
-    # Duffy-collapsed Gauss product: x = u, y = v*(1-u), jacobian (1-u).
-    # m points per direction integrate total degree 2m-2 exactly
-    # (u-direction picks up one extra power from the jacobian).
-    m = degree // 2 + 2
-    nodes, wts = leggauss(m)
-    u = 0.5 * (nodes + 1.0)
-    wu = 0.5 * wts
-    x = np.repeat(u, m)
-    v = np.tile(u, m)
-    w = np.repeat(wu, m) * np.tile(wu, m) * (1.0 - x)
-    y = v * (1.0 - x)
-    pts = np.column_stack([1.0 - x - y, x, y])
-    p, w = _frozen(pts, w)
-    return QuadratureRule(degree, p, w)
-
-
 _RULE_DEG1 = _make_deg1()
-_RULE_DEG2 = _make_deg2()
 _RULE_DEG4 = _make_deg4()
 
 

@@ -46,9 +46,8 @@ class TriMesh:
     cell_subdomain : (nc,) int8 array with WHOLE / CONDUCTOR / INSULATOR
     edges : (ne, 2) int array, globally oriented low index -> high index
     cell_edges : (nc, 3) int array, global edge of local edge k
-    cell_edge_local : (nc, 3, 2) int array, local vertex indices of the
-        global (low, high) endpoints of each cell edge
-    edge_cells : (ne, 2) int array, incident cells (-1 when absent)
+    cell_edge_sign : (nc, 3) float array, +1.0 where local edge k, run
+        from local vertex k+1 to k+2, is oriented low -> high, else -1.0
     edge_tag : (ne,) int8 array with INTERIOR / OUTER_BOUNDARY / INTERFACE
     h : max cell diameter
     """
@@ -69,9 +68,14 @@ class TriMesh:
 
         self.cell_areas, _ = cell_geometry(self.vertices[self.cells])
 
+        # local edge k runs from local vertex k+1 to k+2
+        local = self.cells[:, _LOCAL_EDGES]                 # (nc, 3, 2)
+        self.cell_edge_sign = np.where(local[..., 0] < local[..., 1],
+                                       1.0, -1.0)
+
         # global edges, oriented low vertex index -> high vertex index
         # (sorted lexicographically: the key lo * nv + hi orders as (lo, hi))
-        pairs = np.sort(self.cells[:, _LOCAL_EDGES], axis=2).reshape(-1, 2)
+        pairs = np.sort(local, axis=2).reshape(-1, 2)
         nv = len(self.vertices)
         keys, inv = np.unique(pairs[:, 0] * nv + pairs[:, 1],
                               return_inverse=True)
@@ -79,38 +83,18 @@ class TriMesh:
         self.cell_edges = inv.reshape(nc, 3).astype(np.intp)
         ne = len(self.edges)
 
-        # incident cells of each edge in cell order: a stable sort of the
-        # flat (cell, local edge) list groups each edge's cells ascending
+        # tags from the incident cells of each edge, counted per subdomain
         flat = self.cell_edges.ravel()
         counts = np.bincount(flat, minlength=ne)
         if counts.max(initial=0) > 2:
             e = int(np.argmax(counts > 2))
             raise ValueError(f"edge {e} shared by more than two cells")
-        owner = np.argsort(flat, kind="stable") // 3
-        first = np.cumsum(counts) - counts
-        self.edge_cells = np.full((ne, 2), -1, dtype=np.intp)
-        self.edge_cells[:, 0] = owner[first]
-        two = counts == 2
-        self.edge_cells[two, 1] = owner[first[two] + 1]
-
-        # local vertex positions of the oriented global endpoints
-        lo = self.edges[self.cell_edges, 0]   # (nc, 3) global low vertex
-        hi = self.edges[self.cell_edges, 1]
-        la = (self.cells[:, None, :] == lo[:, :, None]).argmax(axis=2)
-        lb = (self.cells[:, None, :] == hi[:, :, None]).argmax(axis=2)
-        self.cell_edge_local = np.stack([la, lb], axis=2).astype(np.intp)
-
+        sub = np.repeat(self.cell_subdomain, 3)
+        n_cond = np.bincount(flat[sub == CONDUCTOR], minlength=ne)
+        n_ins = np.bincount(flat[sub == INSULATOR], minlength=ne)
         self.edge_tag = np.full(ne, INTERIOR, dtype=np.int8)
-        boundary = self.edge_cells[:, 1] < 0
-        self.edge_tag[boundary] = OUTER_BOUNDARY
-        both = ~boundary
-        t0 = self.cell_subdomain[self.edge_cells[both, 0]]
-        t1 = self.cell_subdomain[self.edge_cells[both, 1]]
-        iface = np.where(
-            ((t0 == CONDUCTOR) & (t1 == INSULATOR))
-            | ((t0 == INSULATOR) & (t1 == CONDUCTOR))
-        )[0]
-        self.edge_tag[np.where(both)[0][iface]] = INTERFACE
+        self.edge_tag[counts == 1] = OUTER_BOUNDARY
+        self.edge_tag[(n_cond == 1) & (n_ins == 1)] = INTERFACE
 
         self.h = float(self.edge_lengths().max())
 

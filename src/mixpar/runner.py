@@ -47,8 +47,7 @@ def _build_instance(cfg, level):
         mesh = structured_mesh(case.domain, n, pattern=cfg.pattern)
         primal = build_space(mesh, "mini", bc="zero_outer")
         mult = build_space(mesh, "p1", bc=None)
-        ops = assemble_stokes(primal, mult, nu=cfg.nu,
-                              quad_degree=cfg.quad_degree)
+        ops = assemble_stokes(primal, mult, nu=cfg.nu)
     else:
         case = eddy2d_case(sigma=cfg.sigma, eps=cfg.eps, mu_mag=cfg.mu_mag,
                            T=cfg.T)
@@ -57,11 +56,10 @@ def _build_instance(cfg, level):
         primal = build_space(mesh, "edge", bc="zero_outer")
         mult = build_space(mesh, "multiplier", bc="zero_outer")
         ops = assemble_eddy2d(primal, mult, sigma=cfg.sigma, eps=cfg.eps,
-                              mu_mag=cfg.mu_mag, quad_degree=cfg.quad_degree)
+                              mu_mag=cfg.mu_mag)
     # both cases start from rest, u(., 0) = 0, so run's zero u^0 is exact
     load = lambda t: assemble_load(primal, case.f_vec, t,
-                                   rot_part=case.f_rot,
-                                   quad_degree=cfg.quad_degree)
+                                   rot_part=case.f_rot)
     grid = TimeGrid(cfg.T, cfg.steps * 2 ** level)
     return mesh, case, ops, grid, load
 
@@ -76,7 +74,7 @@ def run_level(cfg, level, vtk_dir=None):
             stacklevel=2,
         )
     solution = run(ops, load, grid)
-    norms = compute_errors(solution, case, ops, quad_degree=cfg.quad_degree)
+    norms = compute_errors(solution, case, ops)
 
     lam_norm_max = max(
         float(np.sqrt(max(lam @ (ops.M @ lam), 0.0))) for lam in solution.lam

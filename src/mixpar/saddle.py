@@ -42,8 +42,10 @@ SPLU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
 
 
 class SingularSystem(RuntimeError):
-    """Factorization failed or produced non-finite values, or an
-    eigensolver iterating on a factorization did not converge."""
+    """Factorization failed or produced non-finite values, a (1,1) block
+    has a diagonal entry that is not positive, a probe matrix is not
+    finite, or an eigensolver iterating on a factorization did not
+    converge."""
 
 
 class ResidualTooLarge(RuntimeError):
@@ -84,6 +86,10 @@ class SaddleSolver:
         self.B = sp.csr_matrix(B)
         self.mean_row = mean_row
         self.dropped = 0 if mean_row is None else 1
+        # every valid (1,1) block has a positive diagonal; a zero one (say
+        # dt * A underflowing off the conductor) can crash SuperLU
+        if not np.all(self.A_dt.diagonal() > 0):
+            raise SingularSystem("(1,1) block has a non-positive diagonal")
         B1 = self.B[self.dropped:]
         K = sp.bmat([[self.A_dt, B1.T], [B1, None]], format="csc")
         try:
@@ -140,6 +146,8 @@ def estimate_infsup(X, B, M, project_out=None):
     Y = spla.splu(sp.csc_matrix(X)).solve(B.T.toarray())
     S = B @ Y
     S = 0.5 * (S + S.T)
+    if not np.all(np.isfinite(S)):
+        raise SingularSystem("inf-sup probe: B X^-1 B^T is not finite")
     Md = sp.csr_matrix(M).toarray()
     eig = scipy.linalg.eigh(S, Md, eigvals_only=True,
                             subset_by_index=[first, first])

@@ -1,4 +1,5 @@
-"""Test-only mesh helpers: midpoint refinement and an invariant checker.
+"""Test-only mesh helpers: midpoint refinement, edge incidence and an
+invariant checker.
 
 The refinement makes meshes that `structured_mesh` cannot (children of a
 crossed or refined mesh), and `check_mesh` is the oracle the mesh
@@ -31,6 +32,22 @@ def uniform_refine(mesh):
     return TriMesh(vertices, children, tags)
 
 
+def edge_cells(mesh):
+    """Incident cells of each edge, (ne, 2) with -1 when absent, by a
+    per-cell loop in cell order."""
+    cells = np.full((mesh.num_edges, 2), -1, dtype=np.intp)
+    for c in range(mesh.num_cells):
+        for k in range(3):
+            e = mesh.cell_edges[c, k]
+            if cells[e, 0] < 0:
+                cells[e, 0] = c
+            elif cells[e, 1] < 0:
+                cells[e, 1] = c
+            else:
+                raise ValueError(f"edge {e} shared by more than two cells")
+    return cells
+
+
 def check_mesh(mesh, expected_area=None):
     """Validate TriMesh invariants, raising MeshInvariantError on failure."""
     p = mesh.vertices[mesh.cells]
@@ -38,14 +55,18 @@ def check_mesh(mesh, expected_area=None):
     if np.any(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] <= 0.0):
         raise MeshInvariantError("cell with non-positive signed area")
 
-    counts = (mesh.edge_cells >= 0).sum(axis=1)
-    if np.any((counts < 1) | (counts > 2)):
+    try:
+        incident = edge_cells(mesh)
+    except ValueError as err:
+        raise MeshInvariantError("non-conforming edge incidence") from err
+    counts = (incident >= 0).sum(axis=1)
+    if np.any(counts < 1):
         raise MeshInvariantError("non-conforming edge incidence")
     if np.any((counts == 1) != (mesh.edge_tag == OUTER_BOUNDARY)):
         raise MeshInvariantError("boundary edge tagging inconsistent")
 
     for e in mesh.interface_edges:
-        c0, c1 = mesh.edge_cells[e]
+        c0, c1 = incident[e]
         t = {mesh.cell_subdomain[c0], mesh.cell_subdomain[c1]}
         if t != {CONDUCTOR, INSULATOR}:
             raise MeshInvariantError("interface edge does not separate subdomains")

@@ -273,8 +273,8 @@ def _interleave_vector_blocks(scalar_local):
     return out
 
 
-def _stokes_oracle(V, Q, nu, degree):
-    tv, tp = CellTables.of(V, degree), CellTables.of(Q, degree)
+def _stokes_oracle(V, Q, nu):
+    tv, tp = CellTables.of(V), CellTables.of(Q)
     sq = lambda s: (s.ndof, s.ndof)
     mass4 = np.einsum("cq,qs,qt->cst", tv.wdet, tv.vals, tv.vals)
     stiff4 = np.einsum("cq,cqsg,cqtg->cst", tv.wdet, tv.grads, tv.grads)
@@ -293,8 +293,8 @@ def _stokes_oracle(V, Q, nu, degree):
             "X": X, "M": _reduce(M, Q, Q), "mean_row": mean[Q.free]}
 
 
-def _eddy_oracle(E, MU, sigma, eps, mu_mag, degree):
-    te, tm = CellTables.of(E, degree), CellTables.of(MU, degree)
+def _eddy_oracle(E, MU, sigma, eps, mu_mag):
+    te, tm = CellTables.of(E), CellTables.of(MU)
     mesh = E.mesh
     sq = lambda s: (s.ndof, s.ndof)
     mass = np.einsum("cq,cqed,cqfd->cef", te.wdet, te.wvals, te.wvals)
@@ -318,26 +318,24 @@ def _eddy_oracle(E, MU, sigma, eps, mu_mag, degree):
 
 
 @pytest.mark.parametrize("pattern", ["right", "crossed"])
-@pytest.mark.parametrize("case, degree", [
-    ("stokes", 2), ("stokes", 4), ("stokes", 7),
-    ("eddy2d", 1), ("eddy2d", 4),
-])
+@pytest.mark.parametrize("case, degree", [("stokes", 4), ("eddy2d", 4)])
 def test_operators_match_scatter_assembly(case, degree, pattern):
     if case == "stokes":
         mesh = structured_mesh((0, 0, 1, 1), 4, pattern=pattern)
         V = build_space(mesh, "mini")
         Q = build_space(mesh, "p1", bc=None)
-        ops = assemble_stokes(V, Q, nu=0.37, quad_degree=degree)
-        want = _stokes_oracle(V, Q, 0.37, degree)
+        ops = assemble_stokes(V, Q, nu=0.37)
+        want = _stokes_oracle(V, Q, 0.37)
     else:
         mesh = structured_mesh((0, 0, 3, 3), 6, conductor=(1, 1, 2, 2),
                                pattern=pattern)
         E = build_space(mesh, "edge")
         MU = build_space(mesh, "multiplier")
-        ops = assemble_eddy2d(E, MU, sigma=2.5, eps=0.4, mu_mag=3.0,
-                              quad_degree=degree)
-        want = _eddy_oracle(E, MU, 2.5, 0.4, 3.0, degree)
+        ops = assemble_eddy2d(E, MU, sigma=2.5, eps=0.4, mu_mag=3.0)
+        want = _eddy_oracle(E, MU, 2.5, 0.4, 3.0)
         assert ops.mean_row is None
+    # the operators are built from the one degree-4 rule
+    assert set(ops.primal.tables) == set(ops.multiplier.tables) == {degree}
     for name, ref in want.items():
         got = getattr(ops, name)
         assert got.shape == ref.shape, name

@@ -11,6 +11,8 @@ from mixpar.elements import (DegenerateCell, QuadratureRule, bubble_values,
                              cell_geometry, gauss1d, p1_mass_reference,
                              p1_stiffness, p1_values)
 from mixpar.mesh import TriMesh, structured_mesh
+from meshes import uniform_refine
+from rules import collapsed_rule
 
 REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -42,9 +44,16 @@ def _points_on_edges(pairs, npts):
     return bary.reshape(-1, 3), w
 
 
+def _rule(degree):
+    """The runtime rule up to degree 4, the test-side rule above it."""
+    if degree <= 4:
+        return QuadratureRule.for_degree(degree)
+    return collapsed_rule(degree)
+
+
 @pytest.mark.parametrize("degree", [1, 2, 4, 6, 8])
 def test_quadrature_integrates_monomials_exactly(degree):
-    rule = QuadratureRule.for_degree(degree)
+    rule = _rule(degree)
     x, y = rule.points[:, 1], rule.points[:, 2]
     for a in range(degree + 1):
         for b in range(degree + 1 - a):
@@ -55,9 +64,17 @@ def test_quadrature_integrates_monomials_exactly(degree):
 
 def test_quadrature_weights_sum_to_reference_area():
     for degree in (1, 2, 4, 8):
-        rule = QuadratureRule.for_degree(degree)
+        rule = _rule(degree)
         assert rule.weights.sum() == pytest.approx(0.5, abs=1e-14)
         assert np.all(rule.weights > 0)
+
+
+def test_runtime_rules_are_centroid_and_six_point():
+    assert QuadratureRule.for_degree(0).weights.shape == (1,)
+    assert QuadratureRule.for_degree(2) is QuadratureRule.for_degree(4)
+    assert QuadratureRule.for_degree(4).weights.shape == (6,)
+    with pytest.raises(ValueError):
+        QuadratureRule.for_degree(5)
 
 
 def test_p1_mass_reference_symbolic_value():
@@ -168,6 +185,38 @@ def test_edge_curl_orientation_flip():
                        rtol=1e-15, atol=0)
     assert np.allclose(t_fwd.values(u_fwd), -t_rev.values(u_rev),
                        rtol=0, atol=1e-15)
+
+
+def _gathered_edge_basis(mesh, cells, bary):
+    """The edge basis from the local positions of each edge's global
+    (low, high) endpoints: the gather formula the tables once used."""
+    _, g = cell_geometry(mesh.vertices[mesh.cells[cells]])
+    ends = mesh.edges[mesh.cell_edges[cells]]            # (nc, 3, 2)
+    loc = (mesh.cells[cells][:, None, None, :]
+           == ends[..., None]).argmax(axis=3)            # (nc, 3, 2)
+    la, lb = loc[:, :, 0], loc[:, :, 1]
+    ga = np.take_along_axis(g, la[:, :, None], axis=1)
+    gb = np.take_along_axis(g, lb[:, :, None], axis=1)
+    lam = p1_values(bary)
+    wvals = (np.einsum("qce,ced->cqed", lam[:, la], gb)
+             - np.einsum("qce,ced->cqed", lam[:, lb], ga))
+    wrot = 2.0 * (ga[:, :, 0] * gb[:, :, 1] - ga[:, :, 1] * gb[:, :, 0])
+    return wvals, wrot
+
+
+@pytest.mark.parametrize("pattern", ["right", "crossed"])
+def test_edge_tables_match_gathered_basis_bitwise(pattern):
+    mesh = structured_mesh((0, 0, 3, 3), 3, conductor=(1, 1, 2, 2),
+                           pattern=pattern)
+    for m in (mesh, uniform_refine(mesh)):
+        assert np.any(m.cell_edge_sign < 0)
+        space = build_space(m, "edge")
+        for degree in (1, 4):
+            rule = QuadratureRule.for_degree(degree)
+            tab = CellTables(space, rule)
+            wvals, wrot = _gathered_edge_basis(m, tab.cells, rule.points)
+            assert tab.wvals.tobytes() == wvals.tobytes()
+            assert tab.wrot.tobytes() == wrot.tobytes()
 
 
 def test_whitney_stokes_line_integral_identity():

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixpar.mesh import (CONDUCTOR, INSULATOR, WHOLE, ConductorNotOnLattice,
+from mixpar.mesh import (CONDUCTOR, INSULATOR, INTERFACE, INTERIOR,
+                         OUTER_BOUNDARY, WHOLE, ConductorNotOnLattice,
                          TriMesh, structured_mesh)
-from meshes import check_mesh, uniform_refine
+from meshes import check_mesh, edge_cells, uniform_refine
 
 
 def test_smallest_right_diagonal_mesh():
@@ -64,14 +65,14 @@ def test_refined_mesh_passes_invariants():
 def test_interface_edges_separate_subdomains():
     m = uniform_refine(structured_mesh((0, 0, 3, 3), 3, conductor=(1, 1, 2, 2)))
     for e in m.interface_edges:
-        tags = {m.cell_subdomain[c] for c in m.edge_cells[e] if c >= 0}
+        tags = {m.cell_subdomain[c] for c in edge_cells(m)[e] if c >= 0}
         assert tags == {CONDUCTOR, INSULATOR}
 
 
 def test_boundary_edges_tagging():
     m = structured_mesh((0, 0, 3, 3), 3, conductor=(1, 1, 2, 2))
     assert len(m.outer_edges) == 12
-    counts = (m.edge_cells >= 0).sum(axis=1)
+    counts = (edge_cells(m) >= 0).sum(axis=1)
     assert np.all(counts[m.outer_edges] == 1)
     assert np.all(counts[m.interface_edges] == 2)
 
@@ -119,12 +120,21 @@ def test_trimesh_rejects_negative_orientation():
 
 
 def test_edge_orientation_low_to_high():
-    m = structured_mesh((0, 0, 1, 1), 3)
-    assert np.all(m.edges[:, 0] < m.edges[:, 1])
-    lo = m.cells[np.arange(m.num_cells)[:, None], m.cell_edge_local[:, :, 0]]
-    hi = m.cells[np.arange(m.num_cells)[:, None], m.cell_edge_local[:, :, 1]]
-    assert np.array_equal(lo, m.edges[m.cell_edges, 0])
-    assert np.array_equal(hi, m.edges[m.cell_edges, 1])
+    for m in (structured_mesh((0, 0, 1, 1), 3),
+              uniform_refine(structured_mesh((0, 0, 1, 1), 2,
+                                             pattern="crossed"))):
+        assert np.all(m.edges[:, 0] < m.edges[:, 1])
+        # local edge k runs from local vertex k+1 to k+2
+        start, end = m.cells[:, [1, 2, 0]], m.cells[:, [2, 0, 1]]
+        lo, hi = m.edges[m.cell_edges, 0], m.edges[m.cell_edges, 1]
+        assert np.array_equal(np.minimum(start, end), lo)
+        assert np.array_equal(np.maximum(start, end), hi)
+        # the sign turns the local tangent into the global low -> high one
+        assert m.cell_edge_sign.shape == (m.num_cells, 3)
+        assert set(np.unique(m.cell_edge_sign)) == {-1.0, 1.0}
+        local = m.vertices[end] - m.vertices[start]
+        assert np.array_equal(m.cell_edge_sign[:, :, None] * local,
+                              m.vertices[hi] - m.vertices[lo])
 
 
 def test_mesh_vtk_export(tmp_path):
@@ -141,35 +151,40 @@ def test_mesh_vtk_export(tmp_path):
     assert "SCALARS subdomain double 1" in lines
 
 
-def _edge_cells_reference(mesh):
-    # the per-cell loop the constructor once ran
-    edge_cells = np.full((mesh.num_edges, 2), -1, dtype=np.intp)
-    for c in range(mesh.num_cells):
-        for k in range(3):
-            e = mesh.cell_edges[c, k]
-            if edge_cells[e, 0] < 0:
-                edge_cells[e, 0] = c
-            elif edge_cells[e, 1] < 0:
-                edge_cells[e, 1] = c
-            else:
-                raise ValueError(f"edge {e} shared by more than two cells")
-    return edge_cells
+def _edge_tags_reference(mesh):
+    # the tags the constructor once derived from the incident cells of
+    # the per-cell loop
+    tags = np.full(mesh.num_edges, INTERIOR, dtype=np.int8)
+    for e, (c0, c1) in enumerate(edge_cells(mesh)):
+        if c1 < 0:
+            tags[e] = OUTER_BOUNDARY
+        elif ({mesh.cell_subdomain[c0], mesh.cell_subdomain[c1]}
+              == {CONDUCTOR, INSULATOR}):
+            tags[e] = INTERFACE
+    return tags
 
 
 @pytest.mark.parametrize("pattern", ["right", "crossed"])
 def test_edge_cells_match_per_cell_loop(pattern):
     meshes = [
         structured_mesh((0, 0, 1, 1), 5, pattern=pattern),
+        structured_mesh((0, 0, 3, 3), 6, pattern=pattern,
+                        conductor=(1, 1, 2, 2)),
+        # a conductor on the outer boundary: its outer edges are not
+        # interface edges
+        structured_mesh((0, 0, 3, 3), 3, pattern=pattern,
+                        conductor=(0, 0, 2, 2)),
         uniform_refine(structured_mesh((0, 0, 3, 3), 3, pattern=pattern,
                                        conductor=(1, 1, 2, 2))),
     ]
     for m in meshes:
-        assert m.edge_cells.dtype == np.intp
-        assert np.array_equal(m.edge_cells, _edge_cells_reference(m))
+        assert m.edge_tag.dtype == np.int8
+        assert np.array_equal(m.edge_tag, _edge_tags_reference(m))
         # edges are unique and in lexicographic (low, high) order
         lo, hi = m.edges[:, 0], m.edges[:, 1]
         assert np.all((lo[1:] > lo[:-1])
                       | ((lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1])))
+    assert len(meshes[-1].interface_edges) > 0
 
 
 def _structured_reference(n, pattern, square_tag):

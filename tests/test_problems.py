@@ -12,6 +12,7 @@ from mixpar.problems import eddy2d_case, stokes_case
 from mixpar.runner import run_level
 from mixpar.timestep import TimeGrid, run
 from conftest import build_eddy
+from rules import collapsed_rule
 
 
 def _fd_t(f, pts, t, h=1e-5):
@@ -101,7 +102,7 @@ def test_stokes_weak_form_consistency():
     case = stokes_case(nu=1.0)
     mesh = structured_mesh((0, 0, 1, 1), 3)
     V = build_space(mesh, "mini", bc="zero_outer")
-    tab = CellTables(V, QuadratureRule.for_degree(10))
+    tab = CellTables(V, collapsed_rule(10))
     pts = tab.qp.reshape(-1, 2)
     nq = tab.rule.weights.size
     t = 0.31
@@ -137,7 +138,7 @@ def test_eddy_exact_constraint_against_multiplier_basis():
     for n in (3, 6):
         mesh = structured_mesh((0, 0, 3, 3), n, conductor=(1, 1, 2, 2))
         MU = build_space(mesh, "multiplier")
-        tab = CellTables(MU, QuadratureRule.for_degree(8))
+        tab = CellTables(MU, collapsed_rule(8))
         uq = case.u(tab.qp.reshape(-1, 2), 0.37).reshape(
             len(tab.cells), -1, 2
         )
@@ -181,9 +182,9 @@ def test_eddy_weak_residual_strong_vs_residual_form(eddy3):
     _, E, _, _ = eddy3
     case = eddy2d_case()
     t = 0.41
-    L_strong = assemble_load(E, case.f_strong, t, quad_degree=8)
-    L_resid = assemble_load(E, case.f_vec, t, rot_part=case.f_rot,
-                            quad_degree=8)
+    tab = CellTables(E, collapsed_rule(8))
+    L_strong = tab.moments(case.f_strong(tab.qp, t))
+    L_resid = tab.moments(case.f_vec(tab.qp, t), case.f_rot(tab.qp, t))
     rng = np.random.default_rng(12)
     scale = max(1.0, np.abs(L_strong).max())
     for _ in range(50):

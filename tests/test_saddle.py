@@ -63,6 +63,19 @@ def test_singular_system_detected():
         SaddleSolver(A, B).solve(np.ones(3), np.zeros(2))
 
 
+def test_non_positive_diagonal_rejected_before_factoring(eddy3):
+    B = sp.csr_matrix(np.array([[1.0, 1.0, 0.0]]))
+    for diag in ([1.0, 0.0, 1.0], [1.0, -1.0, 1.0], [1.0, np.nan, 1.0]):
+        with pytest.raises(SingularSystem, match="non-positive diagonal"):
+            SaddleSolver(sp.diags(diag, format="csr"), B)
+    # dt * A underflowing to 0 leaves the eddy step matrix R, which is
+    # zero on every insulator edge
+    _, _, _, ops = eddy3
+    assert np.any(ops.R.diagonal() == 0)
+    with pytest.raises(SingularSystem, match="non-positive diagonal"):
+        SaddleSolver(ops.R + 1e-300 * (ops.A / 1e300), ops.B)
+
+
 def test_solve_deterministic(eddy3):
     _, _, _, ops = eddy3
     rng = np.random.default_rng(0)
@@ -144,6 +157,14 @@ def test_infsup_trivial_cases():
     I5 = sp.identity(5, format="csr")
     assert estimate_infsup(I5, sp.csr_matrix((3, 5)), sp.identity(3, format="csr")) == 0.0
     assert estimate_infsup(I5, I5, I5) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_infsup_overflow_is_a_solver_failure():
+    # B X^-1 B^T = 1e900 overflows to inf
+    I5 = sp.identity(5, format="csr")
+    with np.errstate(all="ignore"), pytest.raises(SingularSystem,
+                                                  match="not finite"):
+        estimate_infsup(1e-300 * I5, 1e300 * I5, I5)
 
 
 @settings(max_examples=20, deadline=None)
