@@ -1,9 +1,15 @@
 """Discrete error norms and convergence-rate fits.
 
-Error integrands evaluate the exact solution pointwise at quadrature
-nodes (never its interpolant) against the discrete coefficient fields.
-ErrorNorms stores the squared time-discrete quantities; reported values
-are their square roots, so fitted rates read as O(h + dt).
+The norms measure the exact solution itself (never its interpolant)
+against the discrete coefficient fields.  Each is evaluated exactly as a
+quadratic form in an operator the level already holds (R, X, M or
+mu_mag A), expanded around the interpolant of the exact field so that
+no term cancels (see `_Form`): the profiles are evaluated and
+interpolated once per level, and each step costs one sparse product per
+norm.  The quadrature evaluation of the same norms, point by point and
+step by step, lives in tests/ as their oracle.  ErrorNorms stores the
+squared time-discrete quantities; reported values are their square
+roots, so fitted rates read as O(h + dt).
 """
 from __future__ import annotations
 
@@ -13,6 +19,7 @@ import numpy as np
 
 from . import mesh as meshmod
 from .assembly import CellTables
+from .spaces import interpolate
 
 __all__ = [
     "ErrorNorms", "LevelResult", "compute_errors", "fit_rates",
@@ -75,10 +82,51 @@ class LevelResult:
     probed: bool = False
 
 
-def _sq(a):
-    """Squared Euclidean norm per point of (m,), (m, 2) or (m, 2, 2) data."""
-    a = a.reshape(len(a), -1)
-    return np.einsum("ij,ij->i", a, a)
+class _Form:
+    """One squared norm  sum_points w |sum_k a_k P_k - F u|^2  as a
+    quadratic form in the free coefficients u.
+
+    F is a point map (field values or derivatives), P_k the exact
+    field's profiles at its rows and Q = Fᵀ W F the assembled operator.
+    With c_k the interpolant of P_k and d = sum_k a_k c_k - u, the
+    residual splits as sum_k a_k (P_k - F c_k) + F d, so the norm is
+
+        aᵀ H a + 2 aᵀ G d + dᵀ Q d,
+        H_kl = sum w (P_k - F c_k).(P_l - F c_l),  G_k = Fᵀ W (P_k - F c_k).
+
+    Every term is of the error's size, so nothing cancels.  A form may
+    sum several maps (values plus derivatives), each as a piece
+    (F, w, r) with w one weight per point and r the (K, rows)
+    residuals P - F C at F's rows.
+    """
+
+    def __init__(self, Q, pieces):
+        self.Q = Q
+        self.H = sum(r @ _per_row(w, r).T for _, w, r in pieces)
+        self.G = sum((F.T @ _per_row(w, r).T).T for F, w, r in pieces)
+
+    def __call__(self, a, d):
+        sq = a @ self.H @ a + 2.0 * (a @ (self.G @ d)) + d @ (self.Q @ d)
+        # round-off may take a vanishing error below 0
+        return max(float(sq), 0.0)
+
+
+def _per_row(w, r):
+    """r (K, rows) with each point's rows scaled by its weight."""
+    return np.repeat(w, r.shape[1] // len(w)) * r
+
+
+def _profiles(terms, part, F, pts):
+    """The terms' profiles (`value` or `deriv`) at pts, one row per term,
+    laid out like the rows of the point map F."""
+    return np.array([getattr(term, part)(pts).ravel() for term in terms]
+                    ).reshape(len(terms), F.shape[0])
+
+
+def _interpolants(terms, space):
+    """Free-DOF interpolants of the terms' value profiles, (K, n)."""
+    return np.array([interpolate(space, term.value)[space.free]
+                     for term in terms]).reshape(len(terms), space.num_free)
 
 
 def compute_errors(solution, case, ops):
@@ -87,47 +135,65 @@ def compute_errors(solution, case, ops):
     tm = CellTables.of(ops.multiplier)
     grid = solution.grid
     dt = grid.dt
+    primal, mult = case.terms
+
+    C = _interpolants(primal, ops.primal)
+    Cm = _interpolants(mult, ops.multiplier)
+    Pv = _profiles(primal, "value", tu.val, tu.qp)
+    Pd = _profiles(primal, "deriv", tu.der, tu.qp)
+    rv = Pv - (tu.val @ C.T).T
+    rd = Pd - (tu.der @ C.T).T
+    rm = _profiles(mult, "value", tm.val, tm.qp) - (tm.val @ Cm.T).T
 
     # X is the H1_0 seminorm (Stokes) or the H(curl) norm (eddy); for the
     # eddy case M likewise adds the H1 seminorm to the L2 norm
     full_norms = case.kind == "eddy2d"
-    exact_der = case.rot_u if full_norms else case.grad_u
     if full_norms:
         cells = tu.cells.repeat(tu.wdet.shape[1])
         w_cond = tu.w * (ops.primal.mesh.cell_subdomain[cells]
                          == meshmod.CONDUCTOR)
-        wR = case.coeffs.sigma * w_cond
+        sigma = case.coeffs.sigma
+        R = _Form(ops.R, [(tu.val, sigma * w_cond, rv)])
+        X = _Form(ops.X, [(tu.val, tu.w, rv), (tu.der, tu.w, rd)])
+        rmd = (_profiles(mult, "deriv", tm.der, tm.qp)
+               - (tm.der @ Cm.T).T)
+        M = _Form(ops.M, [(tm.val, tm.w, rm), (tm.der, tm.w, rmd)])
+        # H = rot(u) / mu_mag; the factor cancels in the ratio, so the
+        # magnetic error is the rot part of X, mu_mag A = Dᵀ W D
+        H = _Form(case.coeffs.mu_mag * ops.A, [(tu.der, tu.w, rd)])
+        # Gram matrices of the exact fields for the denominators:
+        # sum w_cond P_k.P_l (conductor) and sum w rot P_k rot P_l
+        E_exact = Pv @ _per_row(w_cond, Pv).T
+        H_exact = Pd @ _per_row(tu.w, Pd).T
     else:
-        wR = tu.w
+        R = _Form(ops.R, [(tu.val, tu.w, rv)])
+        X = _Form(ops.X, [(tu.der, tu.w, rd)])
+        M = _Form(ops.M, [(tm.val, tm.w, rm)])
 
     norms = ErrorNorms()
     relE_num = relE_den = relH_num = relH_den = 0.0
     l2X = l2M = dtR = 0.0
-    v_prev = tu.values(solution.u[0])
+    u_prev = solution.u[0]
     for n in range(1, grid.N + 1):
         t = n * dt
+        a = np.array([term.a(t) for term in primal])
+        da = np.array([term.da(t) for term in primal])
         u = solution.u[n]
-        v = tu.values(u)
-        due = case.dudt(tu.qp, t)
-        e2 = _sq(case.u(tu.qp, t) - v)
-        de2 = _sq(due - (v - v_prev) / dt)
-        v_prev = v
-        der_e = exact_der(tu.qp, t)
-        der2 = float(tu.w @ _sq(der_e - tu.derivs(u)))
-        norms.max_R = max(norms.max_R, float(wR @ e2))
-        l2X += der2 + (float(tu.w @ e2) if full_norms else 0.0)
-        dtR += float(wR @ de2)
+        d = a @ C - u
+        dd = da @ C - (u - u_prev) / dt
+        u_prev = u
+        norms.max_R = max(norms.max_R, R(a, d))
+        l2X += X(a, d)
+        de2 = R(da, dd)
+        dtR += de2
 
-        lam = solution.lam[n]
-        l2M += float(tm.w @ _sq(case.multiplier(tm.qp, t) - tm.values(lam)))
+        am = np.array([term.a(t) for term in mult])
+        l2M += M(am, am @ Cm - solution.lam[n])
         if full_norms:
-            l2M += float(tm.w @ _sq(case.grad_multiplier(tm.qp, t)
-                                    - tm.derivs(lam)))
-            relE_num += float(w_cond @ de2)
-            relE_den += float(w_cond @ _sq(due))
-            # H = rot(u) / mu_mag; the factor cancels in the ratio
-            relH_num += der2
-            relH_den += float(tu.w @ _sq(der_e))
+            relE_num += de2 / sigma
+            relE_den += float(da @ E_exact @ da)
+            relH_num += H(a, d)
+            relH_den += float(a @ H_exact @ a)
 
     norms.l2_X = dt * l2X
     norms.l2_M = dt * l2M

@@ -1,8 +1,10 @@
 """Command line entry point: `mixpar run <config> [options]`.
 
 Exit codes: 0 pass, 1 rate-threshold failure, 2 usage/config error,
-3 solver failure.  The RUN_SEED environment variable is reserved and
-ignored by the deterministic paths.
+3 solver failure, 4 internal error.  `main` lets any other exception
+propagate, as the bug it is; `command`, the `mixpar` command, reports
+it in one line and exits 4.  The RUN_SEED environment variable is
+reserved and ignored by the deterministic paths.
 """
 from __future__ import annotations
 
@@ -39,5 +41,17 @@ def main(argv=None):
     return run_experiment(cfg)
 
 
+def command(argv=None):
+    """`main`, with any exception but KeyboardInterrupt reported in one
+    line as exit 4."""
+    try:
+        return main(argv)
+    except Exception as err:
+        detail = " ".join(str(err).splitlines())
+        print(f"internal error: {type(err).__name__}: {detail}",
+              file=sys.stderr)
+        return 4
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(command())

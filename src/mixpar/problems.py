@@ -7,30 +7,63 @@ polynomial stream function (`_stream`); tests check the fields against
 hand-written closed forms and finite differences.
 
 Every exact field is separable: a sum of time factors times spatial
-profiles, sum_k a_k(t) P_k(pts).  A case holds a small set of named
-profiles (`_Profiles`) and its field callables only scale and add them,
-so the profiles are evaluated once per quadrature-point array rather
-than once per step.  Each profile keeps its values for the last
-*read-only* points array it was given (checked with `is`, holding a
-reference, so the array is taken as immutable; `CellTables.qp` is such
-an array); a writable array is evaluated fresh on every call.
+profiles, sum_k a_k(t) P_k(pts).  A case lists those terms in its
+`terms` field (`Terms` of `Term`s, deliberately not callable), and its
+exact-field callables are views built from them
+(`ManufacturedCase.from_terms`).  The error norms read the terms, not
+the callables: `analysis.compute_errors` interpolates each profile once
+per level and evaluates every norm as an exact quadratic form around
+that interpolant.  The callables serve the tests and the quadrature
+oracle of the norms, which lives in tests/.
+
+The loads `f_vec` and `f_rot` are callables of the same profiles.  A
+case holds its profiles in a `_Profiles` object, and each profile keeps
+its values for the last *read-only* points array it was given (checked
+with `is`, holding a reference, so the array is taken as immutable;
+`CellTables.qp` is such an array); a writable array is evaluated fresh
+on every call.  So every step's load only rescales profiles evaluated
+once per level, and the error norms reuse them.
 
 The Stokes multiplier approximated by the scheme is the time primitive
 of the physical pressure (the pressure sits inside the time derivative
-of the weak form), so the case exposes both: `pressure` for the
-physical field and `multiplier` for the quantity the error norms use.
+of the weak form): its term is (1 - cos pi t)/pi (x - 1/2), and the
+pressure is its time derivative sin(pi t)(x - 1/2).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import partial
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from numpy.polynomial import Polynomial
 
 from .assembly import Coefficients
 
-__all__ = ["ManufacturedCase", "stokes_case", "eddy2d_case"]
+__all__ = ["ManufacturedCase", "Term", "Terms", "stokes_case", "eddy2d_case"]
+
+
+class Term(NamedTuple):
+    """One separable term a(t) P(pts) of an exact field.
+
+    `a` is the time factor and `da` its derivative.  `value` maps points
+    (m, 2) to the profile and `deriv` to the derivative the case's norms
+    read: the Jacobian (m, 2, 2) of a Stokes velocity, the rot (m,) of
+    an eddy field or the gradient (m, 2) of an eddy multiplier; it is
+    None where no norm reads it (the Stokes multiplier).
+    """
+
+    a: Callable
+    da: Callable
+    value: Callable
+    deriv: Optional[Callable] = None
+
+
+class Terms(NamedTuple):
+    """The terms of a case's exact primal field and multiplier."""
+
+    primal: tuple
+    multiplier: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -40,16 +73,42 @@ class ManufacturedCase:
     conductor: Optional[tuple]
     coeffs: Coefficients
     T: float
+    terms: Terms                      # the exact fields, term by term
     u: Callable                       # (pts, t) -> (m, 2)
     dudt: Callable                    # (pts, t) -> (m, 2)
     multiplier: Callable              # (pts, t) -> (m,)
     f_vec: Callable                   # (pts, t) -> (m, 2), moment against v
     grad_u: Optional[Callable] = None  # (pts, t) -> (m, 2, 2), Stokes
     rot_u: Optional[Callable] = None   # (pts, t) -> (m,), eddy
-    pressure: Optional[Callable] = None
     f_rot: Optional[Callable] = None   # (pts, t) -> (m,), moment against rot v
-    f_strong: Optional[Callable] = None
     grad_multiplier: Optional[Callable] = None  # (pts, t) -> (m, 2), eddy
+
+    @classmethod
+    def from_terms(cls, kind, terms, **data):
+        """A case whose exact-field callables are views of `terms`."""
+        primal, mult = terms
+        fields = dict(u=_field([(t.a, t.value) for t in primal], (2,)),
+                      dudt=_field([(t.da, t.value) for t in primal], (2,)),
+                      multiplier=_field([(t.a, t.value) for t in mult], ()))
+        der = [(t.a, t.deriv) for t in primal]
+        if kind == "stokes":
+            fields["grad_u"] = _field(der, (2, 2))
+        else:
+            fields["rot_u"] = _field(der, ())
+            fields["grad_multiplier"] = _field(
+                [(t.a, t.deriv) for t in mult], (2,))
+        return cls(kind=kind, terms=terms, **fields, **data)
+
+
+def _field(pairs, shape):
+    """The (pts, t) callable sum a(t) * P(pts) over (a, P) pairs; `shape`
+    is the per-point shape, which an empty sum needs."""
+    def f(pts, t):
+        out = np.zeros((len(pts), *shape))
+        for a, P in pairs:
+            out += a(t) * P(pts)
+        return out
+    return f
 
 
 class _Profiles:
@@ -71,12 +130,9 @@ class _Profiles:
     def evaluate(self, name, pts):
         return self._profiles[name](pts)
 
-    def field(self, *terms):
-        """The (pts, t) callable sum a(t) * P(pts) over (a, name) terms."""
-        def f(pts, t):
-            vals = [a(t) * self(name, pts) for a, name in terms]
-            return sum(vals[1:], vals[0])
-        return f
+    def profile(self, name):
+        """The cached profile `name` as a function of the points."""
+        return partial(self, name)
 
 
 # time factors
@@ -150,22 +206,21 @@ def stokes_case(nu=1.0, T=0.5):
         return np.array([1.0, 0.0]) - nu * lap_curl(pts)
 
     P = _Profiles(curl=curl, jacobian=jacobian, shift=shift,
-                  viscous_pressure=viscous_pressure)
-    f_vec = P.field((_dsin, "curl"), (_sin, "viscous_pressure"))
-    return ManufacturedCase(
-        kind="stokes",
+                  viscous_pressure=viscous_pressure).profile
+    terms = Terms(
+        primal=(Term(_sin, _dsin, P("curl"), P("jacobian")),),
+        # the multiplier is the time primitive of the pressure; this is
+        # what lam_h^n tracks
+        multiplier=(Term(_int_sin, _sin, P("shift")),),
+    )
+    return ManufacturedCase.from_terms(
+        "stokes", terms,
         domain=(0.0, 0.0, 1.0, 1.0),
         conductor=None,
         coeffs=Coefficients(nu=nu),
         T=T,
-        u=P.field((_sin, "curl")),
-        dudt=P.field((_dsin, "curl")),
-        grad_u=P.field((_sin, "jacobian")),
-        # the multiplier is the time primitive of the pressure; this is
-        # what lam_h^n tracks
-        multiplier=P.field((_int_sin, "shift")),
-        pressure=P.field((_sin, "shift")),
-        f_vec=f_vec, f_strong=f_vec,
+        f_vec=_field([(_dsin, P("curl")), (_sin, P("viscous_pressure"))],
+                     (2,)),
     )
 
 
@@ -180,7 +235,7 @@ def eddy2d_case(sigma=1.0, eps=1.0, mu_mag=1.0, T=0.75):
     zero.  The source enters the discrete load in weak form:
     <f, v> = int_C sigma du/dt . v + int (1/mu_mag) rot(u) rot(v).
     """
-    curl, _, rot, lap_curl = _PHI
+    curl, _, rot, _ = _PHI
 
     def sigma_curl(pts):
         # sigma times the conductor indicator times curl(phi)
@@ -188,32 +243,18 @@ def eddy2d_case(sigma=1.0, eps=1.0, mu_mag=1.0, T=0.75):
         inside = (x >= 1.0) & (x <= 2.0) & (y >= 1.0) & (y <= 2.0)
         return sigma * inside[:, None] * curl(pts)
 
-    def curl_rot(pts):
-        return -lap_curl(pts)
-
-    def multiplier(pts, t):
-        return np.zeros(len(pts))
-
-    def grad_multiplier(pts, t):
-        return np.zeros((len(pts), 2))
-
     def sin_mu(t):
         return _sin(t) / mu_mag
 
-    P = _Profiles(curl=curl, rot=rot, sigma_curl=sigma_curl,
-                  curl_rot=curl_rot)
-    return ManufacturedCase(
-        kind="eddy2d",
+    P = _Profiles(curl=curl, rot=rot, sigma_curl=sigma_curl).profile
+    # the exact multiplier is 0: it has no terms
+    terms = Terms(primal=(Term(_sin, _dsin, P("curl"), P("rot")),))
+    return ManufacturedCase.from_terms(
+        "eddy2d", terms,
         domain=(0.0, 0.0, 3.0, 3.0),
         conductor=(1.0, 1.0, 2.0, 2.0),
         coeffs=Coefficients(sigma=sigma, eps=eps, mu_mag=mu_mag),
         T=T,
-        u=P.field((_sin, "curl")),
-        dudt=P.field((_dsin, "curl")),
-        rot_u=P.field((_sin, "rot")),
-        multiplier=multiplier,
-        grad_multiplier=grad_multiplier,
-        f_vec=P.field((_dsin, "sigma_curl")),
-        f_rot=P.field((sin_mu, "rot")),
-        f_strong=P.field((_dsin, "sigma_curl"), (sin_mu, "curl_rot")),
+        f_vec=_field([(_dsin, P("sigma_curl"))], (2,)),
+        f_rot=_field([(sin_mu, P("rot"))], ()),
     )

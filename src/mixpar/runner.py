@@ -180,7 +180,10 @@ def run_experiment(cfg):
 
     0: thresholds met (or too few levels to fit rates), 1: a fitted rate
     fell below its threshold, 2: the output directory cannot be created
-    (checked before the first level), 3: solver failure.
+    (checked before the first level), 3: solver failure.  Any other
+    exception is a bug and propagates (`cli.command` reports it as exit
+    4).  On a solver failure or a bug, an output directory the run
+    created is removed again.
     """
     out = Path(cfg.out)
     vtk_dir = out / "vtk" if cfg.vtk_every > 0 else None
@@ -192,27 +195,34 @@ def run_experiment(cfg):
         return 2
 
     try:
-        if cfg.jobs > 1:
-            with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-                futures = [
-                    pool.submit(run_level, cfg, lv, vtk_dir)
-                    for lv in range(cfg.levels)
-                ]
-                try:
-                    results = [f.result() for f in futures]
-                except BaseException:
-                    # leaving the block waits for every submitted level,
-                    # so drop the ones that have not started
-                    pool.shutdown(cancel_futures=True)
-                    raise
-        else:
-            results = [run_level(cfg, lv, vtk_dir) for lv in range(cfg.levels)]
-    except (SingularSystem, ResidualTooLarge) as err:
-        print(f"solver failure: {err}", file=sys.stderr)
+        passed = _write_outputs(cfg, out, _run_levels(cfg, vtk_dir))
+    except Exception as err:
         if created:
             shutil.rmtree(out)
+        if not isinstance(err, (SingularSystem, ResidualTooLarge)):
+            raise
+        print(f"solver failure: {err}", file=sys.stderr)
         return 3
+    return 0 if passed else 1
 
+
+def _run_levels(cfg, vtk_dir):
+    if cfg.jobs == 1:
+        return [run_level(cfg, lv, vtk_dir) for lv in range(cfg.levels)]
+    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
+        futures = [pool.submit(run_level, cfg, lv, vtk_dir)
+                   for lv in range(cfg.levels)]
+        try:
+            return [f.result() for f in futures]
+        except BaseException:
+            # leaving the block waits for every submitted level, so drop
+            # the ones that have not started
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
+def _write_outputs(cfg, out, results):
+    """Write rates.csv and summary.json; True if every rate met its floor."""
     csv_path = out / "rates.csv"
     with open(csv_path, "w") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
@@ -252,4 +262,4 @@ def run_experiment(cfg):
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    return 0 if passed else 1
+    return passed

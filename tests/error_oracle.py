@@ -1,0 +1,77 @@
+"""Quadrature oracle of the error norms.
+
+`quadrature_errors` evaluates the discrete fields and the exact fields
+at every quadrature point of every step and sums the weighted squares.
+The library's `analysis.compute_errors` evaluates the same norms as
+quadratic forms in the assembled operators; the tests compare the two.
+"""
+import numpy as np
+
+from mixpar import mesh as meshmod
+from mixpar.analysis import ErrorNorms
+from mixpar.assembly import CellTables
+
+
+def _sq(a):
+    """Squared Euclidean norm per point of (m,), (m, 2) or (m, 2, 2) data."""
+    a = a.reshape(len(a), -1)
+    return np.einsum("ij,ij->i", a, a)
+
+
+def quadrature_errors(solution, case, ops):
+    """Error norms of a time series against the manufactured case."""
+    tu = CellTables.of(ops.primal)
+    tm = CellTables.of(ops.multiplier)
+    grid = solution.grid
+    dt = grid.dt
+
+    # X is the H1_0 seminorm (Stokes) or the H(curl) norm (eddy); for the
+    # eddy case M likewise adds the H1 seminorm to the L2 norm
+    full_norms = case.kind == "eddy2d"
+    exact_der = case.rot_u if full_norms else case.grad_u
+    if full_norms:
+        cells = tu.cells.repeat(tu.wdet.shape[1])
+        w_cond = tu.w * (ops.primal.mesh.cell_subdomain[cells]
+                         == meshmod.CONDUCTOR)
+        wR = case.coeffs.sigma * w_cond
+    else:
+        wR = tu.w
+
+    norms = ErrorNorms()
+    relE_num = relE_den = relH_num = relH_den = 0.0
+    l2X = l2M = dtR = 0.0
+    v_prev = tu.values(solution.u[0])
+    for n in range(1, grid.N + 1):
+        t = n * dt
+        u = solution.u[n]
+        v = tu.values(u)
+        due = case.dudt(tu.qp, t)
+        e2 = _sq(case.u(tu.qp, t) - v)
+        de2 = _sq(due - (v - v_prev) / dt)
+        v_prev = v
+        der_e = exact_der(tu.qp, t)
+        der2 = float(tu.w @ _sq(der_e - tu.derivs(u)))
+        norms.max_R = max(norms.max_R, float(wR @ e2))
+        l2X += der2 + (float(tu.w @ e2) if full_norms else 0.0)
+        dtR += float(wR @ de2)
+
+        lam = solution.lam[n]
+        l2M += float(tm.w @ _sq(case.multiplier(tm.qp, t) - tm.values(lam)))
+        if full_norms:
+            l2M += float(tm.w @ _sq(case.grad_multiplier(tm.qp, t)
+                                    - tm.derivs(lam)))
+            relE_num += float(w_cond @ de2)
+            relE_den += float(w_cond @ _sq(due))
+            # H = rot(u) / mu_mag; the factor cancels in the ratio
+            relH_num += der2
+            relH_den += float(tu.w @ _sq(der_e))
+
+    norms.l2_X = dt * l2X
+    norms.l2_M = dt * l2M
+    norms.dt_R = dt * dtR
+    if full_norms:
+        norms.rel_E = 100.0 * float(np.sqrt(relE_num / relE_den)) \
+            if relE_den > 0 else 0.0
+        norms.rel_H = 100.0 * float(np.sqrt(relH_num / relH_den)) \
+            if relH_den > 0 else 0.0
+    return norms

@@ -1,56 +1,67 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixpar import build_space, interpolate, structured_mesh
-from mixpar.analysis import TooFewLevels, compute_errors, fit_rates
+from mixpar.analysis import (ErrorNorms, TooFewLevels, compute_errors,
+                             fit_rates)
 from mixpar.assembly import Coefficients, assemble_eddy2d, assemble_load
-from mixpar.problems import ManufacturedCase
+from mixpar.problems import (ManufacturedCase, Term, Terms, eddy2d_case,
+                             stokes_case)
 from mixpar.timestep import TimeGrid, TimeSeriesSolution, run
+from conftest import build_eddy, build_stokes
+from error_oracle import quadrature_errors
 
 
-def _series_case_in_space(E):
-    """Exact field a(-y,x)+b scaled by (1-t): lies in the edge space."""
-    a, b = 0.4, np.array([0.3, -0.2])
+_A, _B = 0.4, np.array([0.3, -0.2])
 
-    def u(p, t):
-        base = np.column_stack([-a * p[:, 1] + b[0], a * p[:, 0] + b[1]])
-        return (1.0 - t) * base
 
-    def dudt(p, t):
-        base = np.column_stack([-a * p[:, 1] + b[0], a * p[:, 0] + b[1]])
-        return -base
+def _base(p):
+    """The affine field a(-y, x) + b, which lies in the edge space."""
+    return np.column_stack([-_A * p[:, 1] + _B[0], _A * p[:, 0] + _B[1]])
 
-    def rot_u(p, t):
-        return np.full(len(p), 2.0 * a * (1.0 - t))
 
-    return ManufacturedCase(
-        kind="eddy2d", domain=(0, 0, 3, 3), conductor=(1, 1, 2, 2),
+def _base_rot(p):
+    return np.full(len(p), 2.0 * _A)
+
+
+# (1 - t) * base
+_SERIES = Term(lambda t: 1.0 - t, lambda t: -1.0, _base, _base_rot)
+
+
+def _series_case(*terms):
+    """An eddy case whose exact field is the given primal terms."""
+    return ManufacturedCase.from_terms(
+        "eddy2d", Terms(primal=terms),
+        domain=(0, 0, 3, 3), conductor=(1, 1, 2, 2),
         coeffs=Coefficients(), T=1.0,
-        u=u, dudt=dudt, rot_u=rot_u,
-        multiplier=lambda p, t: np.zeros(len(p)),
-        grad_multiplier=lambda p, t: np.zeros((len(p), 2)),
         f_vec=lambda p, t: np.zeros((len(p), 2)),
     )
 
 
-def test_exact_reproduction_gives_zero_norms():
+def _free_spaces():
     # no-boundary-condition spaces so the affine field lies in the space
     mesh = structured_mesh((0, 0, 3, 3), 3, conductor=(1, 1, 2, 2))
     E = build_space(mesh, "edge", bc=None)
     MU = build_space(mesh, "multiplier", bc=None)
-    ops = assemble_eddy2d(E, MU)
-    case = _series_case_in_space(E)
+    return E, MU, assemble_eddy2d(E, MU)
+
+
+def test_exact_reproduction_gives_zero_norms():
+    E, MU, ops = _free_spaces()
+    case = _series_case(_SERIES)
     grid = TimeGrid(1.0, 3)
     coef0 = interpolate(E, lambda p: case.u(p, 0.0))
     u = np.array([(1.0 - t) / 1.0 * coef0 for t in grid.times])
     sol = TimeSeriesSolution(u, np.zeros((grid.N + 1, MU.num_free)), grid)
     norms = compute_errors(sol, case, ops)
     for val in (norms.max_R, norms.l2_X, norms.l2_M, norms.dt_R):
-        assert val <= 1e-20
-    assert norms.rel_E <= 1e-8
-    assert norms.rel_H <= 1e-8
+        assert 0.0 <= val <= 1e-20
+    assert 0.0 <= norms.rel_E <= 1e-8
+    assert 0.0 <= norms.rel_H <= 1e-8
 
 
 def test_l2m_matches_coefficient_quadratic_form(eddy3, eddy_case_default):
@@ -70,33 +81,58 @@ def test_l2m_matches_coefficient_quadratic_form(eddy3, eddy_case_default):
 def test_errors_translation_consistent():
     # adding the same constant field to exact and discrete solutions
     # leaves every norm unchanged
-    mesh = structured_mesh((0, 0, 3, 3), 3, conductor=(1, 1, 2, 2))
-    E = build_space(mesh, "edge", bc=None)
-    MU = build_space(mesh, "multiplier", bc=None)
-    ops = assemble_eddy2d(E, MU)
-    case = _series_case_in_space(E)
+    E, MU, ops = _free_spaces()
     grid = TimeGrid(1.0, 3)
     rng = np.random.default_rng(21)
     u = rng.standard_normal((grid.N + 1, E.num_free))
     sol = TimeSeriesSolution(u, np.zeros((grid.N + 1, MU.num_free)), grid)
-    base = compute_errors(sol, case, ops)
+    base = compute_errors(sol, _series_case(_SERIES), ops)
 
     shift = np.array([0.8, -0.6])
-    shift_coef = interpolate(E, lambda p: np.tile(shift, (len(p), 1)))
-
-    case2 = ManufacturedCase(
-        kind="eddy2d", domain=case.domain, conductor=case.conductor,
-        coeffs=case.coeffs, T=case.T,
-        u=lambda p, t: case.u(p, t) + shift,
-        dudt=case.dudt, rot_u=case.rot_u,
-        multiplier=case.multiplier, grad_multiplier=case.grad_multiplier,
-        f_vec=case.f_vec,
-    )
+    # 1 * shift, a constant field with no rot
+    translation = Term(lambda t: 1.0, lambda t: 0.0,
+                       lambda p: np.tile(shift, (len(p), 1)),
+                       lambda p: np.zeros(len(p)))
+    shift_coef = interpolate(E, translation.value)
     sol2 = TimeSeriesSolution(u + shift_coef[E.free], sol.lam, grid)
-    shifted = compute_errors(sol2, case2, ops)
+    shifted = compute_errors(sol2, _series_case(_SERIES, translation), ops)
     assert shifted.max_R == pytest.approx(base.max_R, rel=1e-9, abs=1e-18)
     assert shifted.l2_X == pytest.approx(base.l2_X, rel=1e-9, abs=1e-18)
     assert shifted.dt_R == pytest.approx(base.dt_R, rel=1e-9, abs=1e-18)
+
+
+def _solved(kind, pattern):
+    """A short solve of one case with coefficients away from 1."""
+    if kind == "stokes":
+        case = stokes_case(nu=0.37)
+        _, V, _, ops = build_stokes(8, nu=0.37, pattern=pattern)
+    else:
+        case = eddy2d_case(sigma=2.5, eps=0.4, mu_mag=3.0)
+        _, V, _, ops = build_eddy(6, sigma=2.5, eps=0.4, mu_mag=3.0,
+                                  pattern=pattern)
+    grid = TimeGrid(case.T, 6)
+    load = lambda t: assemble_load(V, case.f_vec, t, rot_part=case.f_rot)
+    return case, ops, run(ops, load, grid)
+
+
+@pytest.mark.parametrize("steps", [None, 4], ids=["full", "cut"])
+@pytest.mark.parametrize("pattern", ["right", "crossed"])
+@pytest.mark.parametrize("kind", ["stokes", "eddy2d"])
+def test_forms_match_quadrature_oracle(kind, pattern, steps):
+    case, ops, sol = _solved(kind, pattern)
+    if steps is not None:
+        # the history after `steps` of the N steps, on the same dt
+        grid = TimeGrid(steps * sol.grid.dt, steps)
+        sol = TimeSeriesSolution(sol.u[:steps + 1], sol.lam[:steps + 1],
+                                 grid)
+    forms = compute_errors(sol, case, ops)
+    oracle = quadrature_errors(sol, case, ops)
+    assert forms.max_R > 0.0 and forms.rel_E >= 0.0
+    for field in dataclasses.fields(ErrorNorms):
+        # the exact eddy multiplier is 0, so its l2_M is round-off
+        atol = 1e-24 if (kind, field.name) == ("eddy2d", "l2_M") else 0.0
+        assert getattr(forms, field.name) == pytest.approx(
+            getattr(oracle, field.name), rel=1e-12, abs=atol), field.name
 
 
 def test_fit_rates_trivial_sequences():

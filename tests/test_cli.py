@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mixpar.cli import main
+from mixpar.cli import command, main
 from mixpar.config import ConfigParseError, parse_config
 from mixpar.runner import CSV_COLUMNS, run_experiment
 
@@ -308,6 +308,45 @@ def test_parallel_failure_cancels_pending_levels(tmp_path, monkeypatch):
     # level 0 fails while level 1 runs, and the freed worker may take
     # level 2 before the pool is shut down; nothing later starts
     assert len(started) <= 3
+
+
+def _broken_errors(*args, **kwargs):
+    raise RuntimeError("injected\nsecond line")
+
+
+@pytest.mark.parametrize("existed", [False, True],
+                         ids=["created-out", "existing-out"])
+def test_internal_error_exits_4_with_one_line(tmp_path, monkeypatch, capsys,
+                                              existed):
+    from mixpar import runner as runner_mod
+    monkeypatch.setattr(runner_mod, "compute_errors", _broken_errors)
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(SMOKE_KV)
+    out = tmp_path / "out"
+    if existed:
+        out.mkdir()
+    assert command(["run", str(cfg_path), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: injected second line\n"
+    # like exit 3, only a directory the run created is removed
+    assert out.exists() == existed
+    # main, which the benchmark drives in-process, lets the bug propagate
+    with pytest.raises(RuntimeError, match="injected"):
+        main(["run", str(cfg_path), "--out", str(out)])
+    assert out.exists() == existed
+
+
+def test_keyboard_interrupt_is_not_an_internal_error(tmp_path, monkeypatch):
+    from mixpar import runner as runner_mod
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(runner_mod, "compute_errors", interrupted)
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(SMOKE_KV)
+    with pytest.raises(KeyboardInterrupt):
+        command(["run", str(cfg_path), "--out", str(tmp_path / "out")])
 
 
 def _arpack_stuck(*args, **kwargs):

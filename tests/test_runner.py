@@ -1,0 +1,55 @@
+"""What the refinement-study benchmark (perfbench/) relies on in a level.
+
+Its `setup_s` runs from a level's start to the level's first call of
+`runner.assemble_load`, so every level loads through that name once per
+step, and the error evaluation, `runner.compute_errors`, comes once
+after the last load.  Its tracer also swaps every callable field of a
+case for a timing wrapper through `dataclasses.replace`.
+"""
+import dataclasses
+import warnings
+
+import pytest
+
+from mixpar import eddy2d_case, runner, stokes_case
+from mixpar.config import parse_config
+
+
+@pytest.mark.parametrize("config", [
+    "case = stokes\nn = 2\nlevels = 1\nsteps = 3\nprobes = false\n",
+    "case = eddy2d\nn = 3\nlevels = 1\nsteps = 3\nprobes = false\n",
+], ids=["stokes", "eddy2d"])
+def test_level_loads_once_per_step_then_measures_errors(monkeypatch, config):
+    calls = []
+
+    def recorded(name):
+        fn = getattr(runner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(runner, name, wrapper)
+
+    recorded("assemble_load")
+    recorded("compute_errors")
+    cfg = parse_config(config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        runner.run_level(cfg, 0)
+    assert calls == ["assemble_load"] * cfg.steps + ["compute_errors"]
+
+
+@pytest.mark.parametrize("make_case", [stokes_case, eddy2d_case])
+def test_case_callables_swap_through_replace(make_case):
+    case = make_case()
+
+    def wrapped(fn):
+        return lambda *args: fn(*args)
+
+    swapped = {f.name: wrapped(getattr(case, f.name))
+               for f in dataclasses.fields(case)
+               if callable(getattr(case, f.name))}
+    # the terms, which the error norms read, are data and stay as they are
+    assert "terms" not in swapped and "u" in swapped
+    copy = dataclasses.replace(case, **swapped)
+    assert copy.terms is case.terms
