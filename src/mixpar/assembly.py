@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import mesh as meshmod
-from .elements import (QuadratureRule, bubble_values, cell_geometry,
+from .elements import (SIX_POINT_RULE, bubble_values, cell_geometry,
                        p1_values)
 from .spaces import FeSpace
 
@@ -70,7 +70,7 @@ class CellTables:
     """Quadrature geometry and basis data per active cell of a space.
 
     The one way to evaluate a discrete field at quadrature points.  Built
-    once per space and quadrature degree (see `of`) and shared by the
+    once per space on the six-point rule (see `of`) and shared by the
     operator assembly, the load, the error norms and the VTK output.
 
     Kind-agnostic data over the flat list of quadrature points: `qp`
@@ -161,13 +161,11 @@ class CellTables:
             raise ValueError(f"unknown space kind {kind!r}")
 
     @classmethod
-    def of(cls, space, quad_degree=4):
-        """The tables of `space` for a quadrature degree, cached on it."""
-        tab = space.tables.get(quad_degree)
-        if tab is None:
-            tab = cls(space, QuadratureRule.for_degree(quad_degree))
-            space.tables[quad_degree] = tab
-        return tab
+    def of(cls, space):
+        """The tables of `space` on the six-point rule, cached on it."""
+        if space.tables is None:
+            space.tables = cls(space, SIX_POINT_RULE)
+        return space.tables
 
     def _point_map(self, data, cols):
         # laid out with one slot per local basis function (a constrained

@@ -1,4 +1,4 @@
-"""Reference-triangle shape functions and quadrature rules.
+"""Reference-triangle shape functions and the quadrature rule.
 
 The reference triangle has vertices (0,0), (1,0), (0,1) and area 1/2.
 Barycentric coordinates follow the convention lam0 = 1-x-y, lam1 = x,
@@ -15,7 +15,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 __all__ = [
-    "QuadratureRule", "DegenerateCell", "gauss1d",
+    "QuadratureRule", "SIX_POINT_RULE", "DegenerateCell", "gauss1d",
     "p1_values", "bubble_values",
     "cell_geometry", "p1_mass_reference", "p1_stiffness",
 ]
@@ -37,29 +37,8 @@ class QuadratureRule:
     points: np.ndarray
     weights: np.ndarray
 
-    @staticmethod
-    def for_degree(degree):
-        if degree <= 1:
-            return _RULE_DEG1
-        if degree <= 4:
-            return _RULE_DEG4
-        raise ValueError(f"no quadrature rule of degree {degree}")
 
-
-def _frozen(points, weights):
-    p = np.asarray(points, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    p.setflags(write=False)
-    w.setflags(write=False)
-    return p, w
-
-
-def _make_deg1():
-    p, w = _frozen([[1 / 3, 1 / 3, 1 / 3]], [0.5])
-    return QuadratureRule(1, p, w)
-
-
-def _make_deg4():
+def _make_six_point():
     # six-point symmetric rule; orbit parameters from the classical
     # closed forms, evaluated in double precision
     s10 = math.sqrt(10.0)
@@ -74,12 +53,14 @@ def _make_deg4():
         a = 1.0 - 2.0 * b
         pts += [[a, b, b], [b, a, b], [b, b, a]]
         wts += [0.5 * w] * 3
-    p, w = _frozen(pts, wts)
+    p, w = np.array(pts), np.array(wts)
+    p.setflags(write=False)
+    w.setflags(write=False)
     return QuadratureRule(4, p, w)
 
 
-_RULE_DEG1 = _make_deg1()
-_RULE_DEG4 = _make_deg4()
+# the one rule every level is built from, exact for degree 4
+SIX_POINT_RULE = _make_six_point()
 
 
 def gauss1d(npoints):

@@ -8,21 +8,20 @@ hand-written closed forms and finite differences.
 
 Every exact field is separable: a sum of time factors times spatial
 profiles, sum_k a_k(t) P_k(pts).  A case lists those terms in its
-`terms` field (`Terms` of `Term`s, deliberately not callable), and its
-exact-field callables are views built from them
-(`ManufacturedCase.from_terms`).  The error norms read the terms, not
-the callables: `analysis.compute_errors` interpolates each profile once
-per level and evaluates every norm as an exact quadratic form around
-that interpolant.  The callables serve the tests and the quadrature
-oracle of the norms, which lives in tests/.
+`terms` field (`Terms` of `Term`s, deliberately not callable), and the
+error norms read them: `analysis.compute_errors` interpolates each
+profile once per level and evaluates every norm as an exact quadratic
+form around that interpolant.  The tests build the exact fields as
+callables from the same terms.
 
-The loads `f_vec` and `f_rot` are callables of the same profiles.  A
-case holds its profiles in a `_Profiles` object, and each profile keeps
-its values for the last *read-only* points array it was given (checked
-with `is`, holding a reference, so the array is taken as immutable;
-`CellTables.qp` is such an array); a writable array is evaluated fresh
-on every call.  So every step's load only rescales profiles evaluated
-once per level, and the error norms reuse them.
+A case's only callable fields are its loads `f_vec` and `f_rot`, sums
+of the same profiles (`_field`).  A case holds its profiles in a
+`_Profiles` object, and each profile keeps its values for the last
+*read-only* points array it was given (checked with `is`, holding a
+reference, so the array is taken as immutable; `CellTables.qp` is such
+an array); a writable array is evaluated fresh on every call.  So every
+step's load only rescales profiles evaluated once per level, and the
+error norms reuse them.
 
 The Stokes multiplier approximated by the scheme is the time primitive
 of the physical pressure (the pressure sits inside the time derivative
@@ -74,30 +73,8 @@ class ManufacturedCase:
     coeffs: Coefficients
     T: float
     terms: Terms                      # the exact fields, term by term
-    u: Callable                       # (pts, t) -> (m, 2)
-    dudt: Callable                    # (pts, t) -> (m, 2)
-    multiplier: Callable              # (pts, t) -> (m,)
     f_vec: Callable                   # (pts, t) -> (m, 2), moment against v
-    grad_u: Optional[Callable] = None  # (pts, t) -> (m, 2, 2), Stokes
-    rot_u: Optional[Callable] = None   # (pts, t) -> (m,), eddy
-    f_rot: Optional[Callable] = None   # (pts, t) -> (m,), moment against rot v
-    grad_multiplier: Optional[Callable] = None  # (pts, t) -> (m, 2), eddy
-
-    @classmethod
-    def from_terms(cls, kind, terms, **data):
-        """A case whose exact-field callables are views of `terms`."""
-        primal, mult = terms
-        fields = dict(u=_field([(t.a, t.value) for t in primal], (2,)),
-                      dudt=_field([(t.da, t.value) for t in primal], (2,)),
-                      multiplier=_field([(t.a, t.value) for t in mult], ()))
-        der = [(t.a, t.deriv) for t in primal]
-        if kind == "stokes":
-            fields["grad_u"] = _field(der, (2, 2))
-        else:
-            fields["rot_u"] = _field(der, ())
-            fields["grad_multiplier"] = _field(
-                [(t.a, t.deriv) for t in mult], (2,))
-        return cls(kind=kind, terms=terms, **fields, **data)
+    f_rot: Optional[Callable] = None  # (pts, t) -> (m,), moment against rot v
 
 
 def _field(pairs, shape):
@@ -213,12 +190,13 @@ def stokes_case(nu=1.0, T=0.5):
         # what lam_h^n tracks
         multiplier=(Term(_int_sin, _sin, P("shift")),),
     )
-    return ManufacturedCase.from_terms(
-        "stokes", terms,
+    return ManufacturedCase(
+        kind="stokes",
         domain=(0.0, 0.0, 1.0, 1.0),
         conductor=None,
         coeffs=Coefficients(nu=nu),
         T=T,
+        terms=terms,
         f_vec=_field([(_dsin, P("curl")), (_sin, P("viscous_pressure"))],
                      (2,)),
     )
@@ -249,12 +227,13 @@ def eddy2d_case(sigma=1.0, eps=1.0, mu_mag=1.0, T=0.75):
     P = _Profiles(curl=curl, rot=rot, sigma_curl=sigma_curl).profile
     # the exact multiplier is 0: it has no terms
     terms = Terms(primal=(Term(_sin, _dsin, P("curl"), P("rot")),))
-    return ManufacturedCase.from_terms(
-        "eddy2d", terms,
+    return ManufacturedCase(
+        kind="eddy2d",
         domain=(0.0, 0.0, 3.0, 3.0),
         conductor=(1.0, 1.0, 2.0, 2.0),
         coeffs=Coefficients(sigma=sigma, eps=eps, mu_mag=mu_mag),
         T=T,
+        terms=terms,
         f_vec=_field([(_dsin, P("sigma_curl"))], (2,)),
         f_rot=_field([(sin_mu, P("rot"))], ()),
     )

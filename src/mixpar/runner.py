@@ -134,6 +134,14 @@ def _write_snapshots(cfg, level, mesh, ops, solution, vtk_dir):
     nv = mesh.num_vertices
     vertex_dof = ops.multiplier.vertex_dof
     ok = vertex_dof >= 0
+    if cfg.case == "eddy2d":
+        # per cell: the weighted average of the field at the six points,
+        # which is its centroid value, as the rule integrates the linear
+        # Whitney field exactly; and one row of the cellwise constant curl
+        tab = CellTables.of(ops.primal)
+        nq = len(tab.rule.weights)
+        average = tab.rule.weights / tab.rule.weights.sum()
+        curl = tab.der[::nq]
     for n in steps:
         path = vtk_dir / f"{cfg.case}_L{level}_step{n:04d}.vtk"
         lam = np.zeros(nv)
@@ -144,11 +152,10 @@ def _write_snapshots(cfg, level, mesh, ops, solution, vtk_dir):
             point_data = {"velocity": vel, "multiplier": lam}
             cell_data = None
         else:
-            # one-point rule: cell-centroid field and per-cell curl
-            tab = CellTables.of(ops.primal, 1)
+            vals = tab.values(solution.u[n]).reshape(-1, nq, 2)
             point_data = {"multiplier": lam}
-            cell_data = {"u": tab.values(solution.u[n]),
-                         "rot_u": tab.derivs(solution.u[n])}
+            cell_data = {"u": np.einsum("q,cqd->cd", average, vals),
+                         "rot_u": curl @ solution.u[n]}
         vtkio.write_unstructured(path, mesh, point_data=point_data,
                                  cell_data=cell_data,
                                  title=f"{cfg.case} step {n}")

@@ -39,7 +39,7 @@ class FeSpace:
     cell_dofs : (n_active_cells, nl) global DOF per cell basis function
     active_cells : cell ids covered by the space (all cells except for
         the multiplier space, which lives on insulator cells)
-    tables : quadrature tables by degree (see assembly.CellTables.of)
+    tables : the space's CellTables, built on first use (see its `of`)
     """
 
     def __init__(self, mesh, kind, ndof, free, fixed, cell_dofs, active_cells,
@@ -54,7 +54,7 @@ class FeSpace:
         self.vertex_dof = vertex_dof
         self.dof_vertex = dof_vertex
         self.groups = groups or []
-        self.tables = {}
+        self.tables = None
         self._full_to_free = np.full(ndof, -1, dtype=np.intp)
         self._full_to_free[free] = np.arange(len(free))
 
@@ -173,10 +173,6 @@ def interpolate(space, fn):
     mesh = space.mesh
     coef = np.zeros(space.ndof)
 
-    if space.kind == "p1":
-        coef[space.vertex_dof] = fn(mesh.vertices)
-        return coef
-
     if space.kind == "mini":
         nv = mesh.num_vertices
         vv = fn(mesh.vertices)
@@ -200,9 +196,8 @@ def interpolate(space, fn):
             coef += wg * (vals[:, 0] * vec[:, 0] + vals[:, 1] * vec[:, 1])
         return coef
 
-    if space.kind == "multiplier":
-        rep = space.dof_vertex
-        coef[:] = fn(mesh.vertices[rep])
+    if space.kind in ("p1", "multiplier"):
+        coef[:] = fn(mesh.vertices[space.dof_vertex])
         return coef
 
     raise ValueError(f"unknown space kind {space.kind!r}")

@@ -1,15 +1,38 @@
-"""Quadrature oracle of the error norms.
+"""The exact fields of a case as callables, and the quadrature oracle of
+the error norms.
 
+`exact_fields` builds the exact-field callables from a case's terms.
 `quadrature_errors` evaluates the discrete fields and the exact fields
 at every quadrature point of every step and sums the weighted squares.
 The library's `analysis.compute_errors` evaluates the same norms as
 quadratic forms in the assembled operators; the tests compare the two.
 """
+from types import SimpleNamespace
+
 import numpy as np
 
 from mixpar import mesh as meshmod
 from mixpar.analysis import ErrorNorms
 from mixpar.assembly import CellTables
+from mixpar.problems import _field
+
+
+def exact_fields(case):
+    """The exact fields of `case`, each a (pts, t) callable summing its
+    terms: u, dudt and multiplier, plus grad_u (Stokes) or rot_u and
+    grad_multiplier (eddy)."""
+    primal, mult = case.terms
+    fields = dict(u=_field([(t.a, t.value) for t in primal], (2,)),
+                  dudt=_field([(t.da, t.value) for t in primal], (2,)),
+                  multiplier=_field([(t.a, t.value) for t in mult], ()))
+    der = [(t.a, t.deriv) for t in primal]
+    if case.kind == "stokes":
+        fields["grad_u"] = _field(der, (2, 2))
+    else:
+        fields["rot_u"] = _field(der, ())
+        fields["grad_multiplier"] = _field(
+            [(t.a, t.deriv) for t in mult], (2,))
+    return SimpleNamespace(**fields)
 
 
 def _sq(a):
@@ -22,13 +45,14 @@ def quadrature_errors(solution, case, ops):
     """Error norms of a time series against the manufactured case."""
     tu = CellTables.of(ops.primal)
     tm = CellTables.of(ops.multiplier)
+    exact = exact_fields(case)
     grid = solution.grid
     dt = grid.dt
 
     # X is the H1_0 seminorm (Stokes) or the H(curl) norm (eddy); for the
     # eddy case M likewise adds the H1 seminorm to the L2 norm
     full_norms = case.kind == "eddy2d"
-    exact_der = case.rot_u if full_norms else case.grad_u
+    exact_der = exact.rot_u if full_norms else exact.grad_u
     if full_norms:
         cells = tu.cells.repeat(tu.wdet.shape[1])
         w_cond = tu.w * (ops.primal.mesh.cell_subdomain[cells]
@@ -45,8 +69,8 @@ def quadrature_errors(solution, case, ops):
         t = n * dt
         u = solution.u[n]
         v = tu.values(u)
-        due = case.dudt(tu.qp, t)
-        e2 = _sq(case.u(tu.qp, t) - v)
+        due = exact.dudt(tu.qp, t)
+        e2 = _sq(exact.u(tu.qp, t) - v)
         de2 = _sq(due - (v - v_prev) / dt)
         v_prev = v
         der_e = exact_der(tu.qp, t)
@@ -56,9 +80,10 @@ def quadrature_errors(solution, case, ops):
         dtR += float(wR @ de2)
 
         lam = solution.lam[n]
-        l2M += float(tm.w @ _sq(case.multiplier(tm.qp, t) - tm.values(lam)))
+        l2M += float(tm.w @ _sq(exact.multiplier(tm.qp, t)
+                                - tm.values(lam)))
         if full_norms:
-            l2M += float(tm.w @ _sq(case.grad_multiplier(tm.qp, t)
+            l2M += float(tm.w @ _sq(exact.grad_multiplier(tm.qp, t)
                                     - tm.derivs(lam)))
             relE_num += float(w_cond @ de2)
             relE_den += float(w_cond @ _sq(due))

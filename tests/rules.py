@@ -1,13 +1,18 @@
-"""Test-only quadrature: exact rules of any degree for the oracles.
+"""Test-only quadrature: the centroid rule and exact rules of any degree.
 
-The runtime carries only the centroid and six-point degree-4 rules; the
+The runtime carries only the six-point degree-4 rule
+(`elements.SIX_POINT_RULE`).  The centroid rule evaluates a field at the
+cell centroids, the oracle of the eddy VTK cell data; the
 polynomial-exactness oracles of the manufactured cases and the spaces
-integrate degree 6 to 10, which this collapsed (Duffy) rule provides.
+integrate degree 6 to 10, which the collapsed (Duffy) rule provides.
 """
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from mixpar.elements import QuadratureRule
+
+# one point at the barycenter, exact for degree 1
+CENTROID = QuadratureRule(1, np.full((1, 3), 1 / 3), np.array([0.5]))
 
 
 def collapsed_rule(degree):

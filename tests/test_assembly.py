@@ -10,7 +10,7 @@ from mixpar import build_space, interpolate, structured_mesh
 from mixpar.assembly import (CellTables, NoConductorCells, SpaceMismatch,
                              assemble_eddy2d, assemble_load, assemble_stokes)
 from mixpar.config import parse_config
-from mixpar.elements import p1_mass_reference
+from mixpar.elements import SIX_POINT_RULE, p1_mass_reference
 from mixpar.mesh import CONDUCTOR, TriMesh
 from mixpar.runner import run_level
 from mixpar.spaces import MissingTag
@@ -216,8 +216,8 @@ def test_values_and_derivs_match_per_kind_fields(kind):
 
 @pytest.mark.parametrize("case, extra, expected", [
     ("stokes", "", {("mini", 4), ("p1", 4)}),
-    ("eddy2d", "vtk_every = 1\n",
-     {("edge", 4), ("multiplier", 4), ("edge", 1)}),
+    # the VTK cell data reads the edge space's one table too
+    ("eddy2d", "vtk_every = 1\n", {("edge", 4), ("multiplier", 4)}),
 ])
 def test_one_level_builds_one_table_per_space_and_degree(
         monkeypatch, tmp_path, case, extra, expected):
@@ -245,7 +245,7 @@ def test_quadrature_points_are_read_only(stokes2):
     # points array, so the shared table points must not be writable
     _, V, Q, _ = stokes2
     for space in (V, Q):
-        tab = CellTables.of(space, 4)
+        tab = CellTables.of(space)
         assert not tab.qp.flags.writeable
         with pytest.raises(ValueError):
             tab.qp[0, 0] = 0.5
@@ -335,7 +335,9 @@ def test_operators_match_scatter_assembly(case, degree, pattern):
         want = _eddy_oracle(E, MU, 2.5, 0.4, 3.0)
         assert ops.mean_row is None
     # the operators are built from the one degree-4 rule
-    assert set(ops.primal.tables) == set(ops.multiplier.tables) == {degree}
+    for space in (ops.primal, ops.multiplier):
+        assert space.tables.rule is SIX_POINT_RULE
+        assert space.tables.rule.degree == degree
     for name, ref in want.items():
         got = getattr(ops, name)
         assert got.shape == ref.shape, name

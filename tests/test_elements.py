@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from mixpar import build_space
 from mixpar.assembly import CellTables
-from mixpar.elements import (DegenerateCell, QuadratureRule, bubble_values,
-                             cell_geometry, gauss1d, p1_mass_reference,
-                             p1_stiffness, p1_values)
+from mixpar.elements import (SIX_POINT_RULE, DegenerateCell, QuadratureRule,
+                             bubble_values, cell_geometry, gauss1d,
+                             p1_mass_reference, p1_stiffness, p1_values)
 from mixpar.mesh import TriMesh, structured_mesh
 from meshes import uniform_refine
-from rules import collapsed_rule
+from rules import CENTROID, collapsed_rule
 
 REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -45,9 +45,12 @@ def _points_on_edges(pairs, npts):
 
 
 def _rule(degree):
-    """The runtime rule up to degree 4, the test-side rule above it."""
+    """The centroid rule for degree 1, the runtime rule up to degree 4 and
+    the collapsed rule above it."""
+    if degree <= 1:
+        return CENTROID
     if degree <= 4:
-        return QuadratureRule.for_degree(degree)
+        return SIX_POINT_RULE
     return collapsed_rule(degree)
 
 
@@ -69,12 +72,15 @@ def test_quadrature_weights_sum_to_reference_area():
         assert np.all(rule.weights > 0)
 
 
-def test_runtime_rules_are_centroid_and_six_point():
-    assert QuadratureRule.for_degree(0).weights.shape == (1,)
-    assert QuadratureRule.for_degree(2) is QuadratureRule.for_degree(4)
-    assert QuadratureRule.for_degree(4).weights.shape == (6,)
-    with pytest.raises(ValueError):
-        QuadratureRule.for_degree(5)
+def test_runtime_rule_is_six_point():
+    # the one rule the runtime carries, frozen because every level's
+    # tables share it
+    rule = SIX_POINT_RULE
+    assert rule.degree == 4
+    assert rule.points.shape == (6, 3) and rule.weights.shape == (6,)
+    assert np.allclose(rule.points.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+    assert not rule.points.flags.writeable
+    assert not rule.weights.flags.writeable
 
 
 def test_p1_mass_reference_symbolic_value():
@@ -211,8 +217,7 @@ def test_edge_tables_match_gathered_basis_bitwise(pattern):
     for m in (mesh, uniform_refine(mesh)):
         assert np.any(m.cell_edge_sign < 0)
         space = build_space(m, "edge")
-        for degree in (1, 4):
-            rule = QuadratureRule.for_degree(degree)
+        for rule in (CENTROID, SIX_POINT_RULE):
             tab = CellTables(space, rule)
             wvals, wrot = _gathered_edge_basis(m, tab.cells, rule.points)
             assert tab.wvals.tobytes() == wvals.tobytes()
@@ -266,8 +271,7 @@ def test_bubble_vanishes_on_boundary():
 
 
 def test_p1_partition_of_unity():
-    rule = QuadratureRule.for_degree(4)
-    vals = p1_values(rule.points)
+    vals = p1_values(SIX_POINT_RULE.points)
     assert np.allclose(vals.sum(axis=1), 1.0, atol=1e-15)
 
 

@@ -7,11 +7,11 @@ from mixpar import build_space, interpolate, structured_mesh
 from mixpar import problems
 from mixpar.assembly import CellTables, assemble_load
 from mixpar.config import parse_config
-from mixpar.elements import QuadratureRule
 from mixpar.problems import eddy2d_case, stokes_case
 from mixpar.runner import run_level
 from mixpar.timestep import TimeGrid, run
 from conftest import build_eddy
+from error_oracle import exact_fields
 from rules import collapsed_rule
 
 
@@ -40,57 +40,59 @@ def _fd_grad(f, pts, t, h=1e-6):
 
 def test_stokes_divergence_free_everywhere():
     case = stokes_case()
+    grad_u = exact_fields(case).grad_u
     rng = np.random.default_rng(2)
     pts = rng.uniform(0, 1, size=(100, 2))
     for t in rng.uniform(0, case.T, size=5):
-        J = case.grad_u(pts, t)
+        J = grad_u(pts, t)
         div = J[:, 0, 0] + J[:, 1, 1]
         assert np.abs(div).max() <= 1e-12
 
 
 def test_stokes_initial_and_boundary_values():
-    case = stokes_case()
+    u = exact_fields(stokes_case()).u
     rng = np.random.default_rng(3)
     pts = rng.uniform(0, 1, size=(50, 2))
-    assert np.abs(case.u(pts, 0.0)).max() == 0.0
+    assert np.abs(u(pts, 0.0)).max() == 0.0
     edge = np.column_stack([np.zeros(20), np.linspace(0, 1, 20)])
     for wall in (edge, edge[:, ::-1], 1.0 - edge):
-        assert np.abs(case.u(wall, 0.3)).max() <= 1e-14
+        assert np.abs(u(wall, 0.3)).max() <= 1e-14
 
 
 def test_stokes_source_matches_finite_differences():
     case = stokes_case(nu=1.0)
+    u = exact_fields(case).u
     pts = np.array([[0.5, 0.5], [0.3, 0.7], [0.81, 0.19]])
     t = 0.5
     fd = (
-        _fd_t(case.u, pts, t)
-        - _fd_laplacian(case.u, pts, t)
+        _fd_t(u, pts, t)
+        - _fd_laplacian(u, pts, t)
         + _fd_grad(_stokes_pressure, pts, t)
     )
     assert np.abs(case.f_vec(pts, t) - fd).max() <= 1e-6
 
 
 def test_stokes_grad_u_matches_finite_differences():
-    case = stokes_case()
+    exact = exact_fields(stokes_case())
     pts = np.array([[0.42, 0.58], [0.11, 0.93]])
-    fd = _fd_grad(case.u, pts, 0.37, h=1e-6)  # fd[i, d, g] = d_g u_d
-    assert np.abs(fd - case.grad_u(pts, 0.37)).max() <= 1e-7
+    fd = _fd_grad(exact.u, pts, 0.37, h=1e-6)  # fd[i, d, g] = d_g u_d
+    assert np.abs(fd - exact.grad_u(pts, 0.37)).max() <= 1e-7
 
 
 def test_stokes_multiplier_is_pressure_primitive():
-    case = stokes_case()
+    multiplier = exact_fields(stokes_case()).multiplier
     pts = np.array([[0.25, 0.6], [0.9, 0.1]])
     for t in (0.1, 0.33, 0.48):
-        dmu = _fd_t(case.multiplier, pts, t)
+        dmu = _fd_t(multiplier, pts, t)
         assert np.abs(dmu - _stokes_pressure(pts, t)).max() <= 1e-9
-    assert np.abs(case.multiplier(pts, 0.0)).max() == 0.0
+    assert np.abs(multiplier(pts, 0.0)).max() == 0.0
 
 
 def test_stokes_pressure_zero_mean_and_interpolant_mean():
     case = stokes_case()
     mesh = structured_mesh((0, 0, 1, 1), 4)
     Q = build_space(mesh, "p1", bc=None)
-    tab = CellTables(Q, QuadratureRule.for_degree(4))
+    tab = CellTables.of(Q)
     coef = interpolate(Q, lambda p: _stokes_pressure(p, 0.4))
     vals = np.einsum("qm,cm->cq", tab.vals, coef[tab.dofs])
     assert abs((tab.wdet * vals).sum()) <= 1e-12
@@ -100,14 +102,15 @@ def test_stokes_weak_form_consistency():
     # momentum residual of the exact triple against every basis function,
     # with a quadrature exact for all integrands
     case = stokes_case(nu=1.0)
+    exact = exact_fields(case)
     mesh = structured_mesh((0, 0, 1, 1), 3)
     V = build_space(mesh, "mini", bc="zero_outer")
     tab = CellTables(V, collapsed_rule(10))
     pts = tab.qp.reshape(-1, 2)
     nq = tab.rule.weights.size
     t = 0.31
-    dut = case.dudt(pts, t).reshape(-1, nq, 2)
-    J = case.grad_u(pts, t).reshape(-1, nq, 2, 2)
+    dut = exact.dudt(pts, t).reshape(-1, nq, 2)
+    J = exact.grad_u(pts, t).reshape(-1, nq, 2, 2)
     P = _stokes_pressure(pts, t).reshape(-1, nq)
     f = case.f_vec(pts, t).reshape(-1, nq, 2)
 
@@ -125,21 +128,21 @@ def test_stokes_weak_form_consistency():
 # -- eddy case --------------------------------------------------------------
 
 def test_eddy_initial_value_zero():
-    case = eddy2d_case()
+    u = exact_fields(eddy2d_case()).u
     rng = np.random.default_rng(8)
     pts = rng.uniform(0, 3, size=(50, 2))
-    assert np.abs(case.u(pts, 0.0)).max() == 0.0
+    assert np.abs(u(pts, 0.0)).max() == 0.0
 
 
 def test_eddy_exact_constraint_against_multiplier_basis():
     # int_D u . grad(mu) = 0 for every multiplier basis function; the
     # integrand is polynomial, so a degree-8 rule is an exact oracle
-    case = eddy2d_case()
+    u = exact_fields(eddy2d_case()).u
     for n in (3, 6):
         mesh = structured_mesh((0, 0, 3, 3), n, conductor=(1, 1, 2, 2))
         MU = build_space(mesh, "multiplier")
         tab = CellTables(MU, collapsed_rule(8))
-        uq = case.u(tab.qp.reshape(-1, 2), 0.37).reshape(
+        uq = u(tab.qp.reshape(-1, 2), 0.37).reshape(
             len(tab.cells), -1, 2
         )
         loc = np.einsum("cq,cqd,cmd->cm", tab.wdet, uq, tab.grads)
@@ -149,30 +152,32 @@ def test_eddy_exact_constraint_against_multiplier_basis():
 
 
 def test_eddy_rot_u_matches_finite_differences():
-    case = eddy2d_case()
+    exact = exact_fields(eddy2d_case())
+    u = exact.u
     pts = np.array([[1.5, 1.5], [0.7, 2.2], [2.6, 0.4]])
     t = 0.4
     h = 1e-5
     ex, ey = np.array([h, 0.0]), np.array([0.0, h])
     rot_fd = (
-        (case.u(pts + ex, t)[:, 1] - case.u(pts - ex, t)[:, 1]) / (2 * h)
-        - (case.u(pts + ey, t)[:, 0] - case.u(pts - ey, t)[:, 0]) / (2 * h)
+        (u(pts + ex, t)[:, 1] - u(pts - ex, t)[:, 1]) / (2 * h)
+        - (u(pts + ey, t)[:, 0] - u(pts - ey, t)[:, 0]) / (2 * h)
     )
-    assert np.abs(rot_fd - case.rot_u(pts, t)).max() <= 1e-6
+    assert np.abs(rot_fd - exact.rot_u(pts, t)).max() <= 1e-6
 
 
 def test_eddy_strong_source_matches_finite_differences():
     case = eddy2d_case()
+    exact = exact_fields(case)
     t = 0.29
     h = 1e-4
     ex, ey = np.array([h, 0.0]), np.array([0.0, h])
     # points inside conductor and insulator, away from the interface
     for pts, sig in ((np.array([[1.5, 1.4]]), 1.0), (np.array([[0.6, 2.5]]), 0.0)):
         curl_rot = np.column_stack([
-            (case.rot_u(pts + ey, t) - case.rot_u(pts - ey, t)) / (2 * h),
-            -(case.rot_u(pts + ex, t) - case.rot_u(pts - ex, t)) / (2 * h),
+            (exact.rot_u(pts + ey, t) - exact.rot_u(pts - ey, t)) / (2 * h),
+            -(exact.rot_u(pts + ex, t) - exact.rot_u(pts - ex, t)) / (2 * h),
         ])
-        expected = sig * case.dudt(pts, t) + curl_rot
+        expected = sig * exact.dudt(pts, t) + curl_rot
         f_strong = _eddy_f_strong(case.coeffs.sigma, case.coeffs.mu_mag)
         assert np.abs(f_strong(pts, t) - expected).max() <= 1e-6
 
@@ -356,18 +361,23 @@ def test_separable_fields_match_closed_forms(kind):
         oracle = _closed_form_eddy(2.5, 1.7)
         mesh = structured_mesh(case.domain, 6, conductor=case.conductor)
         space = build_space(mesh, "edge", bc="zero_outer")
-    # two read-only arrays and one writable array
-    qp4, qp2 = CellTables.of(space, 4).qp, CellTables.of(space, 2).qp
     rng = np.random.default_rng(21)
     lo, hi = case.domain[0], case.domain[2]
+    # two read-only arrays, the table's points and a frozen copy of part
+    # of them, and one writable array
+    qp = CellTables.of(space).qp
+    frozen = qp[::3].copy()
+    frozen.flags.writeable = False
     loose = rng.uniform(lo, hi, size=(200, 2))
     times = (0.0, 0.13, 0.37, case.T)
+    fields = vars(exact_fields(case)) | {"f_vec": case.f_vec,
+                                         "f_rot": case.f_rot}
     for name, exact in oracle.items():
-        field = getattr(case, name)
+        field = fields[name]
         # every array comes back at each later time, after the others:
         # cached profiles must be rescaled and never mixed up
         for t in times:
-            for pts in (qp4, qp2, loose):
+            for pts in (qp, frozen, loose):
                 _assert_close(field(pts, t), exact(pts, t))
         # a writable array edited in place is evaluated afresh
         edited = loose.copy()

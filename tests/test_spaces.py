@@ -3,7 +3,7 @@ import pytest
 
 from mixpar import build_space, interpolate, structured_mesh
 from mixpar.assembly import CellTables
-from mixpar.elements import QuadratureRule
+from mixpar.elements import SIX_POINT_RULE
 from mixpar.mesh import INSULATOR
 from mixpar.spaces import MissingTag
 from meshes import uniform_refine
@@ -81,7 +81,7 @@ def test_interpolate_edge_constant_reproduction():
     spc = build_space(m, "edge", bc=None)
     const = np.array([1.0, 0.5])
     coef = interpolate(spc, lambda p: np.tile(const, (len(p), 1)))
-    tab = CellTables(spc, QuadratureRule.for_degree(2))
+    tab = CellTables(spc, SIX_POINT_RULE)
     vals = np.einsum("cqed,ce->cqd", tab.wvals, coef[tab.dofs])
     assert np.abs(vals - const).max() <= 1e-12
 
@@ -93,7 +93,7 @@ def test_interpolate_edge_reproduces_space_member():
     spc = build_space(m, "edge", bc=None)
     f = lambda p: np.column_stack([-0.7 * p[:, 1] + 0.2, 0.7 * p[:, 0] - 0.4])
     coef = interpolate(spc, f)
-    tab = CellTables(spc, QuadratureRule.for_degree(4))
+    tab = CellTables(spc, SIX_POINT_RULE)
     vals = np.einsum("cqed,ce->cqd", tab.wvals, coef[tab.dofs])
     exact = f(tab.qp.reshape(-1, 2)).reshape(vals.shape)
     assert np.abs(vals - exact).max() <= 1e-12
@@ -109,7 +109,7 @@ def test_interpolate_mini_reproduces_bubble_member():
     assert np.abs(coef[2 * nv:]).max() <= 1e-13
     coef2 = coef.copy()
     coef2[2 * nv] = 0.8  # add a bubble; reinterpolating must reproduce it
-    tab = CellTables(spc, QuadratureRule.for_degree(4))
+    tab = CellTables(spc, SIX_POINT_RULE)
 
     # evaluate the coefficient field pointwise, then reinterpolate it
     def from_coef(p):

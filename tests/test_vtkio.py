@@ -1,8 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from mixpar import structured_mesh
+from mixpar import runner, structured_mesh
+from mixpar.assembly import CellTables
+from mixpar.config import parse_config
+from mixpar.timestep import run
 from mixpar.vtkio import write_mesh, write_unstructured
+from rules import CENTROID
 
 
 def _reference_writer(path, mesh, point_data=None, cell_data=None,
@@ -89,3 +95,43 @@ def test_mesh_export_matches_reference(tmp_path):
                       title="mixpar mesh")
     assert ((tmp_path / "new.vtk").read_bytes()
             == (tmp_path / "ref.vtk").read_bytes())
+
+
+def _cell_data(path, nc):
+    """The CELL_DATA fields of a legacy-VTK file, by name."""
+    lines = path.read_text().splitlines()
+    start = lines.index(f"CELL_DATA {nc}") + 1
+    fields = {}
+    while start < len(lines):
+        kind, name = lines[start].split()[:2]
+        first = start + (2 if kind == "SCALARS" else 1)
+        rows = [ln.split() for ln in lines[first:first + nc]]
+        vals = np.array(rows, dtype=float)
+        fields[name] = vals[:, 0] if kind == "SCALARS" else vals[:, :2]
+        start = first + nc
+    return fields
+
+
+@pytest.mark.parametrize("pattern", ["right", "crossed"])
+def test_eddy_snapshot_cell_data_is_centroid_field_and_curl(tmp_path,
+                                                            pattern):
+    cfg = parse_config(f"case = eddy2d\nn = 3\nlevels = 1\nsteps = 3\n"
+                       f"probes = false\nvtk_every = 1\npattern = {pattern}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        runner.run_level(cfg, 0, vtk_dir=tmp_path)
+        # the same level solved again: the solve is deterministic
+        mesh, _, ops, grid, load = runner._build_instance(cfg, 0)
+        u = run(ops, load, grid).u[grid.N]
+    got = _cell_data(tmp_path / f"eddy2d_L0_step{grid.N:04d}.vtk",
+                     mesh.num_cells)
+    centroid = CellTables(ops.primal, CENTROID)
+    # the text holds 12 significant digits, which round a value by up to
+    # 5e-12 relative; components that vanish by symmetry are round-off,
+    # compared on the scale of the field
+    for name, want in (("u", centroid.values(u)),
+                       ("rot_u", centroid.derivs(u))):
+        scale = np.abs(want).max()
+        assert scale > 0.0
+        np.testing.assert_allclose(got[name], want, rtol=1e-11,
+                                   atol=1e-14 * scale, err_msg=name)
