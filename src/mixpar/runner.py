@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import shutil
 import sys
+import tempfile
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -189,20 +190,34 @@ def run_experiment(cfg):
     fell below its threshold, 2: the output directory cannot be created
     (checked before the first level), 3: solver failure.  Any other
     exception is a bug and propagates (`cli.command` reports it as exit
-    4).  On a solver failure or a bug, an output directory the run
-    created is removed again.
+    4).
+
+    Every output is written to a fresh directory inside `cfg.out` and
+    moved into place only once every level has succeeded, so a failed
+    run leaves an existing `cfg.out` as it was (and removes one it
+    created).  Files there that the run does not write stay untouched.
     """
     out = Path(cfg.out)
-    vtk_dir = out / "vtk" if cfg.vtk_every > 0 else None
     created = not out.exists()
     try:
         out.mkdir(parents=True, exist_ok=True)
+        stage = Path(tempfile.mkdtemp(prefix=".mixpar-", dir=out))
     except OSError as err:
+        if created and out.is_dir():
+            shutil.rmtree(out)
         print(f"output error: cannot create {out}: {err}", file=sys.stderr)
         return 2
 
+    vtk_dir = stage / "vtk" if cfg.vtk_every > 0 else None
     try:
-        passed = _write_outputs(cfg, out, _run_levels(cfg, vtk_dir))
+        passed = _write_outputs(cfg, stage, _run_levels(cfg, vtk_dir))
+        # sorted, a directory comes before the files in it
+        for path in sorted(stage.rglob("*")):
+            target = out / path.relative_to(stage)
+            if path.is_dir():
+                target.mkdir(exist_ok=True)
+            else:
+                path.replace(target)
     except Exception as err:
         if created:
             shutil.rmtree(out)
@@ -210,6 +225,8 @@ def run_experiment(cfg):
             raise
         print(f"solver failure: {err}", file=sys.stderr)
         return 3
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
     return 0 if passed else 1
 
 

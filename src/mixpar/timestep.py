@@ -7,7 +7,9 @@ Each step solves
 
 starting from rest, u^0 = 0 and lam^0 = 0; the constraint data g is
 zero in both problem instances.  The block matrix is time-independent,
-so it is factorized once and reused for all steps.
+so it is factorized once and reused for all steps, in the nested-
+dissection order of `saddle.dissection_order` where the spaces have one
+(Stokes) and in SuperLU's minimum-degree order otherwise (eddy).
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .saddle import SaddleSolver, SingularSystem
+from .saddle import SaddleSolver, SingularSystem, dissection_order
 
 __all__ = ["TimeGrid", "TimeSeriesSolution", "run"]
 
@@ -64,7 +66,8 @@ def run(ops, load, grid):
     nM = ops.B.shape[0]
     dt = grid.dt
     A_dt = (ops.R + dt * ops.A).tocsr()
-    solver = SaddleSolver(A_dt, ops.B, ops.mean_row)
+    solver = SaddleSolver(A_dt, ops.B, ops.mean_row,
+                          order=dissection_order(ops))
 
     u = np.zeros((grid.N + 1, nU))
     lam = np.zeros((grid.N + 1, nM))

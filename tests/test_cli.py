@@ -310,6 +310,63 @@ def test_parallel_failure_cancels_pending_levels(tmp_path, monkeypatch):
     assert len(started) <= 3
 
 
+def _tree(root):
+    """Every file under root, by relative path, with its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(Path(root).rglob("*")) if p.is_file()}
+
+
+def test_failed_run_leaves_existing_out_untouched(tmp_path, monkeypatch):
+    # level 0 writes its VTK snapshots, then level 1 fails: none of them,
+    # and no partial rates.csv, reaches the previous run's outputs
+    from mixpar import runner as runner_mod
+    from mixpar.saddle import SingularSystem
+
+    real_run_level = runner_mod.run_level
+    ran = []
+
+    def fail_second(cfg, level, vtk_dir=None):
+        ran.append(level)
+        if level == 1:
+            raise SingularSystem("step 1: injected failure")
+        return real_run_level(cfg, level, vtk_dir)
+
+    monkeypatch.setattr(runner_mod, "run_level", fail_second)
+    out = tmp_path / "out"
+    (out / "vtk").mkdir(parents=True)
+    (out / "rates.csv").write_text("sentinel\n")
+    (out / "summary.json").write_text("{}\n")
+    (out / "vtk" / "stokes_L0_step0000.vtk").write_text("old\n")
+    before = _tree(out)
+    cfg = parse_config(SMOKE_KV.replace("levels = 1", "levels = 2"))
+    cfg.out, cfg.vtk_every = str(out), 1
+    assert runner_mod.run_experiment(cfg) == 3
+    assert ran == [0, 1]
+    assert _tree(out) == before
+    assert sorted(p.name for p in out.iterdir()) == [
+        "rates.csv", "summary.json", "vtk"]
+
+
+def test_run_replaces_its_outputs_and_keeps_other_files(tmp_path):
+    out = tmp_path / "out"
+    (out / "vtk").mkdir(parents=True)
+    (out / "rates.csv").write_text("sentinel\n")
+    (out / "notes.txt").write_text("mine\n")
+    (out / "vtk" / "other.vtk").write_text("mine\n")
+    cfg = parse_config(SMOKE_KV)
+    cfg.out, cfg.vtk_every = str(out), 1
+    assert run_experiment(cfg) == 0
+    files = _tree(out)
+    assert files["notes.txt"] == files["vtk/other.vtk"] == b"mine\n"
+    assert files["rates.csv"].startswith(",".join(CSV_COLUMNS).encode())
+    assert sorted(files) == ["notes.txt", "rates.csv", "summary.json",
+                             "vtk/other.vtk", "vtk/stokes_L0_step0000.vtk",
+                             "vtk/stokes_L0_step0001.vtk",
+                             "vtk/stokes_L0_step0002.vtk"]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "notes.txt", "rates.csv", "summary.json", "vtk"]
+
+
 def _broken_errors(*args, **kwargs):
     raise RuntimeError("injected\nsecond line")
 

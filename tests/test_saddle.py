@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from mixpar.config import load_config
 from mixpar.runner import run_experiment
 from mixpar.saddle import (EmptyKernel, NotDenseFeasible, ResidualTooLarge,
-                           SaddleSolver, SingularSystem, estimate_coercivity,
-                           estimate_garding, estimate_infsup, kernel_basis)
+                           SaddleSolver, SingularSystem, dissection_order,
+                           estimate_coercivity, estimate_garding,
+                           estimate_infsup, kernel_basis)
 from conftest import build_eddy, build_stokes
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -150,6 +151,107 @@ def test_relaxed_pivoting_keeps_eddy_solves_accurate():
     F = rng.standard_normal(ops.A.shape[0])
     solver = SaddleSolver(ops.R + (0.75 / 40) * ops.A, ops.B)
     _, _, info = solver.solve(F, np.zeros(ops.B.shape[0]))
+    assert info.block_residual <= 1e-12
+
+
+# -- the nested-dissection order of the Stokes block matrix -----------------
+
+def _unknowns(mesh, V, Q):
+    """Vertex (-1 for a bubble), component (0 u_x, 1 u_y, 2 p; -1 for a
+    bubble) and x coordinate (a bubble's cell centroid's) of each unknown
+    of the factored block matrix, the gauge row dropped."""
+    nv, nU = mesh.num_vertices, V.num_free
+    size = nU + Q.num_free - 1
+    vertex, comp, x = np.full(size, -1), np.full(size, -1), np.empty(size)
+    dof = V.free[V.free < 2 * nv]
+    vertex[V.free_index(dof)], comp[V.free_index(dof)] = np.divmod(dof, 2)
+    vertex[nU:], comp[nU:] = Q.dof_vertex[1:], 2
+    x[vertex >= 0] = mesh.vertices[vertex[vertex >= 0], 0]
+    bub = V.free[V.free >= 2 * nv]
+    x[V.free_index(bub)] = mesh.centroids()[(bub - 2 * nv) // 2, 0]
+    return vertex, comp, x
+
+
+@pytest.mark.parametrize("pattern", ["right", "crossed"])
+def test_dissection_order_groups_each_vertex_after_the_bubbles(pattern):
+    mesh, V, Q, ops = build_stokes(6, pattern=pattern)
+    order = dissection_order(ops)
+    vertex, comp, _ = _unknowns(mesh, V, Q)
+    assert np.array_equal(np.sort(order), np.arange(len(vertex)))
+    nb = np.count_nonzero(vertex < 0)
+    assert nb == 2 * mesh.num_cells and np.all(vertex[order[:nb]] < 0)
+    # after them, each vertex's free unknowns in one run, velocity first
+    runs = np.split(order[nb:], np.flatnonzero(np.diff(vertex[order[nb:]])) + 1)
+    assert len(runs) == len(np.unique(vertex[order[nb:]]))
+    outer = set(mesh.outer_vertices.tolist())
+    for run in runs:
+        free = [2] if vertex[run[0]] in outer else [0, 1, 2]
+        assert comp[run].tolist() == free
+
+
+@pytest.mark.parametrize("pattern", ["right", "crossed"])
+def test_dissection_top_separator_splits_the_matrix(pattern):
+    # the order ends with the vertices on x = 1/2, after the left half's
+    # vertices and then the right half's; the unknowns on either side
+    # (bubbles by their cell) share no entry of K
+    mesh, V, Q, ops = build_stokes(8, pattern=pattern)
+    order = dissection_order(ops)
+    vertex, _, x = _unknowns(mesh, V, Q)
+    on = np.isclose(x, 0.5)
+    left = np.flatnonzero(~on & (x < 0.5))
+    right = np.flatnonzero(~on & (x > 0.5))
+    assert np.all(on[order[-np.count_nonzero(on):]])
+    rank = np.argsort(order)
+    assert (rank[left[vertex[left] >= 0]].max()
+            < rank[right[vertex[right] >= 0]].min())
+    A_dt = (ops.R + ops.A / 16).tocsr()
+    B1 = sp.csr_matrix(ops.B)[1:]
+    K = sp.bmat([[A_dt, B1.T], [B1, None]], format="csr")
+    assert K[left][:, right].nnz == 0
+
+
+def test_dissection_order_only_for_mini(eddy3):
+    assert dissection_order(eddy3[3]) is None
+
+
+# the step matrix of configs/stokes.cfg at n (dt = 1/(2n)); minimum
+# degree fills 437,234, 2,579,410 and 3,207,495 entries
+@pytest.mark.parametrize("n, pattern, fill", [
+    (32, "right", 345_656),
+    (64, "right", 1_860_840),
+    (64, "crossed", 2_664_877),
+])
+def test_dissection_fill_pinned(n, pattern, fill):
+    _, _, _, ops = build_stokes(n, pattern=pattern)
+    A_dt = (ops.R + (0.5 / n) * ops.A).tocsr()
+    solver = SaddleSolver(A_dt, ops.B, ops.mean_row,
+                          order=dissection_order(ops))
+    assert solver.fill == fill
+
+
+@pytest.mark.parametrize("pattern", ["right", "crossed"])
+def test_dissection_solve_matches_minimum_degree_and_dense(pattern):
+    _, _, _, ops = build_stokes(6, pattern=pattern)
+    A_dt = (ops.R + ops.A / 12).tocsr()
+    n, m = ops.B.shape[1], ops.B.shape[0]
+    rng = np.random.default_rng(6)
+    F = rng.standard_normal(n)
+    G = rng.standard_normal(m)
+    G -= G.mean()          # 1^T G = 0, as B^T 1 = 0
+    u, lam, info = SaddleSolver(A_dt, ops.B, ops.mean_row,
+                                order=dissection_order(ops)).solve(F, G)
+    u_md, lam_md, _ = SaddleSolver(A_dt, ops.B, ops.mean_row).solve(F, G)
+    Bd = ops.B.toarray()
+    mc = ops.mean_row[:, None]
+    K = np.block([
+        [A_dt.toarray(), Bd.T, np.zeros((n, 1))],
+        [Bd, np.zeros((m, m)), mc],
+        [np.zeros((1, n)), mc.T, np.zeros((1, 1))],
+    ])
+    z = np.linalg.solve(K, np.concatenate([F, G, [0.0]]))
+    for ref_u, ref_lam in ((u_md, lam_md), (z[:n], z[n:n + m])):
+        assert np.abs(u - ref_u).max() <= 1e-12 * np.abs(ref_u).max()
+        assert np.abs(lam - ref_lam).max() <= 1e-12 * np.abs(ref_lam).max()
     assert info.block_residual <= 1e-12
 
 

@@ -3,7 +3,9 @@ import pytest
 import scipy.sparse as sp
 
 from mixpar.assembly import OperatorSet, assemble_load
+from mixpar.saddle import SaddleSolver, dissection_order
 from mixpar.timestep import TimeGrid, run
+from conftest import build_eddy, build_stokes
 
 
 def toy_ops(r=1.0, a=1.0):
@@ -20,6 +22,7 @@ def toy_ops(r=1.0, a=1.0):
 
 def test_scalar_decay_toy():
     # u^n = (u^{n-1} + dt) / (1 + dt) from rest for R = A = 1, f = 1
+    assert dissection_order(toy_ops()) is None
     sol = run(toy_ops(), lambda t: np.ones(1), TimeGrid(1.0, 2))
     assert sol.u[:, 0] == pytest.approx([0.0, 1 / 3, 5 / 9], rel=1e-14)
     assert sol.lam.shape == (3, 0)
@@ -76,8 +79,6 @@ def test_multiplier_shift_property(eddy3):
 
 def test_factorization_reused_matches_per_step_solves(eddy3, eddy_case_default):
     # the once-factorized run must agree with independent per-step solves
-    from mixpar.saddle import SaddleSolver
-
     _, E, _, ops = eddy3
     case = eddy_case_default
     grid = TimeGrid(case.T, 3)
@@ -95,3 +96,20 @@ def test_factorization_reused_matches_per_step_solves(eddy3, eddy_case_default):
         assert np.abs(sol.u[n] - u_prev).max() <= 1e-12 * max(
             1.0, np.abs(u_prev).max()
         )
+
+
+# level 2 of configs/stokes.cfg and configs/eddy2d.json: the Stokes steps
+# factor in the nested-dissection order (minimum degree filled 67,936),
+# the eddy steps stay on minimum degree with the fill they always had
+@pytest.mark.parametrize("build, n, grid, fill", [
+    (build_stokes, 16, TimeGrid(0.5, 16), 60_264),
+    (build_eddy, 12, TimeGrid(0.75, 20), 16_326),
+])
+def test_step_factorization_order_and_fill(build, n, grid, fill):
+    _, _, _, ops = build(n)
+    sol = run(ops, lambda t: np.zeros(ops.B.shape[1]), grid)
+    assert sol.factor_fill == fill
+    order = dissection_order(ops)
+    assert (order is None) == (build is build_eddy)
+    A_dt = ops.R + grid.dt * ops.A
+    assert SaddleSolver(A_dt, ops.B, ops.mean_row, order).fill == fill
