@@ -1,16 +1,22 @@
-"""Legacy-VTK ASCII export of meshes and solution snapshots."""
+"""Legacy-VTK ASCII export of meshes and solution snapshots.
+
+Coordinates and field values are printed as ``"{:.12g}".format`` prints
+them, vertex indices as ``str`` does.  The POINTS/CELLS/CELL_TYPES text
+of a mesh is formatted once per mesh object and reused by every snapshot
+of it, so a mesh must not be changed in place once written; each data
+block is then one ``%`` operation over its flattened values.
+"""
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
 __all__ = ["write_unstructured", "write_mesh"]
 
-# blocks are formatted column-wise from .tolist() values: a str.format
-# of Python numbers is about twice as fast as an f-string per numpy
-# scalar and gives the same text
-_SCALAR = "{:.12g}".format
-_VECTOR = "{:.12g} {:.12g} 0".format
-_TRIANGLE = "3 {} {} {}".format
+# mesh -> its geometry text; the weak keys keep no level's mesh alive.
+# Threads writing the same mesh may at worst format its text twice.
+_GEOMETRY = weakref.WeakKeyDictionary()
 
 
 def write_unstructured(path, mesh, point_data=None, cell_data=None,
@@ -18,46 +24,57 @@ def write_unstructured(path, mesh, point_data=None, cell_data=None,
     """Write an UNSTRUCTURED_GRID file with optional point/cell fields.
 
     point_data / cell_data map names to arrays of shape (n,) (scalars)
-    or (n, 2) (vectors, padded with a zero z component).
+    or (n, k) with k >= 2 (vectors: the first two columns, padded with a
+    zero z component), where n is the number of vertices / cells.
+    Raises ValueError for a field of any other shape and for a title
+    that spans more than one line, which VTK readers would reject.
     """
-    nv, nc = mesh.num_vertices, mesh.num_cells
-    lines = [
-        "# vtk DataFile Version 2.0",
-        title,
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {nv} double",
-    ]
-    lines.extend(map(_VECTOR, *_columns(mesh.vertices, 2)))
-    lines.append(f"CELLS {nc} {4 * nc}")
-    lines.extend(map(_TRIANGLE, *_columns(mesh.cells, 3)))
-    lines.append(f"CELL_TYPES {nc}")
-    lines.extend(["5"] * nc)
-
-    def emit(block, n, data):
-        lines.append(f"{block} {n}")
+    if "\n" in title or "\r" in title:
+        raise ValueError("VTK title must be a single line")
+    parts = ["# vtk DataFile Version 2.0\n", title,
+             "\nASCII\nDATASET UNSTRUCTURED_GRID\n", _geometry(mesh)]
+    for block, n, data in (("POINT_DATA", mesh.num_vertices, point_data),
+                           ("CELL_DATA", mesh.num_cells, cell_data)):
+        if not data:
+            continue
+        parts.append(f"{block} {n}\n")
         for name, arr in data.items():
             arr = np.asarray(arr)
+            if (arr.ndim not in (1, 2) or len(arr) != n
+                    or arr.ndim == 2 and arr.shape[1] < 2):
+                raise ValueError(
+                    f"{block} field {name!r} has shape {arr.shape}; "
+                    f"expected ({n},) or ({n}, k) with k >= 2")
             if arr.ndim == 1:
-                lines.append(f"SCALARS {name} double 1")
-                lines.append("LOOKUP_TABLE default")
-                lines.extend(map(_SCALAR, arr.tolist()))
+                parts.append(f"SCALARS {name} double 1\n"
+                             "LOOKUP_TABLE default\n")
+                parts.append(("%.12g\n" * n) % tuple(arr.tolist()))
             else:
-                lines.append(f"VECTORS {name} double")
-                lines.extend(map(_VECTOR, *_columns(arr, 2)))
-
-    if point_data:
-        emit("POINT_DATA", nv, point_data)
-    if cell_data:
-        emit("CELL_DATA", nc, cell_data)
+                parts.append(f"VECTORS {name} double\n")
+                parts.append(_pairs(arr[:, :2]))
 
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(parts))
 
 
-def _columns(arr, k):
-    """The first k columns of a 2D array as Python lists."""
-    return np.asarray(arr)[:, :k].T.tolist()
+def _pairs(xy):
+    """Rows of an (n, 2) array as ``x y 0`` lines."""
+    return ("%.12g %.12g 0\n" * len(xy)) % tuple(xy.ravel().tolist())
+
+
+def _geometry(mesh):
+    """The POINTS, CELLS and CELL_TYPES blocks of a mesh, formatted once."""
+    text = _GEOMETRY.get(mesh)
+    if text is None:
+        nv, nc = mesh.num_vertices, mesh.num_cells
+        text = "".join([
+            f"POINTS {nv} double\n", _pairs(mesh.vertices),
+            f"CELLS {nc} {4 * nc}\n",
+            ("3 %d %d %d\n" * nc) % tuple(mesh.cells.ravel().tolist()),
+            f"CELL_TYPES {nc}\n", "5\n" * nc,
+        ])
+        _GEOMETRY[mesh] = text
+    return text
 
 
 def write_mesh(path, mesh):

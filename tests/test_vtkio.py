@@ -1,11 +1,16 @@
+import gc
+import sys
 import warnings
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from mixpar import runner, structured_mesh
+from mixpar import runner, structured_mesh, vtkio
 from mixpar.assembly import CellTables
 from mixpar.config import parse_config
+from mixpar.runner import run_experiment
 from mixpar.timestep import run
 from mixpar.vtkio import write_mesh, write_unstructured
 from rules import CENTROID
@@ -61,6 +66,9 @@ def _awkward(rng, shape):
     flat[3::7] = -np.abs(flat[3::7]) * 1e-300        # near underflow
     flat[4::7] = 0.0
     flat[5::7] = -0.0
+    flat[6::35] = np.nan
+    flat[13::35] = np.inf
+    flat[20::35] = -np.inf
     return a
 
 
@@ -73,7 +81,8 @@ def test_block_writer_bytes_match_reference(tmp_path, pattern):
     fields = dict(
         point_data={"velocity": _awkward(rng, (nv, 2)),
                     "multiplier": _awkward(rng, nv),
-                    "index": np.arange(nv) - nv // 2},
+                    "index": np.arange(nv) - nv // 2,
+                    "big": _beyond_double(nv)},
         cell_data={"u": _awkward(rng, (nc, 2)),
                    "rot_u": _awkward(rng, nc),
                    "subdomain": mesh.cell_subdomain.astype(float)},
@@ -84,6 +93,16 @@ def test_block_writer_bytes_match_reference(tmp_path, pattern):
     new = (tmp_path / "new.vtk").read_bytes()
     assert new == (tmp_path / "ref.vtk").read_bytes()
     assert b"e-17" in new and b"e+15" in new and b"\n-0\n" in new
+    assert b"\nnan\n" in new and b"\ninf\n" in new and b"\n-inf\n" in new
+    assert b"\n9.22337203685e+18\n" in new
+
+
+def _beyond_double(n):
+    """int64 values that a double cannot hold exactly, of both signs."""
+    big = np.int64(2**53 + 1) + np.arange(n, dtype=np.int64) * 97_000_000_001
+    big[1::2] *= -1
+    big[0], big[-1] = np.iinfo(np.int64).max, np.iinfo(np.int64).min
+    return big
 
 
 def test_mesh_export_matches_reference(tmp_path):
@@ -95,6 +114,90 @@ def test_mesh_export_matches_reference(tmp_path):
                       title="mixpar mesh")
     assert ((tmp_path / "new.vtk").read_bytes()
             == (tmp_path / "ref.vtk").read_bytes())
+
+
+def test_geometry_is_cached_per_mesh_object(tmp_path):
+    # equal vertex and cell counts, different coordinates
+    small = structured_mesh((0, 0, 1, 1), 6)
+    large = structured_mesh((0, 0, 3, 3), 6)
+    gc.collect()
+    before = len(vtkio._GEOMETRY)
+    for k in range(2):
+        for name, mesh in (("small", small), ("large", large)):
+            fields = dict(point_data={"x": mesh.vertices}, title=name)
+            write_unstructured(tmp_path / f"new{k}.vtk", mesh, **fields)
+            _reference_writer(tmp_path / "ref.vtk", mesh, **fields)
+            assert ((tmp_path / f"new{k}.vtk").read_bytes()
+                    == (tmp_path / "ref.vtk").read_bytes())
+    assert len(vtkio._GEOMETRY) == before + 2
+    dropped = weakref.ref(small)
+    del small
+    gc.collect()
+    assert dropped() is None
+    assert len(vtkio._GEOMETRY) == before + 1 and large in vtkio._GEOMETRY
+
+
+def test_threads_writing_shared_meshes_match_reference(tmp_path):
+    meshes = [structured_mesh((0, 0, 1 + k, 1), 5, pattern=pattern)
+              for k, pattern in enumerate(("right", "crossed", "right"))]
+    want = []
+    for k, mesh in enumerate(meshes):
+        _reference_writer(tmp_path / f"ref{k}.vtk", mesh,
+                          cell_data={"area": mesh.cell_areas})
+        want.append((tmp_path / f"ref{k}.vtk").read_bytes())
+
+    def write(job):
+        k = job % len(meshes)
+        path = tmp_path / f"job{job}.vtk"
+        write_unstructured(path, meshes[k],
+                           cell_data={"area": meshes[k].cell_areas})
+        return path.read_bytes() == want[k]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(write, job) for job in range(48)]
+            assert all(f.result(timeout=60) for f in futures)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("text, files", [
+    ("case = eddy2d\nn = 3\nlevels = 3\n", 5 + 9 + 17),
+    ("case = stokes\nn = 4\nlevels = 2\n", 5 + 9),
+], ids=["eddy2d", "stokes"])
+def test_parallel_levels_write_the_same_snapshots(tmp_path, text, files):
+    snapshots, codes = [], []
+    for jobs in (1, 2):
+        cfg = parse_config(text + "probes = false\nvtk_every = 1\n")
+        cfg.jobs = jobs
+        cfg.out = str(tmp_path / f"jobs{jobs}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            # the coarse eddy levels miss the default rate floors (exit 1)
+            codes.append(run_experiment(cfg))
+        vtk = tmp_path / f"jobs{jobs}" / "vtk"
+        snapshots.append({p.name: p.read_bytes() for p in vtk.iterdir()})
+    assert codes[0] == codes[1] in (0, 1)
+    assert len(snapshots[0]) == files
+    assert snapshots[0] == snapshots[1]
+
+
+@pytest.mark.parametrize("case", ["point rows", "cell rows", "one column",
+                                  "title newline"])
+def test_malformed_fields_are_rejected(tmp_path, case):
+    mesh = structured_mesh((0, 0, 1, 1), 2)
+    nv, nc = mesh.num_vertices, mesh.num_cells
+    fields = {
+        "point rows": dict(point_data={"p": np.zeros(nv + 1)}),
+        "cell rows": dict(cell_data={"c": np.zeros((nc - 1, 2))}),
+        "one column": dict(point_data={"v": np.zeros((nv, 1))}),
+        "title newline": dict(title="two\nlines"),
+    }[case]
+    with pytest.raises(ValueError):
+        write_unstructured(tmp_path / "bad.vtk", mesh, **fields)
+    assert not (tmp_path / "bad.vtk").exists()
 
 
 def _cell_data(path, nc):
