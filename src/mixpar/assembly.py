@@ -74,11 +74,13 @@ class CellTables:
     operator assembly, the load, the error norms and the VTK output.
 
     Kind-agnostic data over the flat list of quadrature points: `qp`
-    (m, 2, read-only), weights `w` (m,), and two sparse maps from free
+    (m, 2), weights `w` (m,), and two sparse maps from free
     coefficients, built on first use: `val` to the field values and `der`
     to the gradient (p1, multiplier), the Jacobian (mini) or the scalar
     curl (edge).  `values`, `derivs` and `moments` sit on top of them,
     and every operator is a weighted product of them (see `_gram`).
+    `load` holds the moments of the last separable load (see
+    `assemble_load`).
 
     Per-kind local basis data, from which the maps are built: p1 /
     multiplier carry `vals` (nq, 3) and `grads` (nc, 3, 2); mini carries
@@ -97,9 +99,7 @@ class CellTables:
 
         bary = rule.points
         self.qp = np.einsum("qk,ckd->cqd", bary, pts).reshape(-1, 2)
-        # read-only, so the manufactured cases may cache their spatial
-        # profiles on this array (see problems.py)
-        self.qp.flags.writeable = False
+        self.load = None
         self.wdet = np.outer(det, rule.weights)  # weights sum to A per cell
         self.w = self.wdet.ravel()
         self.dofs = space.cell_dofs
@@ -313,14 +313,22 @@ def assemble_eddy2d(edge, multiplier, sigma=1.0, eps=1.0, mu_mag=1.0):
     )
 
 
-def assemble_load(space, f, t, rot_part=None):
-    """Quadrature load vector int f(t) . basis (+ int rot_part rot basis).
+def assemble_load(space, f, t):
+    """Free-DOF load vector of f at time t.
 
-    f maps (points (m, 2), t) to (m,) for scalar kinds or (m, 2) for
-    vector kinds.  rot_part, for edge spaces only, adds the moment of a
-    scalar field against the basis curls (the weak-form contribution of
-    a magnetization-like source).  Returns the free-DOF vector.
+    f is either a pointwise callable, mapping (points (m, 2), t) to (m,)
+    for scalar kinds or (m, 2) for vector kinds, whose moments against
+    the basis are taken afresh; or a separable load (factors, profiles)
+    as a case lists it (see problems.py).  Its moments L (K, n_free),
+    one row per (value, rot) profile pair, come from one
+    `profiles(tab.qp)` pass on the first call with those profiles and
+    are kept on the space's tables; every call returns a(t) @ L.
     """
     tab = CellTables.of(space)
-    rq = None if rot_part is None else rot_part(tab.qp, t)
-    return tab.moments(f(tab.qp, t), rq)
+    if callable(f):
+        return tab.moments(f(tab.qp, t))
+    factors, profiles = f
+    if tab.load is None or tab.load[0] is not profiles:
+        tab.load = profiles, np.array([tab.moments(value, rot)
+                                       for value, rot in profiles(tab.qp)])
+    return np.array([a(t) for a in factors]) @ tab.load[1]

@@ -14,14 +14,15 @@ profile once per level and evaluates every norm as an exact quadratic
 form around that interpolant.  The tests build the exact fields as
 callables from the same terms.
 
-A case's only callable fields are its loads `f_vec` and `f_rot`, sums
-of the same profiles (`_field`).  A case holds its profiles in a
-`_Profiles` object, and each profile keeps its values for the last
-*read-only* points array it was given (checked with `is`, holding a
-reference, so the array is taken as immutable; `CellTables.qp` is such
-an array); a writable array is evaluated fresh on every call.  So every
-step's load only rescales profiles evaluated once per level, and the
-error norms reuse them.
+The load is separable too: sum_k a_k(t) L_k with moment vectors L_k
+that depend on the level only.  A case lists its time factors in
+`load_factors` (data, like `terms`) and its profiles in one callable,
+`load_profiles(pts)`, which returns one (value, rot) pair per factor,
+either part None: the value is tested against v and the rot against
+rot v.  `assembly.assemble_load` evaluates the profiles once per level,
+on the quadrature points, and each step only combines the moments.
+`f_vec` is the value part as a pointwise (pts, t) callable, the form
+the dense one-step oracle (acceptance criterion 1) reads.
 
 The Stokes multiplier approximated by the scheme is the time primitive
 of the physical pressure (the pressure sits inside the time derivative
@@ -31,7 +32,6 @@ pressure is its time derivative sin(pi t)(x - 1/2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -72,44 +72,21 @@ class ManufacturedCase:
     conductor: Optional[tuple]
     coeffs: Coefficients
     T: float
-    terms: Terms                      # the exact fields, term by term
-    f_vec: Callable                   # (pts, t) -> (m, 2), moment against v
-    f_rot: Optional[Callable] = None  # (pts, t) -> (m,), moment against rot v
+    terms: Terms                  # the exact fields, term by term
+    load_factors: tuple           # the load's time factors a_k(t)
+    load_profiles: Callable       # pts -> ((value or None, rot or None), ...)
 
-
-def _field(pairs, shape):
-    """The (pts, t) callable sum a(t) * P(pts) over (a, P) pairs; `shape`
-    is the per-point shape, which an empty sum needs."""
-    def f(pts, t):
-        out = np.zeros((len(pts), *shape))
-        for a, P in pairs:
-            out += a(t) * P(pts)
-        return out
-    return f
-
-
-class _Profiles:
-    """Named spatial profiles of one case, each cached for the last
-    read-only points array it was evaluated on (see the module notes)."""
-
-    def __init__(self, **profiles):
-        self._profiles = profiles
-        self._last = {}                   # name -> (pts, values)
-
-    def __call__(self, name, pts):
-        if pts.flags.writeable:
-            return self.evaluate(name, pts)
-        hit = self._last.get(name)
-        if hit is None or hit[0] is not pts:
-            hit = self._last[name] = (pts, self.evaluate(name, pts))
-        return hit[1]
-
-    def evaluate(self, name, pts):
-        return self._profiles[name](pts)
-
-    def profile(self, name):
-        """The cached profile `name` as a function of the points."""
-        return partial(self, name)
+    @property
+    def f_vec(self):
+        """The value part of the load, (pts, t) -> (m, 2)."""
+        def f(pts, t):
+            out = np.zeros((len(pts), 2))
+            for a, (value, _) in zip(self.load_factors,
+                                     self.load_profiles(pts)):
+                if value is not None:
+                    out += a(t) * value
+            return out
+        return f
 
 
 # time factors
@@ -182,13 +159,14 @@ def stokes_case(nu=1.0, T=0.5):
         # -nu lap curl(psi) + grad(x - 1/2)
         return np.array([1.0, 0.0]) - nu * lap_curl(pts)
 
-    P = _Profiles(curl=curl, jacobian=jacobian, shift=shift,
-                  viscous_pressure=viscous_pressure).profile
+    def load_profiles(pts):
+        return (curl(pts), None), (viscous_pressure(pts), None)
+
     terms = Terms(
-        primal=(Term(_sin, _dsin, P("curl"), P("jacobian")),),
+        primal=(Term(_sin, _dsin, curl, jacobian),),
         # the multiplier is the time primitive of the pressure; this is
         # what lam_h^n tracks
-        multiplier=(Term(_int_sin, _sin, P("shift")),),
+        multiplier=(Term(_int_sin, _sin, shift),),
     )
     return ManufacturedCase(
         kind="stokes",
@@ -197,8 +175,8 @@ def stokes_case(nu=1.0, T=0.5):
         coeffs=Coefficients(nu=nu),
         T=T,
         terms=terms,
-        f_vec=_field([(_dsin, P("curl")), (_sin, P("viscous_pressure"))],
-                     (2,)),
+        load_factors=(_dsin, _sin),
+        load_profiles=load_profiles,
     )
 
 
@@ -224,9 +202,11 @@ def eddy2d_case(sigma=1.0, eps=1.0, mu_mag=1.0, T=0.75):
     def sin_mu(t):
         return _sin(t) / mu_mag
 
-    P = _Profiles(curl=curl, rot=rot, sigma_curl=sigma_curl).profile
+    def load_profiles(pts):
+        return (sigma_curl(pts), None), (None, rot(pts))
+
     # the exact multiplier is 0: it has no terms
-    terms = Terms(primal=(Term(_sin, _dsin, P("curl"), P("rot")),))
+    terms = Terms(primal=(Term(_sin, _dsin, curl, rot),))
     return ManufacturedCase(
         kind="eddy2d",
         domain=(0.0, 0.0, 3.0, 3.0),
@@ -234,6 +214,6 @@ def eddy2d_case(sigma=1.0, eps=1.0, mu_mag=1.0, T=0.75):
         coeffs=Coefficients(sigma=sigma, eps=eps, mu_mag=mu_mag),
         T=T,
         terms=terms,
-        f_vec=_field([(_dsin, P("sigma_curl"))], (2,)),
-        f_rot=_field([(sin_mu, P("rot"))], ()),
+        load_factors=(_dsin, sin_mu),
+        load_profiles=load_profiles,
     )

@@ -59,8 +59,8 @@ def _build_instance(cfg, level):
         ops = assemble_eddy2d(primal, mult, sigma=cfg.sigma, eps=cfg.eps,
                               mu_mag=cfg.mu_mag)
     # both cases start from rest, u(., 0) = 0, so run's zero u^0 is exact
-    load = lambda t: assemble_load(primal, case.f_vec, t,
-                                   rot_part=case.f_rot)
+    load = lambda t: assemble_load(
+        primal, (case.load_factors, case.load_profiles), t)
     grid = TimeGrid(cfg.T, cfg.steps * 2 ** level)
     return mesh, case, ops, grid, load
 

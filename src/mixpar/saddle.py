@@ -75,7 +75,7 @@ class SaddleSolver:
     K[order][:, order] in that order (permc_spec="NATURAL", otherwise
     SPLU_OPTIONS); without it, in its minimum-degree order.  Either way
     `solve` takes and returns unpermuted vectors, and the residual guard
-    checks the unpermuted system.
+    checks the unpermuted system, with `BT`, the CSR B^T formed once.
 
     `fill` is the number of L and U entries SuperLU stores
     (`SuperLU.nnz`; building the L and U matrices to count them would
@@ -93,6 +93,7 @@ class SaddleSolver:
             raise ValueError("B column count does not match A_dt")
         self.A_dt = sp.csr_matrix(A_dt)
         self.B = sp.csr_matrix(B)
+        self.BT = self.B.T.tocsr()
         self.mean_row = mean_row
         self.dropped = 0 if mean_row is None else 1
         # every valid (1,1) block has a positive diagonal; a zero one (say
@@ -132,7 +133,7 @@ class SaddleSolver:
         if self.mean_row is not None:
             lam -= (self.mean_row @ lam) / self.mean_row.sum()
         constraint = float(np.linalg.norm(self.B @ u - G))
-        primal = float(np.linalg.norm(self.A_dt @ u + self.B.T @ lam - F))
+        primal = float(np.linalg.norm(self.A_dt @ u + self.BT @ lam - F))
         scale = max(1.0, float(np.hypot(np.linalg.norm(F), np.linalg.norm(G))))
         rel = float(np.hypot(primal, constraint)) / scale
         if rel > RESIDUAL_TOL:

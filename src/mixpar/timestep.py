@@ -74,11 +74,10 @@ def run(ops, load, grid):
     block_res = np.zeros(grid.N)
     constraint_res = np.zeros(grid.N)
 
-    BT = ops.B.T.tocsr()
     G = np.zeros(nM)
     for n in range(1, grid.N + 1):
         t = n * dt
-        F = dt * load(t) + ops.R @ u[n - 1] + BT @ lam[n - 1]
+        F = dt * load(t) + ops.R @ u[n - 1] + solver.BT @ lam[n - 1]
         try:
             un, ln, info = solver.solve(F, G)
         except SingularSystem as err:

@@ -38,7 +38,7 @@ def _series_case(*terms):
         kind="eddy2d", terms=Terms(primal=terms),
         domain=(0, 0, 3, 3), conductor=(1, 1, 2, 2),
         coeffs=Coefficients(), T=1.0,
-        f_vec=lambda p, t: np.zeros((len(p), 2)),
+        load_factors=(), load_profiles=lambda p: (),
     )
 
 
@@ -69,7 +69,8 @@ def test_l2m_matches_coefficient_quadratic_form(eddy3, eddy_case_default):
     _, E, MU, ops = eddy3
     case = eddy_case_default
     grid = TimeGrid(case.T, 4)
-    load = lambda t: assemble_load(E, case.f_vec, t, rot_part=case.f_rot)
+    load = lambda t: assemble_load(
+        E, (case.load_factors, case.load_profiles), t)
     sol = run(ops, load, grid)
     norms = compute_errors(sol, case, ops)
     direct = grid.dt * sum(
@@ -111,7 +112,8 @@ def _solved(kind, pattern):
         _, V, _, ops = build_eddy(6, sigma=2.5, eps=0.4, mu_mag=3.0,
                                   pattern=pattern)
     grid = TimeGrid(case.T, 6)
-    load = lambda t: assemble_load(V, case.f_vec, t, rot_part=case.f_rot)
+    load = lambda t: assemble_load(
+        V, (case.load_factors, case.load_profiles), t)
     return case, ops, run(ops, load, grid)
 
 

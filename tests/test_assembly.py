@@ -240,17 +240,6 @@ def test_one_level_builds_one_table_per_space_and_degree(
         assert sorted(built) == sorted(expected)
 
 
-def test_quadrature_points_are_read_only(stokes2):
-    # the manufactured cases cache their spatial profiles per read-only
-    # points array, so the shared table points must not be writable
-    _, V, Q, _ = stokes2
-    for space in (V, Q):
-        tab = CellTables.of(space)
-        assert not tab.qp.flags.writeable
-        with pytest.raises(ValueError):
-            tab.qp[0, 0] = 0.5
-
-
 # -- the per-kind einsum-and-scatter assembly that the Gram products of
 # the point maps replaced, kept as the oracle of the operators
 

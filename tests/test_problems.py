@@ -1,18 +1,30 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
 from mixpar import build_space, interpolate, structured_mesh
-from mixpar import problems
+from mixpar import runner
 from mixpar.assembly import CellTables, assemble_load
 from mixpar.config import parse_config
 from mixpar.problems import eddy2d_case, stokes_case
-from mixpar.runner import run_level
 from mixpar.timestep import TimeGrid, run
 from conftest import build_eddy
 from error_oracle import exact_fields
 from rules import collapsed_rule
+
+
+def _f_rot(case):
+    """The rot part of a case's load, (pts, t) -> (m,), the counterpart
+    of `ManufacturedCase.f_vec`."""
+    def f(pts, t):
+        out = np.zeros(len(pts))
+        for a, (_, rot) in zip(case.load_factors, case.load_profiles(pts)):
+            if rot is not None:
+                out += a(t) * rot
+        return out
+    return f
 
 
 def _fd_t(f, pts, t, h=1e-5):
@@ -190,7 +202,7 @@ def test_eddy_weak_residual_strong_vs_residual_form(eddy3):
     t = 0.41
     tab = CellTables(E, collapsed_rule(8))
     L_strong = tab.moments(_eddy_f_strong(1.0, 1.0)(tab.qp, t))
-    L_resid = tab.moments(case.f_vec(tab.qp, t), case.f_rot(tab.qp, t))
+    L_resid = tab.moments(case.f_vec(tab.qp, t), _f_rot(case)(tab.qp, t))
     rng = np.random.default_rng(12)
     scale = max(1.0, np.abs(L_strong).max())
     for _ in range(50):
@@ -209,7 +221,8 @@ def test_recovered_field_errors_decrease_across_levels():
     for lvl, n in enumerate([3, 6, 12]):
         mesh, E, MU, ops = build_eddy(n)
         grid = TimeGrid(case.T, 5 * 2 ** lvl)
-        load = lambda t: assemble_load(E, case.f_vec, t, rot_part=case.f_rot)
+        load = lambda t: assemble_load(
+            E, (case.load_factors, case.load_profiles), t)
         sol = run(ops, load, grid)
         norms = compute_errors(sol, case, ops)
         rels.append((norms.rel_E, norms.rel_H))
@@ -345,70 +358,89 @@ def _eddy_f_strong(sigma, mu_mag):
     return f_strong
 
 
-def _assert_close(new, old):
+def _assert_close(new, old, rtol=1e-14):
     assert new.shape == old.shape
-    assert np.abs(new - old).max() <= 1e-14 * np.abs(old).max()
+    assert np.abs(new - old).max() <= rtol * np.abs(old).max()
+
+
+def _case_and_oracle(kind):
+    """A case with coefficients away from 1, its closed forms and the
+    primal space of a small mesh."""
+    if kind == "stokes":
+        case, oracle = stokes_case(nu=0.7), _closed_form_stokes(0.7)
+        mesh = structured_mesh(case.domain, 4)
+        return case, oracle, build_space(mesh, "mini", bc="zero_outer")
+    case = eddy2d_case(sigma=2.5, mu_mag=1.7)
+    oracle = _closed_form_eddy(2.5, 1.7)
+    mesh = structured_mesh(case.domain, 6, conductor=case.conductor)
+    return case, oracle, build_space(mesh, "edge", bc="zero_outer")
 
 
 @pytest.mark.parametrize("kind", ["stokes", "eddy2d"])
 def test_separable_fields_match_closed_forms(kind):
-    if kind == "stokes":
-        case, oracle = stokes_case(nu=0.7), _closed_form_stokes(0.7)
-        mesh = structured_mesh(case.domain, 4)
-        space = build_space(mesh, "mini", bc="zero_outer")
-    else:
-        case = eddy2d_case(sigma=2.5, mu_mag=1.7)
-        oracle = _closed_form_eddy(2.5, 1.7)
-        mesh = structured_mesh(case.domain, 6, conductor=case.conductor)
-        space = build_space(mesh, "edge", bc="zero_outer")
+    case, oracle, space = _case_and_oracle(kind)
     rng = np.random.default_rng(21)
     lo, hi = case.domain[0], case.domain[2]
-    # two read-only arrays, the table's points and a frozen copy of part
-    # of them, and one writable array
-    qp = CellTables.of(space).qp
-    frozen = qp[::3].copy()
-    frozen.flags.writeable = False
-    loose = rng.uniform(lo, hi, size=(200, 2))
-    times = (0.0, 0.13, 0.37, case.T)
+    points = (CellTables.of(space).qp, rng.uniform(lo, hi, size=(200, 2)))
     fields = vars(exact_fields(case)) | {"f_vec": case.f_vec,
-                                         "f_rot": case.f_rot}
+                                         "f_rot": _f_rot(case)}
     for name, exact in oracle.items():
-        field = fields[name]
-        # every array comes back at each later time, after the others:
-        # cached profiles must be rescaled and never mixed up
-        for t in times:
-            for pts in (qp, frozen, loose):
-                _assert_close(field(pts, t), exact(pts, t))
-        # a writable array edited in place is evaluated afresh
-        edited = loose.copy()
-        field(edited, 0.37)
-        edited[:] = rng.uniform(lo, hi, size=edited.shape)
-        _assert_close(field(edited, 0.37), exact(edited, 0.37))
+        for t in (0.0, 0.13, 0.37, case.T):
+            for pts in points:
+                _assert_close(fields[name](pts, t), exact(pts, t))
 
 
-@pytest.mark.parametrize("case, expected", [
-    ("stokes", {"curl", "jacobian", "shift", "viscous_pressure"}),
-    ("eddy2d", {"curl", "rot", "sigma_curl"}),
-])
-def test_one_level_evaluates_each_profile_once_per_points_array(
-        monkeypatch, case, expected):
-    calls = []
-    evaluate = problems._Profiles.evaluate
+@pytest.mark.parametrize("kind", ["stokes", "eddy2d"])
+def test_separable_load_matches_closed_form_moments(kind):
+    case, oracle, space = _case_and_oracle(kind)
+    tab = CellTables.of(space)
+    # a second case on the same space must get moments of its own
+    other = ((stokes_case(nu=1.3), _closed_form_stokes(1.3))
+             if kind == "stokes" else
+             (eddy2d_case(sigma=0.4, mu_mag=2.2), _closed_form_eddy(0.4, 2.2)))
+    for case, oracle in ((case, oracle), other):
+        f_rot = oracle.get("f_rot", lambda pts, t: None)
+        load = (case.load_factors, case.load_profiles)
+        # every time twice: the moments built at the first call are reused
+        for t in (0.0, 0.13, 0.37, case.T) * 2:
+            expected = tab.moments(oracle["f_vec"](tab.qp, t),
+                                   f_rot(tab.qp, t))
+            _assert_close(assemble_load(space, load, t), expected, 1e-13)
+            if kind == "stokes":
+                _assert_close(assemble_load(space, case.f_vec, t), expected,
+                              1e-13)
 
-    def spy(self, name, pts):
-        if not pts.flags.writeable:
-            calls.append((name, pts))   # keeps pts alive: ids stay unique
-        return evaluate(self, name, pts)
 
-    monkeypatch.setattr(problems._Profiles, "evaluate", spy)
+@pytest.mark.parametrize("case", ["stokes", "eddy2d"])
+def test_one_level_evaluates_the_load_profiles_once(monkeypatch, case):
+    calls, spaces = [], []
+    make_case = getattr(runner, f"{case}_case")
+
+    def spied_case(**kwargs):
+        made = make_case(**kwargs)
+
+        def load_profiles(pts):
+            calls.append(pts)
+            return made.load_profiles(pts)
+        return dataclasses.replace(made, load_profiles=load_profiles)
+
+    assemble_load = runner.assemble_load
+
+    def recorded_load(space, f, t):
+        spaces.append(space)
+        return assemble_load(space, f, t)
+
+    monkeypatch.setattr(runner, f"{case}_case", spied_case)
+    monkeypatch.setattr(runner, "assemble_load", recorded_load)
     n = 2 if case == "stokes" else 3
     for steps in (2, 5):
         calls.clear()
+        spaces.clear()
         cfg = parse_config(f"case = {case}\nn = {n}\nlevels = 1\n"
                            f"steps = {steps}\nprobes = false\n")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            run_level(cfg, 0)
-        keys = [(name, id(pts)) for name, pts in calls]
-        assert len(keys) == len(set(keys))
-        assert {name for name, _ in calls} == expected
+            runner.run_level(cfg, 0)
+        assert len(spaces) == steps
+        assert len(calls) == 1
+        assert calls[0] is CellTables.of(spaces[0]).qp

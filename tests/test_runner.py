@@ -4,7 +4,9 @@ Its `setup_s` runs from a level's start to the level's first call of
 `runner.assemble_load`, so every level loads through that name once per
 step, and the error evaluation, `runner.compute_errors`, comes once
 after the last load.  Its tracer also swaps every callable field of a
-case for a timing wrapper through `dataclasses.replace`.
+case, which is `load_profiles` alone, for a timing wrapper through
+`dataclasses.replace`; the load's time factors and the exact-field terms
+are data and pass through unchanged.
 """
 import dataclasses
 import warnings
@@ -49,9 +51,11 @@ def test_case_callables_swap_through_replace(make_case):
     swapped = {f.name: wrapped(getattr(case, f.name))
                for f in dataclasses.fields(case)
                if callable(getattr(case, f.name))}
-    # the loads are a case's only callables; the terms, which the error
-    # norms read, are data and stay as they are
-    assert set(swapped) == ({"f_vec", "f_rot"} if case.kind == "eddy2d"
-                            else {"f_vec"})
+    # the load's profiles are a case's only callable field; its time
+    # factors and the terms, which the error norms read, are data and
+    # stay as they are
+    assert set(swapped) == {"load_profiles"}
     copy = dataclasses.replace(case, **swapped)
     assert copy.terms is case.terms
+    assert copy.load_factors is case.load_factors
+    assert copy.load_profiles is swapped["load_profiles"]

@@ -50,7 +50,8 @@ def test_constraint_satisfied_every_step(eddy3, eddy_case_default):
     _, E, _, ops = eddy3
     case = eddy_case_default
     grid = TimeGrid(case.T, 5)
-    load = lambda t: assemble_load(E, case.f_vec, t, rot_part=case.f_rot)
+    load = lambda t: assemble_load(
+        E, (case.load_factors, case.load_profiles), t)
     sol = run(ops, load, grid)
     for n in range(1, grid.N + 1):
         lhs = np.linalg.norm(ops.B @ sol.u[n])
@@ -82,7 +83,8 @@ def test_factorization_reused_matches_per_step_solves(eddy3, eddy_case_default):
     _, E, _, ops = eddy3
     case = eddy_case_default
     grid = TimeGrid(case.T, 3)
-    load = lambda t: assemble_load(E, case.f_vec, t, rot_part=case.f_rot)
+    load = lambda t: assemble_load(
+        E, (case.load_factors, case.load_profiles), t)
     sol = run(ops, load, grid)
     A_dt = ops.R + grid.dt * ops.A
     u_prev = np.zeros(ops.B.shape[1])
