@@ -22,8 +22,8 @@ from .assembly import CellTables
 from .spaces import interpolate
 
 __all__ = [
-    "ErrorNorms", "LevelResult", "compute_errors", "fit_rates",
-    "TooFewLevels",
+    "ErrorNorms", "ErrorSweep", "LevelResult", "compute_errors",
+    "fit_rates", "TooFewLevels",
 ]
 
 
@@ -129,81 +129,118 @@ def _interpolants(terms, space):
                      for term in terms]).reshape(len(terms), space.num_free)
 
 
-def compute_errors(solution, case, ops):
-    """Error norms of a time series against the manufactured case."""
-    tu = CellTables.of(ops.primal)
-    tm = CellTables.of(ops.multiplier)
-    grid = solution.grid
-    dt = grid.dt
-    primal, mult = case.terms
+def compute_errors(case, ops, grid):
+    """The error sweep of one level against the manufactured case."""
+    return ErrorSweep(case, ops, grid)
 
-    C = _interpolants(primal, ops.primal)
-    Cm = _interpolants(mult, ops.multiplier)
-    Pv = _profiles(primal, "value", tu.val, tu.qp)
-    Pd = _profiles(primal, "deriv", tu.der, tu.qp)
-    rv = Pv - (tu.val @ C.T).T
-    rd = Pd - (tu.der @ C.T).T
-    rm = _profiles(mult, "value", tm.val, tm.qp) - (tm.val @ Cm.T).T
 
-    # X is the H1_0 seminorm (Stokes) or the H(curl) norm (eddy); for the
-    # eddy case M likewise adds the H1 seminorm to the L2 norm
-    full_norms = case.kind == "eddy2d"
-    if full_norms:
-        cells = tu.cells.repeat(tu.wdet.shape[1])
-        w_cond = tu.w * (ops.primal.mesh.cell_subdomain[cells]
-                         == meshmod.CONDUCTOR)
-        sigma = case.coeffs.sigma
-        R = _Form(ops.R, [(tu.val, sigma * w_cond, rv)])
-        X = _Form(ops.X, [(tu.val, tu.w, rv), (tu.der, tu.w, rd)])
-        rmd = (_profiles(mult, "deriv", tm.der, tm.qp)
-               - (tm.der @ Cm.T).T)
-        M = _Form(ops.M, [(tm.val, tm.w, rm), (tm.der, tm.w, rmd)])
-        # H = rot(u) / mu_mag; the factor cancels in the ratio, so the
-        # magnetic error is the rot part of X, mu_mag A = Dᵀ W D
-        H = _Form(case.coeffs.mu_mag * ops.A, [(tu.der, tu.w, rd)])
-        # Gram matrices of the exact fields for the denominators:
-        # sum w_cond P_k.P_l (conductor) and sum w rot P_k rot P_l
-        E_exact = Pv @ _per_row(w_cond, Pv).T
-        H_exact = Pd @ _per_row(tu.w, Pd).T
-    else:
-        R = _Form(ops.R, [(tu.val, tu.w, rv)])
-        X = _Form(ops.X, [(tu.der, tu.w, rd)])
-        M = _Form(ops.M, [(tm.val, tm.w, rm)])
+class ErrorSweep:
+    """The error norms of one level, accumulated step by step.
 
-    norms = ErrorNorms()
-    relE_num = relE_den = relH_num = relH_den = 0.0
-    l2X = l2M = dtR = 0.0
-    u_prev = solution.u[0]
-    for n in range(1, grid.N + 1):
+    Built once per level, where the profiles are evaluated and
+    interpolated and the forms are set up.  `add(n, u, lam)` takes the
+    steps in order, n = 1..N, and keeps only u^n for the next step's
+    difference quotient; the initial state is rest unless it is added
+    as n = 0.  `finish()` returns the norms of the steps added so far.
+
+    The sweep also keeps the run-level values that read every step: the
+    maxima of ||lam^n||_M (`lam_norm_max`) and ||u^n||_X (`u_norm_max`),
+    and the Euclidean ||u^n|| of each step n >= 1 (`u_norms`, (N,)).
+    """
+
+    def __init__(self, case, ops, grid):
+        tu = CellTables.of(ops.primal)
+        tm = CellTables.of(ops.multiplier)
+        self.ops = ops
+        self.dt = grid.dt
+        self.terms = primal, mult = case.terms
+
+        self.C = C = _interpolants(primal, ops.primal)
+        self.Cm = Cm = _interpolants(mult, ops.multiplier)
+        Pv = _profiles(primal, "value", tu.val, tu.qp)
+        Pd = _profiles(primal, "deriv", tu.der, tu.qp)
+        rv = Pv - (tu.val @ C.T).T
+        rd = Pd - (tu.der @ C.T).T
+        rm = _profiles(mult, "value", tm.val, tm.qp) - (tm.val @ Cm.T).T
+
+        # X is the H1_0 seminorm (Stokes) or the H(curl) norm (eddy); for
+        # the eddy case M likewise adds the H1 seminorm to the L2 norm
+        self.full_norms = case.kind == "eddy2d"
+        if self.full_norms:
+            cells = tu.cells.repeat(tu.wdet.shape[1])
+            w_cond = tu.w * (ops.primal.mesh.cell_subdomain[cells]
+                             == meshmod.CONDUCTOR)
+            self.sigma = sigma = case.coeffs.sigma
+            self.R = _Form(ops.R, [(tu.val, sigma * w_cond, rv)])
+            self.X = _Form(ops.X, [(tu.val, tu.w, rv), (tu.der, tu.w, rd)])
+            rmd = (_profiles(mult, "deriv", tm.der, tm.qp)
+                   - (tm.der @ Cm.T).T)
+            self.M = _Form(ops.M, [(tm.val, tm.w, rm), (tm.der, tm.w, rmd)])
+            # H = rot(u) / mu_mag; the factor cancels in the ratio, so the
+            # magnetic error is the rot part of X, mu_mag A = Dᵀ W D
+            self.H = _Form(case.coeffs.mu_mag * ops.A, [(tu.der, tu.w, rd)])
+            # Gram matrices of the exact fields for the denominators:
+            # sum w_cond P_k.P_l (conductor) and sum w rot P_k rot P_l
+            self.E_exact = Pv @ _per_row(w_cond, Pv).T
+            self.H_exact = Pd @ _per_row(tu.w, Pd).T
+        else:
+            self.R = _Form(ops.R, [(tu.val, tu.w, rv)])
+            self.X = _Form(ops.X, [(tu.der, tu.w, rd)])
+            self.M = _Form(ops.M, [(tm.val, tm.w, rm)])
+
+        self.max_R = 0.0
+        self.l2X = self.l2M = self.dtR = 0.0
+        self.relE_num = self.relE_den = self.relH_num = self.relH_den = 0.0
+        self.u_prev = np.zeros(ops.primal.num_free)
+        self.lam_norm_max = self.u_norm_max = 0.0
+        self.u_norms = np.zeros(grid.N)
+
+    def add(self, n, u, lam):
+        """Take step n's coefficients (n = 0: the initial state)."""
+        ops = self.ops
+        self.lam_norm_max = max(
+            self.lam_norm_max, float(np.sqrt(max(lam @ (ops.M @ lam), 0.0))))
+        self.u_norm_max = max(
+            self.u_norm_max, float(np.sqrt(max(u @ (ops.X @ u), 0.0))))
+        if n == 0:
+            self.u_prev = u
+            return
+        self.u_norms[n - 1] = np.linalg.norm(u)
+
+        dt = self.dt
         t = n * dt
+        primal, mult = self.terms
         a = np.array([term.a(t) for term in primal])
         da = np.array([term.da(t) for term in primal])
-        u = solution.u[n]
-        d = a @ C - u
-        dd = da @ C - (u - u_prev) / dt
-        u_prev = u
-        norms.max_R = max(norms.max_R, R(a, d))
-        l2X += X(a, d)
-        de2 = R(da, dd)
-        dtR += de2
+        d = a @ self.C - u
+        dd = da @ self.C - (u - self.u_prev) / dt
+        self.u_prev = u
+        self.max_R = max(self.max_R, self.R(a, d))
+        self.l2X += self.X(a, d)
+        de2 = self.R(da, dd)
+        self.dtR += de2
 
         am = np.array([term.a(t) for term in mult])
-        l2M += M(am, am @ Cm - solution.lam[n])
-        if full_norms:
-            relE_num += de2 / sigma
-            relE_den += float(da @ E_exact @ da)
-            relH_num += H(a, d)
-            relH_den += float(a @ H_exact @ a)
+        self.l2M += self.M(am, am @ self.Cm - lam)
+        if self.full_norms:
+            self.relE_num += de2 / self.sigma
+            self.relE_den += float(da @ self.E_exact @ da)
+            self.relH_num += self.H(a, d)
+            self.relH_den += float(a @ self.H_exact @ a)
 
-    norms.l2_X = dt * l2X
-    norms.l2_M = dt * l2M
-    norms.dt_R = dt * dtR
-    if full_norms:
-        norms.rel_E = 100.0 * float(np.sqrt(relE_num / relE_den)) \
-            if relE_den > 0 else 0.0
-        norms.rel_H = 100.0 * float(np.sqrt(relH_num / relH_den)) \
-            if relH_den > 0 else 0.0
-    return norms
+    def finish(self):
+        """The norms of the steps added so far."""
+        dt = self.dt
+        norms = ErrorNorms(max_R=self.max_R, l2_X=dt * self.l2X,
+                           l2_M=dt * self.l2M, dt_R=dt * self.dtR)
+        if self.full_norms:
+            norms.rel_E = 100.0 * float(np.sqrt(self.relE_num
+                                                / self.relE_den)) \
+                if self.relE_den > 0 else 0.0
+            norms.rel_H = 100.0 * float(np.sqrt(self.relH_num
+                                                / self.relH_den)) \
+                if self.relH_den > 0 else 0.0
+        return norms
 
 
 def fit_rates(hs, errors):

@@ -73,32 +73,37 @@ class CellTables:
     once per space on the six-point rule (see `of`) and shared by the
     operator assembly, the load, the error norms and the VTK output.
 
-    Kind-agnostic data over the flat list of quadrature points: `qp`
-    (m, 2), weights `w` (m,), and two sparse maps from free
-    coefficients, built on first use: `val` to the field values and `der`
-    to the gradient (p1, multiplier), the Jacobian (mini) or the scalar
-    curl (edge).  `values`, `derivs` and `moments` sit on top of them,
+    Kind-agnostic data over the flat list of quadrature points: weights
+    `w` (m,), and, built on first use, the points `qp` (m, 2) and two
+    sparse maps from free coefficients: `val` to the field values and
+    `der` to the gradient (p1, multiplier), the Jacobian (mini) or the
+    scalar curl (edge).  `values`, `derivs` and `moments` sit on top of them,
     and every operator is a weighted product of them (see `_gram`).
     `load` holds the moments of the last separable load (see
     `assemble_load`).
 
-    Per-kind local basis data, from which the maps are built: p1 /
-    multiplier carry `vals` (nq, 3) and `grads` (nc, 3, 2); mini carries
+    Per-kind local basis data, from which the maps are built, computed
+    on access rather than kept, as the maps hold all a level needs: p1 /
+    multiplier have `vals` (nq, 3) and `grads` (nc, 3, 2); mini has
     `vals` (nq, 4) and `grads` (nc, nq, 4, 2) for the scalar P1+bubble
-    basis; edge carries `wvals` (nc, nq, 3, 2) and `wrot` (nc, 3).
+    basis; edge has `wvals` (nc, nq, 3, 2) and `wrot` (nc, 3).
     """
 
-    def __init__(self, space, rule):
-        self.rule = rule
-        mesh = space.mesh
-        cells = space.active_cells
-        pts = mesh.vertices[mesh.cells[cells]]          # (nc, 3, 2)
-        # g: physical gradients of the barycentric coordinates
-        area, g = cell_geometry(pts)
-        det = 2.0 * area
+    # per-point shapes of the values and the derivatives
+    _SHAPES = {"p1": ((), (2,)), "multiplier": ((), (2,)),
+               "mini": ((2,), (2, 2)), "edge": ((2,), ())}
 
-        bary = rule.points
-        self.qp = np.einsum("qk,ckd->cqd", bary, pts).reshape(-1, 2)
+    def __init__(self, space, rule):
+        if space.kind not in self._SHAPES:
+            raise ValueError(f"unknown space kind {space.kind!r}")
+        self.kind = space.kind
+        self._shapes = self._SHAPES[space.kind]
+        self.rule = rule
+        self._mesh = mesh = space.mesh
+        cells = space.active_cells
+        # physical gradients of the barycentric coordinates
+        area, self._g = cell_geometry(mesh.vertices[mesh.cells[cells]])
+        det = 2.0 * area
         self.load = None
         self.wdet = np.outer(det, rule.weights)  # weights sum to A per cell
         self.w = self.wdet.ravel()
@@ -106,59 +111,81 @@ class CellTables:
         self.cells = cells
         self.nfree = space.num_free
         # free column of each cell DOF, -1 on constrained DOFs
-        cols = space.free_index(self.dofs).astype(np.int32)[:, None]
+        self._cols = space.free_index(self.dofs).astype(np.int32)[:, None]
+        if self.kind == "edge":
+            self._sign = mesh.cell_edge_sign[cells][:, :, None]  # (nc, 3, 1)
 
-        # (data, cols) recipes of the maps, broadcast over missing axes:
-        # data[c, q, *shape, j] is local basis function j's contribution at
-        # point q of cell c and cols[c, 0, *shape, j] its free column;
-        # _shapes are the per-point shapes of the values and derivatives
-        kind = space.kind
-        if kind in ("p1", "multiplier"):
-            self.vals = p1_values(bary)
-            self.grads = g
-            self._val = (self.vals[None], cols)
-            self._der = (g.transpose(0, 2, 1)[:, None], cols[:, :, None])
-            self._shapes = (), (2,)
-        elif kind == "mini":
-            vals = np.empty((len(bary), 4))
-            vals[:, :3] = p1_values(bary)
-            vals[:, 3] = bubble_values(bary)
-            self.vals = vals
-            grads = np.empty((len(cells), len(bary), 4, 2))
-            grads[:, :, :3, :] = g[:, None, :, :]
-            l0, l1, l2 = bary[:, 0], bary[:, 1], bary[:, 2]
-            grads[:, :, 3, :] = 27.0 * (
-                np.einsum("q,cd->cqd", l1 * l2, g[:, 0])
-                + np.einsum("q,cd->cqd", l0 * l2, g[:, 1])
-                + np.einsum("q,cd->cqd", l0 * l1, g[:, 2])
-            )
-            self.grads = grads
+    @cached_property
+    def qp(self):
+        # the three barycentric terms summed in order (a matmul would
+        # round differently)
+        bary = self.rule.points
+        pts = self._mesh.vertices[self._mesh.cells[self.cells]]  # (nc, 3, 2)
+        return (bary[:, 0, None] * pts[:, None, 0]
+                + bary[:, 1, None] * pts[:, None, 1]
+                + bary[:, 2, None] * pts[:, None, 2]).reshape(-1, 2)
+
+    @property
+    def vals(self):
+        bary = self.rule.points
+        if self.kind == "mini":
+            return np.column_stack([p1_values(bary), bubble_values(bary)])
+        return p1_values(bary)
+
+    @property
+    def grads(self):
+        g = self._g
+        if self.kind != "mini":
+            return g
+        l0, l1, l2 = self.rule.points.T
+        grads = np.empty((len(g), len(l0), 4, 2))
+        grads[:, :, :3, :] = g[:, None, :, :]
+        grads[:, :, 3, :] = 27.0 * (
+            (l1 * l2)[:, None] * g[:, None, 0]
+            + (l0 * l2)[:, None] * g[:, None, 1]
+            + (l0 * l1)[:, None] * g[:, None, 2]
+        )
+        return grads
+
+    def _edge_ends(self):
+        # local edge k runs from vertex k+1 to k+2; signing both endpoint
+        # gradients turns it to the global low -> high edge
+        s, g = self._sign, self._g
+        return s * g[:, [1, 2, 0]], s * g[:, [2, 0, 1]]
+
+    @property
+    def wvals(self):
+        ga, gb = self._edge_ends()
+        lam = p1_values(self.rule.points)               # (nq, 3)
+        return (lam[:, [1, 2, 0], None] * gb[:, None]
+                - lam[:, [2, 0, 1], None] * ga[:, None])
+
+    @property
+    def wrot(self):
+        ga, gb = self._edge_ends()
+        return 2.0 * self._sign[:, :, 0] * (
+            ga[:, :, 0] * gb[:, :, 1] - ga[:, :, 1] * gb[:, :, 0])
+
+    def _recipe(self, name):
+        """(data, cols) of the map `name` ("val" or "der"), broadcast over
+        missing axes: data[c, q, *shape, j] is local basis function j's
+        contribution at point q of cell c and cols[c, 0, *shape, j] its
+        free column."""
+        cols = self._cols
+        if self.kind in ("p1", "multiplier"):
+            if name == "val":
+                return self.vals[None], cols
+            return self.grads.transpose(0, 2, 1)[:, None], cols[:, :, None]
+        if self.kind == "mini":
             # DOF 2s+d is scalar basis s times the unit vector e_d
-            vcols = cols.reshape(len(cells), 1, 4, 2).transpose(0, 1, 3, 2)
-            self._val = (vals[None, :, None, :], vcols)
-            self._der = (grads.transpose(0, 1, 3, 2)[:, :, None],
-                         vcols[:, :, :, None])
-            self._shapes = (2,), (2, 2)
-        elif kind == "edge":
-            # local edge k runs from vertex k+1 to k+2; signing both
-            # endpoint gradients turns it to the global low -> high edge
-            s = mesh.cell_edge_sign[cells][:, :, None]     # (nc, 3, 1)
-            ga = s * g[:, [1, 2, 0]]
-            gb = s * g[:, [2, 0, 1]]
-            lam = p1_values(bary)                       # (nq, 3)
-            wvals = (
-                np.einsum("qe,ced->cqed", lam[:, [1, 2, 0]], gb)
-                - np.einsum("qe,ced->cqed", lam[:, [2, 0, 1]], ga)
-            )
-            self.wvals = wvals
-            self.wrot = 2.0 * s[:, :, 0] * (
-                ga[:, :, 0] * gb[:, :, 1] - ga[:, :, 1] * gb[:, :, 0]
-            )
-            self._val = (wvals.transpose(0, 1, 3, 2), cols[:, :, None])
-            self._der = (self.wrot[:, None], cols)
-            self._shapes = (2,), ()
-        else:
-            raise ValueError(f"unknown space kind {kind!r}")
+            vcols = cols.reshape(len(cols), 1, 4, 2).transpose(0, 1, 3, 2)
+            if name == "val":
+                return self.vals[None, :, None, :], vcols
+            return (self.grads.transpose(0, 1, 3, 2)[:, :, None],
+                    vcols[:, :, :, None])
+        if name == "val":
+            return self.wvals.transpose(0, 1, 3, 2), cols[:, :, None]
+        return self.wrot[:, None], cols
 
     @classmethod
     def of(cls, space):
@@ -174,26 +201,29 @@ class CellTables:
         # alike, so no product with the map pays for them
         shape = self.wdet.shape + np.broadcast_shapes(data.shape,
                                                       cols.shape)[2:]
-        free = np.broadcast_to(cols >= 0, shape)
+        free = cols >= 0
+        slots = np.zeros(shape)
+        np.copyto(slots, data, where=free)
+        slot_cols = np.zeros(shape, dtype=cols.dtype)
+        np.copyto(slot_cols, cols, where=free)
         width = shape[-1]
-        nnz = int(np.prod(shape))
-        # np.where writes fresh full-size arrays, which the in-place
-        # eliminate_zeros needs
         P = sp.csr_matrix(
-            (np.where(free, data, 0.0).ravel(),
-             np.where(free, cols, 0).ravel(),
-             np.arange(0, nnz + 1, width, dtype=cols.dtype)),
-            shape=(nnz // width, self.nfree))
+            (slots.ravel(), slot_cols.ravel(),
+             np.arange(0, slots.size + 1, width, dtype=cols.dtype)),
+            shape=(slots.size // width, self.nfree))
         P.eliminate_zeros()
+        if P.nnz < slots.size:
+            # the pruned arrays may be views into the full-size ones
+            P.data, P.indices = P.data.copy(), P.indices.copy()
         return P
 
     @cached_property
     def val(self):
-        return self._point_map(*self._val)
+        return self._point_map(*self._recipe("val"))
 
     @cached_property
     def der(self):
-        return self._point_map(*self._der)
+        return self._point_map(*self._recipe("der"))
 
     def values(self, u):
         """Field values at the points from free coefficients u."""

@@ -74,20 +74,23 @@ def run_level(cfg, level, vtk_dir=None):
             "> 1/2; the per-step stability margin is not guaranteed",
             stacklevel=2,
         )
-    solution = run(ops, load, grid)
-    norms = compute_errors(solution, case, ops)
+    # each step goes into the error sweep, built on the first step so
+    # that nothing runs between the level's start and its first load,
+    # and into the snapshots it is one of; no history is kept
+    snapshots = _snapshot_steps(cfg, ops, grid.N, vtk_dir)
+    sweep = None
 
-    lam_norm_max = max(
-        float(np.sqrt(max(lam @ (ops.M @ lam), 0.0))) for lam in solution.lam
-    )
-    u_norm_max = max(
-        float(np.sqrt(max(u @ (ops.X @ u), 0.0))) for u in solution.u
-    )
-    constraint_rel_max = max(
-        (solution.constraint_residuals[n - 1]
-         / (1.0 + float(np.linalg.norm(solution.u[n]))))
-        for n in range(1, grid.N + 1)
-    )
+    def observe(n, u, lam):
+        nonlocal sweep
+        if sweep is None:
+            sweep = compute_errors(case, ops, grid)
+        sweep.add(n, u, lam)
+        if n in snapshots:
+            snapshots[n] = (u.copy(), lam.copy())
+
+    solution = run(ops, load, grid, observe)
+    constraint_rel_max = np.max(
+        solution.constraint_residuals / (1.0 + sweep.u_norms))
 
     beta_h = alpha_h = 0.0
     probed = False
@@ -101,18 +104,18 @@ def run_level(cfg, level, vtk_dir=None):
                                       shift, ops.mean_row)
         probed = True
 
-    if vtk_dir is not None and cfg.vtk_every > 0:
-        _write_snapshots(cfg, level, mesh, ops, solution, vtk_dir)
+    if snapshots:
+        _write_snapshots(cfg, level, mesh, ops, snapshots, vtk_dir)
 
     return LevelResult(
         level=level,
         h=mesh.h,
         dt=grid.dt,
-        norms=norms,
+        norms=sweep.finish(),
         beta_h=beta_h,
         alpha_h=alpha_h,
-        lam_norm_max=lam_norm_max,
-        u_norm_max=u_norm_max,
+        lam_norm_max=sweep.lam_norm_max,
+        u_norm_max=sweep.u_norm_max,
         constraint_max=float(solution.constraint_residuals.max(initial=0.0)),
         block_residual_max=float(solution.block_residuals.max(initial=0.0)),
         factor_fill=solution.factor_fill,
@@ -124,11 +127,18 @@ def run_level(cfg, level, vtk_dir=None):
     )
 
 
-def _write_snapshots(cfg, level, mesh, ops, solution, vtk_dir):
+def _snapshot_steps(cfg, ops, N, vtk_dir):
+    """The steps a level writes, in order, each to be given its (u, lam):
+    every `vtk_every`-th and the last, from step 0, which is rest."""
+    if vtk_dir is None or cfg.vtk_every <= 0:
+        return {}
+    rest = (np.zeros(ops.primal.num_free), np.zeros(ops.multiplier.num_free))
+    return {0: rest, **dict.fromkeys(
+        [*range(cfg.vtk_every, N + 1, cfg.vtk_every), N])}
+
+
+def _write_snapshots(cfg, level, mesh, ops, snapshots, vtk_dir):
     vtk_dir.mkdir(parents=True, exist_ok=True)
-    steps = [n for n in range(solution.grid.N + 1) if n % cfg.vtk_every == 0]
-    if solution.grid.N not in steps:
-        steps.append(solution.grid.N)
     # the multiplier at the vertices: p1 maps vertex k to DOF k, and the
     # eddy multiplier, which lives on the insulator, reads 0 inside the
     # conductor
@@ -143,20 +153,20 @@ def _write_snapshots(cfg, level, mesh, ops, solution, vtk_dir):
         nq = len(tab.rule.weights)
         average = tab.rule.weights / tab.rule.weights.sum()
         curl = tab.der[::nq]
-    for n in steps:
+    for n, (u, lam_n) in snapshots.items():
         path = vtk_dir / f"{cfg.case}_L{level}_step{n:04d}.vtk"
         lam = np.zeros(nv)
-        lam[ok] = ops.multiplier.extend(solution.lam[n])[vertex_dof[ok]]
+        lam[ok] = ops.multiplier.extend(lam_n)[vertex_dof[ok]]
         if cfg.case == "stokes":
-            full = ops.primal.extend(solution.u[n])
+            full = ops.primal.extend(u)
             vel = np.column_stack([full[0:2 * nv:2], full[1:2 * nv:2]])
             point_data = {"velocity": vel, "multiplier": lam}
             cell_data = None
         else:
-            vals = tab.values(solution.u[n]).reshape(-1, nq, 2)
+            vals = tab.values(u).reshape(-1, nq, 2)
             point_data = {"multiplier": lam}
             cell_data = {"u": np.einsum("q,cqd->cd", average, vals),
-                         "rot_u": curl @ solution.u[n]}
+                         "rot_u": curl @ u}
         vtkio.write_unstructured(path, mesh, point_data=point_data,
                                  cell_data=cell_data,
                                  title=f"{cfg.case} step {n}")

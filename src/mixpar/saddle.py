@@ -93,31 +93,24 @@ class SaddleSolver:
             raise ValueError("B column count does not match A_dt")
         self.A_dt = sp.csr_matrix(A_dt)
         self.B = sp.csr_matrix(B)
-        self.BT = self.B.T.tocsr()
         self.mean_row = mean_row
         self.dropped = 0 if mean_row is None else 1
         # every valid (1,1) block has a positive diagonal; a zero one (say
         # dt * A underflowing off the conductor) can crash SuperLU
         if not np.all(self.A_dt.diagonal() > 0):
             raise SingularSystem("(1,1) block has a non-positive diagonal")
-        B1 = self.B[self.dropped:]
-        K = sp.bmat([[self.A_dt, B1.T], [B1, None]], format="csc")
-        options = SPLU_OPTIONS
         self.order = order
+        options = SPLU_OPTIONS
         if order is not None:
-            # entry (i, j) moves to (rank[i], rank[j]); built directly, as
-            # fancy indexing of a sparse matrix may warn
-            rank = np.empty(len(order), dtype=np.intp)
-            rank[order] = np.arange(len(order))
-            K = K.tocoo()
-            K = sp.csc_matrix((K.data, (rank[K.row], rank[K.col])),
-                              shape=K.shape)
             options = dict(SPLU_OPTIONS, permc_spec="NATURAL")
+        K = _block_matrix(self.A_dt, self.B[self.dropped:], order)
         try:
             self.lu = spla.splu(K, **options)
         except RuntimeError as err:
             raise SingularSystem(str(err)) from err
         self.fill = self.lu.nnz
+        # formed after the factorization, whose peak memory it would add to
+        self.BT = self.B.T.tocsr()
 
     def solve(self, F, G):
         rhs = np.concatenate([F, G[self.dropped:]])
@@ -139,6 +132,30 @@ class SaddleSolver:
         if rel > RESIDUAL_TOL:
             raise ResidualTooLarge(f"relative residual {rel:.3e}")
         return u, lam, SolveInfo(rel, constraint)
+
+
+def _block_matrix(A_dt, B1, order=None):
+    """K = [[A_dt, B1ᵀ], [B1, 0]] in CSC, with `order` as K[order][:, order].
+
+    One COO pass with int32 indices: entry (i, j) goes to (rank[i],
+    rank[j]), where rank inverts `order`, and the triplets are freed on
+    return.  Built directly, as fancy indexing of a sparse matrix may
+    warn.
+    """
+    n = A_dt.shape[0]
+    size = n + B1.shape[0]
+    A = A_dt.tocoo(copy=False)
+    B = B1.tocoo(copy=False)
+    rows = np.concatenate([A.row, B.col, B.row + n], dtype=np.int32)
+    cols = np.concatenate([A.col, B.row + n, B.col], dtype=np.int32)
+    data = np.concatenate([A.data, B.data, B.data])
+    del A, B
+    if order is not None:
+        rank = np.empty(size, dtype=np.int32)
+        rank[order] = np.arange(size, dtype=np.int32)
+        rows = rank[rows]
+        cols = rank[cols]
+    return sp.csc_matrix((data, (rows, cols)), shape=(size, size))
 
 
 def dissection_order(ops):

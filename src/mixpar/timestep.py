@@ -9,7 +9,9 @@ starting from rest, u^0 = 0 and lam^0 = 0; the constraint data g is
 zero in both problem instances.  The block matrix is time-independent,
 so it is factorized once and reused for all steps, in the nested-
 dissection order of `saddle.dissection_order` where the spaces have one
-(Stokes) and in SuperLU's minimum-degree order otherwise (eddy).
+(Stokes) and in SuperLU's minimum-degree order otherwise (eddy).  A
+step needs only the one before it, so a run can hand each step to an
+observer and keep no history.
 """
 from __future__ import annotations
 
@@ -47,20 +49,24 @@ class TimeGrid:
 @dataclass
 class TimeSeriesSolution:
     """Coefficients (u^n, lam^n) for n = 0..N, per-step residuals and the
-    fill of the block factorization (SaddleSolver.fill)."""
+    fill of the block factorization (SaddleSolver.fill).  A run streamed
+    into an observer keeps no history: u and lam are None."""
 
-    u: np.ndarray            # (N+1, n_primal_free)
-    lam: np.ndarray          # (N+1, n_multiplier_free)
+    u: np.ndarray | None     # (N+1, n_primal_free)
+    lam: np.ndarray | None   # (N+1, n_multiplier_free)
     grid: TimeGrid
     block_residuals: np.ndarray = field(default_factory=lambda: np.zeros(0))
     constraint_residuals: np.ndarray = field(default_factory=lambda: np.zeros(0))
     factor_fill: int = 0
 
 
-def run(ops, load, grid):
+def run(ops, load, grid, observe=None):
     """Advance the backward-Euler scheme from rest over the time grid.
 
-    load(t) returns the free-DOF moment vector of f(t).
+    load(t) returns the free-DOF moment vector of f(t).  With `observe`,
+    each step n = 1..N ends with observe(n, u^n, lam^n), on fresh arrays
+    the observer may keep, and the run stores no history; without it the
+    returned solution holds every step.
     """
     nU = ops.A.shape[0]
     nM = ops.B.shape[0]
@@ -69,23 +75,30 @@ def run(ops, load, grid):
     solver = SaddleSolver(A_dt, ops.B, ops.mean_row,
                           order=dissection_order(ops))
 
-    u = np.zeros((grid.N + 1, nU))
-    lam = np.zeros((grid.N + 1, nM))
+    u_hist = lam_hist = None
+    if observe is None:
+        u_hist = np.zeros((grid.N + 1, nU))
+        lam_hist = np.zeros((grid.N + 1, nM))
+
+        def observe(n, un, ln):
+            u_hist[n] = un
+            lam_hist[n] = ln
     block_res = np.zeros(grid.N)
     constraint_res = np.zeros(grid.N)
 
+    u = np.zeros(nU)
+    lam = np.zeros(nM)
     G = np.zeros(nM)
     for n in range(1, grid.N + 1):
         t = n * dt
-        F = dt * load(t) + ops.R @ u[n - 1] + solver.BT @ lam[n - 1]
+        F = dt * load(t) + ops.R @ u + solver.BT @ lam
         try:
-            un, ln, info = solver.solve(F, G)
+            u, lam, info = solver.solve(F, G)
         except SingularSystem as err:
             raise SingularSystem(f"step {n} (t={t:g}): {err}") from err
-        u[n] = un
-        lam[n] = ln
         block_res[n - 1] = info.block_residual
         constraint_res[n - 1] = info.constraint_residual
+        observe(n, u, lam)
 
-    return TimeSeriesSolution(u, lam, grid, block_res, constraint_res,
-                              solver.fill)
+    return TimeSeriesSolution(u_hist, lam_hist, grid, block_res,
+                              constraint_res, solver.fill)

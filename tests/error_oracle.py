@@ -4,15 +4,16 @@ the error norms.
 `exact_fields` builds the exact-field callables from a case's terms.
 `quadrature_errors` evaluates the discrete fields and the exact fields
 at every quadrature point of every step and sums the weighted squares.
-The library's `analysis.compute_errors` evaluates the same norms as
-quadratic forms in the assembled operators; the tests compare the two.
+The library's error sweep (`analysis.compute_errors`) evaluates the same
+norms as quadratic forms in the assembled operators, one step at a time;
+`swept_errors` feeds it a whole history, and the tests compare the two.
 """
 from types import SimpleNamespace
 
 import numpy as np
 
 from mixpar import mesh as meshmod
-from mixpar.analysis import ErrorNorms
+from mixpar.analysis import ErrorNorms, compute_errors
 from mixpar.assembly import CellTables
 
 
@@ -43,6 +44,14 @@ def exact_fields(case):
         fields["grad_multiplier"] = _field(
             [(t.a, t.deriv) for t in mult], (2,))
     return SimpleNamespace(**fields)
+
+
+def swept_errors(solution, case, ops):
+    """The library's error norms of a stored history, from its step 0."""
+    sweep = compute_errors(case, ops, solution.grid)
+    for n in range(solution.grid.N + 1):
+        sweep.add(n, solution.u[n], solution.lam[n])
+    return sweep.finish()
 
 
 def _sq(a):

@@ -13,7 +13,7 @@ from mixpar.problems import (ManufacturedCase, Term, Terms, eddy2d_case,
                              stokes_case)
 from mixpar.timestep import TimeGrid, TimeSeriesSolution, run
 from conftest import build_eddy, build_stokes
-from error_oracle import exact_fields, quadrature_errors
+from error_oracle import exact_fields, quadrature_errors, swept_errors
 
 
 _A, _B = 0.4, np.array([0.3, -0.2])
@@ -57,7 +57,7 @@ def test_exact_reproduction_gives_zero_norms():
     coef0 = interpolate(E, lambda p: exact_fields(case).u(p, 0.0))
     u = np.array([(1.0 - t) / 1.0 * coef0 for t in grid.times])
     sol = TimeSeriesSolution(u, np.zeros((grid.N + 1, MU.num_free)), grid)
-    norms = compute_errors(sol, case, ops)
+    norms = swept_errors(sol, case, ops)
     for val in (norms.max_R, norms.l2_X, norms.l2_M, norms.dt_R):
         assert 0.0 <= val <= 1e-20
     assert 0.0 <= norms.rel_E <= 1e-8
@@ -72,7 +72,7 @@ def test_l2m_matches_coefficient_quadratic_form(eddy3, eddy_case_default):
     load = lambda t: assemble_load(
         E, (case.load_factors, case.load_profiles), t)
     sol = run(ops, load, grid)
-    norms = compute_errors(sol, case, ops)
+    norms = swept_errors(sol, case, ops)
     direct = grid.dt * sum(
         sol.lam[n] @ (ops.M @ sol.lam[n]) for n in range(1, grid.N + 1)
     )
@@ -87,7 +87,7 @@ def test_errors_translation_consistent():
     rng = np.random.default_rng(21)
     u = rng.standard_normal((grid.N + 1, E.num_free))
     sol = TimeSeriesSolution(u, np.zeros((grid.N + 1, MU.num_free)), grid)
-    base = compute_errors(sol, _series_case(_SERIES), ops)
+    base = swept_errors(sol, _series_case(_SERIES), ops)
 
     shift = np.array([0.8, -0.6])
     # 1 * shift, a constant field with no rot
@@ -96,7 +96,7 @@ def test_errors_translation_consistent():
                        lambda p: np.zeros(len(p)))
     shift_coef = interpolate(E, translation.value)
     sol2 = TimeSeriesSolution(u + shift_coef[E.free], sol.lam, grid)
-    shifted = compute_errors(sol2, _series_case(_SERIES, translation), ops)
+    shifted = swept_errors(sol2, _series_case(_SERIES, translation), ops)
     assert shifted.max_R == pytest.approx(base.max_R, rel=1e-9, abs=1e-18)
     assert shifted.l2_X == pytest.approx(base.l2_X, rel=1e-9, abs=1e-18)
     assert shifted.dt_R == pytest.approx(base.dt_R, rel=1e-9, abs=1e-18)
@@ -127,7 +127,7 @@ def test_forms_match_quadrature_oracle(kind, pattern, steps):
         grid = TimeGrid(steps * sol.grid.dt, steps)
         sol = TimeSeriesSolution(sol.u[:steps + 1], sol.lam[:steps + 1],
                                  grid)
-    forms = compute_errors(sol, case, ops)
+    forms = swept_errors(sol, case, ops)
     oracle = quadrature_errors(sol, case, ops)
     assert forms.max_R > 0.0 and forms.rel_E >= 0.0
     for field in dataclasses.fields(ErrorNorms):
@@ -135,6 +135,32 @@ def test_forms_match_quadrature_oracle(kind, pattern, steps):
         atol = 1e-24 if (kind, field.name) == ("eddy2d", "l2_M") else 0.0
         assert getattr(forms, field.name) == pytest.approx(
             getattr(oracle, field.name), rel=1e-12, abs=atol), field.name
+
+
+@pytest.mark.parametrize("kind", ["stokes", "eddy2d"])
+def test_sweep_partial_sums_match_oracle_after_each_step(kind):
+    # the sweep keeps no history: after each step its norms are the
+    # oracle's on the steps so far, and its maxima those of the history
+    case, ops, sol = _solved(kind, "right")
+    dt = sol.grid.dt
+    sweep = compute_errors(case, ops, sol.grid)
+    for n in range(1, sol.grid.N + 1):
+        sweep.add(n, sol.u[n], sol.lam[n])
+        first = TimeSeriesSolution(sol.u[:n + 1], sol.lam[:n + 1],
+                                   TimeGrid(n * dt, n))
+        got, want = sweep.finish(), quadrature_errors(first, case, ops)
+        for field in dataclasses.fields(ErrorNorms):
+            atol = 1e-24 if (kind, field.name) == ("eddy2d", "l2_M") else 0.0
+            assert getattr(got, field.name) == pytest.approx(
+                getattr(want, field.name), rel=1e-12, abs=atol), (n, field)
+        assert sweep.lam_norm_max == max(
+            float(np.sqrt(max(lam @ (ops.M @ lam), 0.0)))
+            for lam in sol.lam[:n + 1])
+        assert sweep.u_norm_max == max(
+            float(np.sqrt(max(u @ (ops.X @ u), 0.0))) for u in sol.u[:n + 1])
+        assert np.array_equal(sweep.u_norms[:n],
+                              [np.linalg.norm(u) for u in sol.u[1:n + 1]])
+    assert sweep.u_norm_max > 0.0
 
 
 def test_fit_rates_trivial_sequences():

@@ -10,7 +10,8 @@ from mixpar import build_space, interpolate, structured_mesh
 from mixpar.assembly import (CellTables, NoConductorCells, SpaceMismatch,
                              assemble_eddy2d, assemble_load, assemble_stokes)
 from mixpar.config import parse_config
-from mixpar.elements import SIX_POINT_RULE, p1_mass_reference
+from mixpar.elements import (SIX_POINT_RULE, cell_geometry,
+                             p1_mass_reference, p1_values)
 from mixpar.mesh import CONDUCTOR, TriMesh
 from mixpar.runner import run_level
 from mixpar.spaces import MissingTag
@@ -351,6 +352,55 @@ def _padded_map(tab, data, cols):
         shape=(len(data) // width, tab.nfree))
 
 
+def _buffer(a):
+    """The array that owns the memory of `a`."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+@pytest.mark.parametrize("kind", ["mini", "p1", "edge", "multiplier"])
+def test_point_maps_store_only_their_entries(kind):
+    # the padded map less its exact zeros, entry for entry, in arrays no
+    # larger than its entries
+    tab = CellTables.of(_four_spaces()[kind])
+    for name in ("val", "der"):
+        P = getattr(tab, name)
+        ref = _padded_map(tab, *tab._recipe(name)).copy()
+        ref.eliminate_zeros()
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(P, part), getattr(ref, part)), part
+        for arr in (P.data, P.indices):
+            assert _buffer(arr).nbytes == P.nnz * arr.itemsize, name
+
+
+@pytest.mark.parametrize("pattern", ["right", "crossed"])
+def test_table_products_match_their_einsums_bitwise(pattern):
+    spaces = (_instance_spaces("stokes", pattern)[0]
+              + _instance_spaces("eddy2d", pattern)[0])
+    bary = SIX_POINT_RULE.points
+    l0, l1, l2 = bary.T
+    lam = p1_values(bary)
+    for space in spaces:
+        tab = CellTables.of(space)
+        mesh, cells = space.mesh, space.active_cells
+        pts = mesh.vertices[mesh.cells[cells]]
+        g = cell_geometry(pts)[1]
+        qp = np.einsum("qk,ckd->cqd", bary, pts).reshape(-1, 2)
+        assert tab.qp.tobytes() == qp.tobytes(), space.kind
+        if space.kind == "mini":
+            bubble = 27.0 * (np.einsum("q,cd->cqd", l1 * l2, g[:, 0])
+                             + np.einsum("q,cd->cqd", l0 * l2, g[:, 1])
+                             + np.einsum("q,cd->cqd", l0 * l1, g[:, 2]))
+            assert tab.grads[:, :, 3].tobytes() == bubble.tobytes()
+        elif space.kind == "edge":
+            s = mesh.cell_edge_sign[cells][:, :, None]
+            ga, gb = s * g[:, [1, 2, 0]], s * g[:, [2, 0, 1]]
+            wvals = (np.einsum("qe,ced->cqed", lam[:, [1, 2, 0]], gb)
+                     - np.einsum("qe,ced->cqed", lam[:, [2, 0, 1]], ga))
+            assert tab.wvals.tobytes() == wvals.tobytes()
+
+
 def _instance_spaces(case, pattern):
     if case == "stokes":
         mesh = structured_mesh((0, 0, 1, 1), 6, pattern=pattern)
@@ -371,8 +421,8 @@ def test_point_maps_drop_zeros_without_changing_results(case, pattern):
     rng = np.random.default_rng(2)
     for space in spaces:
         tab = CellTables.of(space)
-        padded = {"val": _padded_map(tab, *tab._val),
-                  "der": _padded_map(tab, *tab._der)}
+        padded = {"val": _padded_map(tab, *tab._recipe("val")),
+                  "der": _padded_map(tab, *tab._recipe("der"))}
         assert (padded["der"].data == 0).any(), space.kind
         for name, ref in padded.items():
             P = getattr(tab, name)
@@ -393,8 +443,8 @@ def test_point_maps_drop_zeros_without_changing_results(case, pattern):
     fresh, _ = _instance_spaces(case, pattern)
     for space in fresh:
         tab = CellTables.of(space)
-        tab.val = _padded_map(tab, *tab._val)
-        tab.der = _padded_map(tab, *tab._der)
+        tab.val = _padded_map(tab, *tab._recipe("val"))
+        tab.der = _padded_map(tab, *tab._recipe("der"))
     ref = assemble(*fresh)
     for name in ("R", "A", "B", "X", "M"):
         got, want = getattr(ops, name), getattr(ref, name)

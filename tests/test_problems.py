@@ -214,7 +214,7 @@ def test_eddy_weak_residual_strong_vs_residual_form(eddy3):
 # -- electric and magnetic field errors -------------------------------------
 
 def test_recovered_field_errors_decrease_across_levels():
-    from mixpar.analysis import compute_errors
+    from error_oracle import swept_errors
 
     case = eddy2d_case(T=0.75)
     rels = []
@@ -224,7 +224,7 @@ def test_recovered_field_errors_decrease_across_levels():
         load = lambda t: assemble_load(
             E, (case.load_factors, case.load_profiles), t)
         sol = run(ops, load, grid)
-        norms = compute_errors(sol, case, ops)
+        norms = swept_errors(sol, case, ops)
         rels.append((norms.rel_E, norms.rel_H))
     for k in range(2):
         assert rels[k + 1][0] < rels[k][0]

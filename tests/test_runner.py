@@ -2,8 +2,8 @@
 
 Its `setup_s` runs from a level's start to the level's first call of
 `runner.assemble_load`, so every level loads through that name once per
-step, and the error evaluation, `runner.compute_errors`, comes once
-after the last load.  Its tracer also swaps every callable field of a
+step, and the error sweep, `runner.compute_errors`, is built once, after
+the first load, and takes the steps as they are solved.  Its tracer also swaps every callable field of a
 case, which is `load_profiles` alone, for a timing wrapper through
 `dataclasses.replace`; the load's time factors and the exact-field terms
 are data and pass through unchanged.
@@ -38,7 +38,8 @@ def test_level_loads_once_per_step_then_measures_errors(monkeypatch, config):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         runner.run_level(cfg, 0)
-    assert calls == ["assemble_load"] * cfg.steps + ["compute_errors"]
+    assert calls == (["assemble_load", "compute_errors"]
+                     + ["assemble_load"] * (cfg.steps - 1))
 
 
 @pytest.mark.parametrize("make_case", [stokes_case, eddy2d_case])

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from mixpar.config import load_config
 from mixpar.runner import run_experiment
-from mixpar.saddle import (EmptyKernel, NotDenseFeasible, ResidualTooLarge,
-                           SaddleSolver, SingularSystem, dissection_order,
+from mixpar.saddle import (SPLU_OPTIONS, EmptyKernel, NotDenseFeasible,
+                           ResidualTooLarge, SaddleSolver, SingularSystem,
+                           _block_matrix, dissection_order,
                            estimate_coercivity, estimate_garding,
                            estimate_infsup, kernel_basis)
 from conftest import build_eddy, build_stokes
@@ -253,6 +254,41 @@ def test_dissection_solve_matches_minimum_degree_and_dense(pattern):
         assert np.abs(u - ref_u).max() <= 1e-12 * np.abs(ref_u).max()
         assert np.abs(lam - ref_lam).max() <= 1e-12 * np.abs(ref_lam).max()
     assert info.block_residual <= 1e-12
+
+
+def _bmat_block(A_dt, B1, order):
+    """The block matrix through scipy's bmat, then permuted through a COO
+    copy: the reference for `_block_matrix`."""
+    K = sp.bmat([[A_dt, B1.T], [B1, None]], format="csc")
+    if order is None:
+        return K
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    K = K.tocoo()
+    return sp.csc_matrix((K.data, (rank[K.row], rank[K.col])),
+                         shape=K.shape)
+
+
+# a Stokes level (dissection order) and an eddy level (minimum degree)
+@pytest.mark.parametrize("build, n", [(build_stokes, 16), (build_eddy, 12)])
+def test_one_pass_block_matrix_matches_bmat(build, n):
+    _, _, _, ops = build(n)
+    A_dt = (ops.R + (0.5 / n) * ops.A).tocsr()
+    order = dissection_order(ops)
+    assert (order is None) == (build is build_eddy)
+    solver = SaddleSolver(A_dt, ops.B, ops.mean_row, order=order)
+    B1 = solver.B[solver.dropped:]
+    want = _bmat_block(A_dt, B1, order)
+    got = _block_matrix(A_dt, B1, order)
+    assert got.indices.dtype == got.indptr.dtype == np.int32
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    options = SPLU_OPTIONS if order is None else dict(
+        SPLU_OPTIONS, permc_spec="NATURAL")
+    lu = spla.splu(want, **options)
+    assert solver.fill == lu.nnz
+    rhs = np.random.default_rng(8).standard_normal(want.shape[0])
+    assert solver.lu.solve(rhs).tobytes() == lu.solve(rhs).tobytes()
 
 
 def test_infsup_trivial_cases():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -76,6 +78,47 @@ def test_multiplier_shift_property(eddy3):
         assert np.abs(sol2.lam[n] - expected).max() <= 1e-9 * max(
             1.0, np.abs(expected).max()
         )
+
+
+def test_observed_run_streams_the_steps_it_would_store(eddy3,
+                                                      eddy_case_default):
+    _, E, _, ops = eddy3
+    case = eddy_case_default
+    grid = TimeGrid(case.T, 5)
+    load = lambda t: assemble_load(
+        E, (case.load_factors, case.load_profiles), t)
+    stored = run(ops, load, grid)
+    seen = []
+    streamed = run(ops, load, grid, lambda *step: seen.append(step))
+    assert streamed.u is None and streamed.lam is None
+    assert [n for n, _, _ in seen] == list(range(1, grid.N + 1))
+    for n, u, lam in seen:
+        assert np.array_equal(u, stored.u[n])
+        assert np.array_equal(lam, stored.lam[n])
+    assert np.array_equal(streamed.block_residuals, stored.block_residuals)
+    assert np.array_equal(streamed.constraint_residuals,
+                          stored.constraint_residuals)
+    assert streamed.factor_fill == stored.factor_fill
+
+
+def test_observed_run_holds_no_step_history(eddy6):
+    # many steps of a small level: the history would outweigh everything
+    # else the loop allocates, so an observed run's peak stays below it
+    _, _, _, ops = eddy6
+    grid = TimeGrid(1.0, 1000)
+    f = np.random.default_rng(4).standard_normal(ops.A.shape[0])
+    history = (grid.N + 1) * sum(ops.B.shape) * 8
+
+    def peak(observe=None):
+        tracemalloc.start()
+        try:
+            run(ops, lambda t: f, grid, observe)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak() >= history
+    assert peak(lambda n, u, lam: None) < history / 4
 
 
 def test_factorization_reused_matches_per_step_solves(eddy3, eddy_case_default):
