@@ -6,10 +6,12 @@ quadratic form in an operator the level already holds (R, X, M or
 mu_mag A), expanded around the interpolant of the exact field so that
 no term cancels (see `_Form`): the profiles are evaluated and
 interpolated once per level, and each step costs one sparse product per
-norm.  The quadrature evaluation of the same norms, point by point and
-step by step, lives in tests/ as their oracle.  ErrorNorms stores the
-squared time-discrete quantities; reported values are their square
-roots, so fitted rates read as O(h + dt).
+norm.  The steps are added as they are solved (`ErrorSweep`), so a level
+keeps no history of its coefficients.  The quadrature evaluation of the
+same norms, point by point and step by step, lives in tests/ as their
+oracle.  ErrorNorms stores the squared time-discrete quantities;
+reported values are their square roots, so fitted rates read as
+O(h + dt).
 """
 from __future__ import annotations
 
@@ -139,9 +141,9 @@ class ErrorSweep:
 
     Built once per level, where the profiles are evaluated and
     interpolated and the forms are set up.  `add(n, u, lam)` takes the
-    steps in order, n = 1..N, and keeps only u^n for the next step's
-    difference quotient; the initial state is rest unless it is added
-    as n = 0.  `finish()` returns the norms of the steps added so far.
+    steps in order, n = 1..N, from rest, and keeps only u^n (`u_prev`)
+    for the next step's difference quotient.  `finish()` returns the
+    norms of the steps added so far.
 
     The sweep also keeps the run-level values that read every step: the
     maxima of ||lam^n||_M (`lam_norm_max`) and ||u^n||_X (`u_norm_max`),
@@ -196,15 +198,12 @@ class ErrorSweep:
         self.u_norms = np.zeros(grid.N)
 
     def add(self, n, u, lam):
-        """Take step n's coefficients (n = 0: the initial state)."""
+        """Take step n's coefficients."""
         ops = self.ops
         self.lam_norm_max = max(
             self.lam_norm_max, float(np.sqrt(max(lam @ (ops.M @ lam), 0.0))))
         self.u_norm_max = max(
             self.u_norm_max, float(np.sqrt(max(u @ (ops.X @ u), 0.0))))
-        if n == 0:
-            self.u_prev = u
-            return
         self.u_norms[n - 1] = np.linalg.norm(u)
 
         dt = self.dt
@@ -234,13 +233,15 @@ class ErrorSweep:
         norms = ErrorNorms(max_R=self.max_R, l2_X=dt * self.l2X,
                            l2_M=dt * self.l2M, dt_R=dt * self.dtR)
         if self.full_norms:
-            norms.rel_E = 100.0 * float(np.sqrt(self.relE_num
-                                                / self.relE_den)) \
-                if self.relE_den > 0 else 0.0
-            norms.rel_H = 100.0 * float(np.sqrt(self.relH_num
-                                                / self.relH_den)) \
-                if self.relH_den > 0 else 0.0
+            norms.rel_E = _percent(self.relE_num, self.relE_den)
+            norms.rel_H = _percent(self.relH_num, self.relH_den)
         return norms
+
+
+def _percent(num, den):
+    """100 sqrt(num / den), the relative error of squared sums; 0 if the
+    exact field vanishes."""
+    return 100.0 * float(np.sqrt(num / den)) if den > 0 else 0.0
 
 
 def fit_rates(hs, errors):

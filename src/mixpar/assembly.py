@@ -77,8 +77,8 @@ class CellTables:
     `w` (m,), and, built on first use, the points `qp` (m, 2) and two
     sparse maps from free coefficients: `val` to the field values and
     `der` to the gradient (p1, multiplier), the Jacobian (mini) or the
-    scalar curl (edge).  `values`, `derivs` and `moments` sit on top of them,
-    and every operator is a weighted product of them (see `_gram`).
+    scalar curl (edge).  `values`, `derivs` and `moments` sit on top of
+    them, and every operator is a weighted product of them (see `_gram`).
     `load` holds the moments of the last separable load (see
     `assemble_load`).
 

@@ -47,9 +47,11 @@ def exact_fields(case):
 
 
 def swept_errors(solution, case, ops):
-    """The library's error norms of a stored history, from its step 0."""
+    """The library's error norms of a stored history, whose step 0 need
+    not be rest."""
     sweep = compute_errors(case, ops, solution.grid)
-    for n in range(solution.grid.N + 1):
+    sweep.u_prev = solution.u[0]
+    for n in range(1, solution.grid.N + 1):
         sweep.add(n, solution.u[n], solution.lam[n])
     return sweep.finish()
 

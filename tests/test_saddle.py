@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -279,7 +280,15 @@ def test_one_pass_block_matrix_matches_bmat(build, n):
     solver = SaddleSolver(A_dt, ops.B, ops.mean_row, order=order)
     B1 = solver.B[solver.dropped:]
     want = _bmat_block(A_dt, B1, order)
-    got = _block_matrix(A_dt, B1, order)
+    tracemalloc.start()
+    try:
+        got = _block_matrix(A_dt, B1, order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # int32 triplets (16 bytes an entry) and the CSC copy (12) at most;
+    # the bmat route takes about 34 (eddy) and 54 (Stokes)
+    assert peak <= 32 * got.nnz
     assert got.indices.dtype == got.indptr.dtype == np.int32
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
