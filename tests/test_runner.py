@@ -3,10 +3,10 @@
 Its `setup_s` runs from a level's start to the level's first call of
 `runner.assemble_load`, so every level loads through that name once per
 step, and the error sweep, `runner.compute_errors`, is built once, after
-the first load, and takes the steps as they are solved.  Its tracer also swaps every callable field of a
-case, which is `load_profiles` alone, for a timing wrapper through
-`dataclasses.replace`; the load's time factors and the exact-field terms
-are data and pass through unchanged.
+the first load, and takes the steps as they are solved.  Its tracer also
+swaps every callable field of a case, which is `load_profiles` alone,
+for a timing wrapper through `dataclasses.replace`; the load's time
+factors and the exact-field terms are data and pass through unchanged.
 """
 import dataclasses
 import warnings
