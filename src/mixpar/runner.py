@@ -23,7 +23,7 @@ from .assembly import (CellTables, assemble_eddy2d, assemble_load,
 from .mesh import structured_mesh
 from .problems import eddy2d_case, stokes_case
 from .saddle import (DENSE_LIMIT, ResidualTooLarge, SingularSystem,
-                     estimate_coercivity, estimate_infsup)
+                     dissection_order, estimate_coercivity, estimate_infsup)
 # unused here; kept importable because the benchmark tracer patches them
 from .saddle import estimate_garding, kernel_basis  # noqa: F401
 from .spaces import interpolate  # noqa: F401
@@ -101,7 +101,8 @@ def run_level(cfg, level, vtk_dir=None):
         # and ker A meets ker B for eddy (see estimate_coercivity)
         shift = cfg.nu if cfg.case == "stokes" else 0.0
         alpha_h = estimate_coercivity(ops.A, ops.R, ops.X, ops.B, cfg.xi,
-                                      shift, ops.mean_row)
+                                      shift, ops.mean_row,
+                                      dissection_order(ops))
         probed = True
 
     if snapshots:

@@ -1,14 +1,12 @@
 """Per-step block saddle solves and discrete inf-sup / coercivity probes.
 
 The block system K = [[A_dt, B^T], [B, 0]] is factored without any
-dense border row or column.  Solves use a sparse LU factorization
-(deterministic for a fixed input) in SuperLU's symmetric mode: one
-ordering applied to rows and columns alike, and diagonal pivots kept
-unless they fall below 0.1 of the largest entry in their column (see
-SPLU_OPTIONS).  The ordering is a given one where the caller has it
-(`dissection_order`, a nested dissection of the Stokes lattice, which
-fills about 28% less than minimum degree at n=64) and otherwise
-SuperLU's minimum degree on the pattern of K^T + K.
+dense border row or column, by SuperLU (deterministic for a fixed
+input) in symmetric mode: rows and columns in the caller's order, and
+diagonal pivots kept unless below 0.1 of their column's largest entry
+(see SPLU_OPTIONS).  The runtime's order is `dissection_order`, one
+nested dissection of the mesh lattice for Stokes and eddy alike, which
+fills 28% less than minimum degree on Stokes n=64, 39% less on eddy n=96.
 
 The runtime probes are sparse: `estimate_infsup` factors X and solves
 for all of B^T at once, keeping only a dense eigensolve the width of the
@@ -18,6 +16,7 @@ the kernel pencil through a `SaddleSolver`.  `kernel_basis` and
 """
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -35,12 +34,11 @@ __all__ = [
 DENSE_LIMIT = 3000
 # relative block residual above which a solve is rejected
 RESIDUAL_TOL = 1e-10
-# K is structurally symmetric: order K^T + K by minimum degree and keep
-# the diagonal pivots that ordering relies on.  Full partial pivoting
-# (diag_pivot_thresh=1.0) undoes the ordering and fills more than the
-# default COLAMD; 0.0 keeps tiny diagonal pivots and loses all accuracy
-# on the eddy matrix (relative residual about 10).
-SPLU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+# K is structurally symmetric: keep the diagonal pivots its order relies
+# on.  Full partial pivoting (diag_pivot_thresh=1.0) undoes the order;
+# 0.0 keeps tiny diagonal pivots and loses the accuracy of the eddy
+# solves (relative residual 1e-2 at n=24).
+SPLU_OPTIONS = dict(permc_spec="NATURAL", diag_pivot_thresh=0.1,
                     options={"SymmetricMode": True})
 
 
@@ -71,11 +69,10 @@ class SolveInfo(NamedTuple):
 class SaddleSolver:
     """Factor the block matrix once and solve for many right-hand sides.
 
-    With `order`, a permutation of K's unknowns, SuperLU factors
-    K[order][:, order] in that order (permc_spec="NATURAL", otherwise
-    SPLU_OPTIONS); without it, in its minimum-degree order.  Either way
-    `solve` takes and returns unpermuted vectors, and the residual guard
-    checks the unpermuted system, with `BT`, the CSR B^T formed once.
+    SuperLU factors K[order][:, order] in the order given, a
+    permutation of K's unknowns (K as it stands without one).  `solve`
+    takes and returns unpermuted vectors, and the residual guard checks
+    the unpermuted system, with `BT`, the CSR B^T formed once.
 
     `fill` is the number of L and U entries SuperLU stores
     (`SuperLU.nnz`; building the L and U matrices to count them would
@@ -99,13 +96,11 @@ class SaddleSolver:
         # dt * A underflowing off the conductor) can crash SuperLU
         if not np.all(self.A_dt.diagonal() > 0):
             raise SingularSystem("(1,1) block has a non-positive diagonal")
-        self.order = order
-        options = SPLU_OPTIONS
-        if order is not None:
-            options = dict(SPLU_OPTIONS, permc_spec="NATURAL")
-        K = _block_matrix(self.A_dt, self.B[self.dropped:], order)
+        size = self.n + self.B.shape[0] - self.dropped
+        self.order = np.arange(size) if order is None else order
+        K = _block_matrix(self.A_dt, self.B[self.dropped:], self.order)
         try:
-            self.lu = spla.splu(K, **options)
+            self.lu = spla.splu(K, **SPLU_OPTIONS)
         except RuntimeError as err:
             raise SingularSystem(str(err)) from err
         self.fill = self.lu.nnz
@@ -114,11 +109,8 @@ class SaddleSolver:
 
     def solve(self, F, G):
         rhs = np.concatenate([F, G[self.dropped:]])
-        if self.order is None:
-            z = self.lu.solve(rhs)
-        else:
-            z = np.empty_like(rhs)
-            z[self.order] = self.lu.solve(rhs[self.order])
+        z = np.empty_like(rhs)
+        z[self.order] = self.lu.solve(rhs[self.order])
         if not np.all(np.isfinite(z)):
             raise SingularSystem("factorization produced non-finite solution")
         u = z[: self.n]
@@ -134,7 +126,7 @@ class SaddleSolver:
         return u, lam, SolveInfo(rel, constraint)
 
 
-def _block_matrix(A_dt, B1, order=None):
+def _block_matrix(A_dt, B1, order):
     """K = [[A_dt, B1ᵀ], [B1, 0]] in CSC, with `order` as K[order][:, order].
 
     One COO pass with int32 indices: entry (i, j) goes to (rank[i],
@@ -150,70 +142,79 @@ def _block_matrix(A_dt, B1, order=None):
     cols = np.concatenate([A.col, B.row + n, B.col], dtype=np.int32)
     data = np.concatenate([A.data, B.data, B.data])
     del A, B
-    if order is not None:
-        rank = np.empty(size, dtype=np.int32)
-        rank[order] = np.arange(size, dtype=np.int32)
-        rows = rank[rows]
-        cols = rank[cols]
+    rank = np.empty(size, dtype=np.int32)
+    rank[order] = np.arange(size, dtype=np.int32)
+    rows = rank[rows]
+    cols = rank[cols]
     return sp.csc_matrix((data, (rows, cols)), shape=(size, size))
 
 
 def dissection_order(ops):
-    """Nested-dissection order of the unknowns of the Stokes block matrix.
+    """Nested-dissection order of the unknowns of the block matrix K.
 
-    Returns None unless `ops.primal` is a mini space.  The cell bubbles
-    come first: eliminating one couples only the three vertices of its
-    cell.  The vertices follow, bisected recursively along the middle
-    grid line of the longer side of their box (the vertical line on a
-    tie).  No cell straddles a grid line, so the vertices on it separate
-    the two halves, and they are ordered after both.  Boxes of at most
-    2x2 squares are leaves, their vertices and a separator's in
-    lexicographic (y, x) order.  Each vertex keeps its free (u_x, u_y, p)
-    together; the pressure row dropped for the gauge (`mean_row`, see
+    Each free unknown sits on the doubled mesh lattice: a vertex DOF
+    (velocity, pressure or multiplier) at twice its vertex's lattice
+    index, an edge DOF at the sum of its two ends'.  The cell bubbles,
+    on no lattice point, come first: eliminating one couples only the
+    unknowns at its cell's vertices.  The eddy multiplier's interface
+    constants, each shared by the vertices of an interface component,
+    couple the whole interface and come last.  The lattice points in
+    between are bisected recursively along the middle grid line of the
+    longer side of their box (the vertical line on a tie).  No cell
+    straddles a grid line, so the points on it separate the two halves
+    (no entry of K couples them), and they are ordered after both.
+    Boxes of at most 2x2 squares are leaves, their points and a
+    separator's in lexicographic (y, x) order, and the unknowns of one
+    point keep their order in K (a Stokes vertex's free u_x, u_y, p).
+    The pressure row dropped for the gauge (`mean_row`, see
     SaddleSolver) is left out.  Lattice indices come from the vertex
     coordinates, where the crossed pattern's square centres sit between
-    the grid lines.
+    the grid lines.  Operators without spaces get None (K as it stands).
     """
     V, Q = ops.primal, ops.multiplier
-    if getattr(V, "kind", None) != "mini":
+    if V is None:
         return None
-    nv = V.mesh.num_vertices
     xs, ix = np.unique(V.mesh.vertices[:, 0], return_inverse=True)
     ys, iy = np.unique(V.mesh.vertices[:, 1], return_inverse=True)
-    span = 1 if nv == len(xs) * len(ys) else 2     # lattice steps per square
-    # one column per vertex still to place: its index, lattice position
-    # (x, y) and box (lower x, y, upper x, y)
-    live = np.zeros((7, nv), dtype=np.intp)
-    live[:3] = np.arange(nv), ix, iy
-    live[5:] = [[len(xs) - 1], [len(ys) - 1]]
-    # one base-3 digit per bisection: 0 for the lower half (or a leaf),
-    # 1 for the upper half, 2 for the separator; every key gets the same
-    # number of digits, so the keys sort as the postorder of the bisections
-    key = np.zeros(nv, dtype=np.int64)
-    while live.shape[1]:
-        at, lo, hi = live[1:3], live[3:5], live[5:7]
-        size = hi - lo
-        on_y = size[1] > size[0]
-        longer = np.where(on_y, size[1], size[0])
-        cut = np.where(on_y, lo[1], lo[0]) + longer // (2 * span) * span
-        here = np.where(on_y, at[1], at[0])
-        inner = longer > 2 * span
-        lower, upper = inner & (here < cut), inner & (here > cut)
-        key *= 3
-        key[live[0]] += upper + 2 * (inner & (here == cut))
-        hi[0] = np.where(lower & ~on_y, cut, hi[0])
-        hi[1] = np.where(lower & on_y, cut, hi[1])
-        lo[0] = np.where(upper & ~on_y, cut, lo[0])
-        lo[1] = np.where(upper & on_y, cut, lo[1])
-        live = live.compress(lower | upper, axis=1)
-    vertices = np.lexsort((iy * len(xs) + ix, key))
+    width, height = 2 * len(xs) - 1, 2 * len(ys) - 1
+    span = 2 if V.mesh.num_vertices == len(xs) * len(ys) else 4  # per square
 
-    velocity = V.free_index(2 * np.arange(nv)[:, None] + np.arange(2))
-    pressure = Q.free_index(Q.vertex_dof) - int(ops.mean_row is not None)
-    pressure = np.where(pressure >= 0, V.num_free + pressure, -1)
-    groups = np.column_stack([velocity, pressure])[vertices].ravel()
-    bubbles = V.free_index(np.arange(2 * nv, V.ndof))
-    return np.concatenate([bubbles, groups[groups >= 0]])
+    @functools.cache
+    def ranks(w, h):
+        # each point's rank in a w x h box's order (doubled-lattice steps):
+        # an (h + 1, w + 1) grid, increasing; cached, as only sizes matter
+        on_y = h > w
+        longer = h if on_y else w
+        # a leaf's, and the separator's before its offset: (y, x) order
+        grid = np.arange((h + 1) * (w + 1)).reshape(h + 1, w + 1)
+        if longer > 2 * span:
+            cut = longer // (2 * span) * span
+            lower = ranks(w, cut) if on_y else ranks(cut, h)
+            upper = ranks(w, h - cut) if on_y else ranks(w - cut, h)
+            # rows across the cut axis, so the halves are row slices
+            along, lower, upper = ((grid, lower, upper) if on_y
+                                   else (grid.T, lower.T, upper.T))
+            along[:cut] = lower[:cut]
+            along[cut + 1:] = upper[1:] + (lower.max() + 1)
+            along[cut] += lower.max() + upper.max() + 2
+        return grid
+
+    # each unknown's point as 1 + y * width + x; 0 (a bubble) puts it
+    # first and `last` (an interface constant) last
+    last = width * height + 1
+    at = 2 * (iy * width + ix) + 1
+    if V.kind == "edge":
+        primal = at[V.mesh.edges].sum(axis=1) // 2
+    else:
+        primal = np.concatenate([np.repeat(at, 2),
+                                 np.zeros(2 * V.mesh.num_cells, np.intp)])
+    shared = np.bincount(Q.vertex_dof[Q.vertex_dof >= 0]) > 1
+    multiplier = np.where(shared, last, at[Q.dof_vertex])
+    dropped = int(ops.mean_row is not None)
+    code = np.concatenate([primal[V.free], multiplier[Q.free][dropped:]])
+    lattice = ranks(width - 1, height - 1).ravel()
+    rank = np.concatenate([[-1], lattice, [lattice.max() + 1]])
+    return np.argsort(rank[code], kind="stable")
 
 
 def kernel_basis(B):
@@ -255,7 +256,7 @@ def estimate_infsup(X, B, M, project_out=None):
     return float(np.sqrt(max(eig[0], 0.0)))
 
 
-def estimate_coercivity(A, R, X, B, xi, shift, mean_row=None):
+def estimate_coercivity(A, R, X, B, xi, shift, mean_row=None, order=None):
     """Coercivity constant of A + xi R on the discrete kernel, sparsely.
 
     Returns shift + the smallest eigenvalue of (A + xi R - shift X, X)
@@ -265,16 +266,16 @@ def estimate_coercivity(A, R, X, B, xi, shift, mean_row=None):
     eddy, where discrete gradients supported in the conductor lie in
     ker A and ker B), and xi >= 0.  The shifted pencil is then positive
     semidefinite, so shift-invert Lanczos about 0 finds its bottom; each
-    step is one solve of the saddle system of A + xi R - shift X (with
-    `mean_row` pinning the multiplier gauge as in `SaddleSolver`).  At
-    xi = 0 that matrix is singular on the kernel and the answer is
-    `shift` itself.  The start vector is fixed, so repeated calls agree
-    bitwise.
+    step is one solve of the saddle system of A + xi R - shift X, factored
+    in `order` (with `mean_row` pinning the multiplier gauge as in
+    `SaddleSolver`).  At xi = 0 that matrix is singular on the kernel and
+    the answer is `shift` itself.  The start vector is fixed, so repeated
+    calls agree bitwise.
     """
     if xi == 0:
         return float(shift)
     K = (A - shift * X) + xi * R
-    solver = SaddleSolver(K, B, mean_row)
+    solver = SaddleSolver(K, B, mean_row, order)
     n = K.shape[0]
     zeros = np.zeros(B.shape[0])
     inv = spla.LinearOperator((n, n), dtype=float,

@@ -8,9 +8,8 @@ Each step solves
 starting from rest, u^0 = 0 and lam^0 = 0; the constraint data g is
 zero in both problem instances.  The block matrix is time-independent,
 so it is factorized once and reused for all steps, in the nested-
-dissection order of `saddle.dissection_order` where the spaces have one
-(Stokes) and in SuperLU's minimum-degree order otherwise (eddy).  A
-step needs only the one before it, so a run can hand each step to an
+dissection order of `saddle.dissection_order` (Stokes and eddy alike).
+A step needs only the one before it, so a run can hand each step to an
 observer and keep no history.
 """
 from __future__ import annotations
@@ -72,8 +71,7 @@ def run(ops, load, grid, observe=None):
     nM = ops.B.shape[0]
     dt = grid.dt
     A_dt = (ops.R + dt * ops.A).tocsr()
-    solver = SaddleSolver(A_dt, ops.B, ops.mean_row,
-                          order=dissection_order(ops))
+    solver = SaddleSolver(A_dt, ops.B, ops.mean_row, dissection_order(ops))
 
     u_hist = lam_hist = None
     if observe is None:

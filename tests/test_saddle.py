@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,8 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixpar.config import load_config
+from mixpar import runner
+from mixpar.config import load_config, parse_config
 from mixpar.runner import run_experiment
 from mixpar.saddle import (SPLU_OPTIONS, EmptyKernel, NotDenseFeasible,
                            ResidualTooLarge, SaddleSolver, SingularSystem,
@@ -139,7 +141,7 @@ def test_symmetric_ordering_cuts_stokes_fill():
     # SuperLU's default) would fill at least twice as much here
     _, _, _, ops = build_stokes(32)
     A_dt = (ops.R + ops.A / 64).tocsr()
-    solver = SaddleSolver(A_dt, ops.B, ops.mean_row)
+    solver = SaddleSolver(A_dt, ops.B, ops.mean_row, dissection_order(ops))
     B1 = sp.csr_matrix(ops.B)[1:]
     default = spla.splu(sp.bmat([[A_dt, B1.T], [B1, None]], format="csc"))
     assert solver.lu.shape == default.shape
@@ -147,16 +149,18 @@ def test_symmetric_ordering_cuts_stokes_fill():
 
 
 def test_relaxed_pivoting_keeps_eddy_solves_accurate():
-    # without row exchanges (diag_pivot_thresh=0) this residual is about 10
+    # without row exchanges (diag_pivot_thresh=0) this residual is about
+    # 1e-2 in the dissection order, 0.3 in minimum degree and 5 in K's own
     _, _, _, ops = build_eddy(24)
     rng = np.random.default_rng(24)
     F = rng.standard_normal(ops.A.shape[0])
-    solver = SaddleSolver(ops.R + (0.75 / 40) * ops.A, ops.B)
+    solver = SaddleSolver(ops.R + (0.75 / 40) * ops.A, ops.B, None,
+                          dissection_order(ops))
     _, _, info = solver.solve(F, np.zeros(ops.B.shape[0]))
     assert info.block_residual <= 1e-12
 
 
-# -- the nested-dissection order of the Stokes block matrix -----------------
+# -- the nested-dissection order of the block matrix -----------------------
 
 def _unknowns(mesh, V, Q):
     """Vertex (-1 for a bubble), component (0 u_x, 1 u_y, 2 p; -1 for a
@@ -212,8 +216,60 @@ def test_dissection_top_separator_splits_the_matrix(pattern):
     assert K[left][:, right].nnz == 0
 
 
-def test_dissection_order_only_for_mini(eddy3):
-    assert dissection_order(eddy3[3]) is None
+def _lattice_x(ops):
+    """x coordinate of each unknown of the factored block matrix, the
+    gauge row dropped: its vertex's, its edge's midpoint's or (a bubble)
+    its cell centroid's; NaN for an interface constant."""
+    V, Q = ops.primal, ops.multiplier
+    mesh = V.mesh
+    vx = mesh.vertices[:, 0]
+    if V.kind == "edge":
+        primal = vx[mesh.edges].mean(axis=1)
+    else:
+        primal = np.repeat(np.concatenate([vx, mesh.centroids()[:, 0]]), 2)
+    multiplier = vx[Q.dof_vertex]
+    multiplier[[Q.vertex_dof[grp[0]] for grp in Q.groups]] = np.nan
+    dropped = int(ops.mean_row is not None)
+    return np.concatenate([primal[V.free], multiplier[Q.free][dropped:]])
+
+
+@pytest.mark.parametrize("pattern", ["right", "crossed"])
+@pytest.mark.parametrize("build, n", [
+    (build_stokes, 12), (build_stokes, 16), (build_eddy, 6), (build_eddy, 12),
+])
+def test_dissection_order_separates_the_first_bisection(build, n, pattern):
+    # the first cut is the vertical grid line after n // 2 squares; the
+    # unknowns strictly on either side share no entry of K and come one
+    # side after the other, then the line's, with the cell bubbles first
+    # and the eddy interface constants last
+    mesh, V, Q, ops = build(n, pattern=pattern)
+    order = dissection_order(ops)
+    x = _lattice_x(ops)
+    assert np.array_equal(np.sort(order), np.arange(len(x)))
+    bubble = np.zeros(len(x), dtype=bool)
+    if V.kind == "mini":
+        bubbles = np.arange(2 * mesh.num_vertices, V.ndof)
+        bubble[V.free_index(bubbles)] = True
+    interface = np.isnan(x)
+    assert np.count_nonzero(interface) == len(Q.groups)
+    nb, ni = np.count_nonzero(bubble), np.count_nonzero(interface)
+    assert np.all(bubble[order[:nb]])
+    assert np.all(interface[order[len(x) - ni:]])
+    x0, x1 = mesh.vertices[:, 0].min(), mesh.vertices[:, 0].max()
+    cut = x0 + (x1 - x0) * (n // 2) / n
+    with np.errstate(invalid="ignore"):
+        on = np.isclose(x, cut)
+        lower = np.flatnonzero(~on & (x < cut))
+        upper = np.flatnonzero(~on & (x > cut))
+    A_dt = (ops.R + ops.A / n).tocsr()
+    B1 = sp.csr_matrix(ops.B)[int(ops.mean_row is not None):]
+    K = sp.bmat([[A_dt, B1.T], [B1, None]], format="csr")
+    assert len(lower) and len(upper) and np.any(on)
+    assert K[lower][:, upper].nnz == 0
+    rank = np.argsort(order)
+    lower, upper = lower[~bubble[lower]], upper[~bubble[upper]]
+    assert rank[lower].max() < rank[upper].min()
+    assert rank[upper].max() < rank[on].min()
 
 
 # the step matrix of configs/stokes.cfg at n (dt = 1/(2n)); minimum
@@ -242,7 +298,9 @@ def test_dissection_solve_matches_minimum_degree_and_dense(pattern):
     G -= G.mean()          # 1^T G = 0, as B^T 1 = 0
     u, lam, info = SaddleSolver(A_dt, ops.B, ops.mean_row,
                                 order=dissection_order(ops)).solve(F, G)
-    u_md, lam_md, _ = SaddleSolver(A_dt, ops.B, ops.mean_row).solve(F, G)
+    u_md, lam_md, _ = SaddleSolver(
+        A_dt, ops.B, ops.mean_row,
+        _minimum_degree_order(A_dt, ops.B[1:])).solve(F, G)
     Bd = ops.B.toarray()
     mc = ops.mean_row[:, None]
     K = np.block([
@@ -257,12 +315,18 @@ def test_dissection_solve_matches_minimum_degree_and_dense(pattern):
     assert info.block_residual <= 1e-12
 
 
+def _minimum_degree_order(A_dt, B1):
+    """SuperLU's minimum-degree order of K^T + K, as an order for
+    SaddleSolver (its column permutation maps each unknown to its place)."""
+    K = sp.bmat([[A_dt, B1.T], [B1, None]], format="csc")
+    return np.argsort(spla.splu(
+        K, **dict(SPLU_OPTIONS, permc_spec="MMD_AT_PLUS_A")).perm_c)
+
+
 def _bmat_block(A_dt, B1, order):
     """The block matrix through scipy's bmat, then permuted through a COO
     copy: the reference for `_block_matrix`."""
     K = sp.bmat([[A_dt, B1.T], [B1, None]], format="csc")
-    if order is None:
-        return K
     rank = np.empty(len(order), dtype=np.intp)
     rank[order] = np.arange(len(order))
     K = K.tocoo()
@@ -270,13 +334,12 @@ def _bmat_block(A_dt, B1, order):
                          shape=K.shape)
 
 
-# a Stokes level (dissection order) and an eddy level (minimum degree)
+# a Stokes level and an eddy level, both in the dissection order
 @pytest.mark.parametrize("build, n", [(build_stokes, 16), (build_eddy, 12)])
 def test_one_pass_block_matrix_matches_bmat(build, n):
     _, _, _, ops = build(n)
     A_dt = (ops.R + (0.5 / n) * ops.A).tocsr()
     order = dissection_order(ops)
-    assert (order is None) == (build is build_eddy)
     solver = SaddleSolver(A_dt, ops.B, ops.mean_row, order=order)
     B1 = solver.B[solver.dropped:]
     want = _bmat_block(A_dt, B1, order)
@@ -292,12 +355,35 @@ def test_one_pass_block_matrix_matches_bmat(build, n):
     assert got.indices.dtype == got.indptr.dtype == np.int32
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    options = SPLU_OPTIONS if order is None else dict(
-        SPLU_OPTIONS, permc_spec="NATURAL")
-    lu = spla.splu(want, **options)
+    lu = spla.splu(want, **SPLU_OPTIONS)
     assert solver.fill == lu.nnz
     rhs = np.random.default_rng(8).standard_normal(want.shape[0])
     assert solver.lu.solve(rhs).tobytes() == lu.solve(rhs).tobytes()
+
+
+@pytest.mark.parametrize("config", [
+    "case = stokes\nn = 2\nlevels = 1\nsteps = 2\n",
+    "case = eddy2d\nn = 3\nlevels = 1\nsteps = 2\npattern = crossed\n",
+], ids=["stokes", "eddy2d-crossed"])
+def test_every_runtime_factorization_uses_the_dissection_order(monkeypatch,
+                                                               config):
+    # a probed level factors twice: the step matrix and the coercivity
+    # probe's shifted one
+    orders = []
+    init = SaddleSolver.__init__
+
+    def recorded(self, A_dt, B, mean_row=None, order=None):
+        orders.append(order)
+        init(self, A_dt, B, mean_row, order)
+    monkeypatch.setattr(SaddleSolver, "__init__", recorded)
+    cfg = parse_config(config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert runner.run_level(cfg, 0).probed
+    want = dissection_order(runner._build_instance(cfg, 0)[2])
+    assert len(orders) == 2
+    for order in orders:
+        assert np.array_equal(order, want)
 
 
 def test_infsup_trivial_cases():
@@ -446,13 +532,15 @@ def _probe_instance(case, n, nu=1.0, **kw):
 
 # every probed level of configs/stokes.cfg (n = 4, 8, 16; n = 32 exceeds
 # DENSE_LIMIT) and configs/eddy2d.json (n = 3, 6, 12, 24), then other
-# coefficients on the crossed pattern
+# coefficients on the crossed pattern, and that pattern's eddy level 2;
+# the coercivity probe factors in the dissection order, as the runner's
 @pytest.mark.parametrize("case, n, kw, xi", [
     *[("stokes", n, {}, 1.0) for n in (4, 8, 16)],
     *[("eddy", n, {}, 1.0) for n in (3, 6, 12, 24)],
     ("stokes", 8, dict(nu=2.5, pattern="crossed"), 1.0),
     ("eddy", 6, dict(sigma=2.5, eps=0.4, mu_mag=3.0, pattern="crossed"),
      0.3),
+    ("eddy", 12, dict(pattern="crossed"), 1.0),
 ])
 def test_sparse_probes_match_dense_oracles(case, n, kw, xi):
     ops, shift = _probe_instance(case, n, **kw)
@@ -460,7 +548,7 @@ def test_sparse_probes_match_dense_oracles(case, n, kw, xi):
     beta_ref = _dense_infsup(ops.X, ops.B, ops.M, project_out=ops.mean_row)
     assert beta == pytest.approx(beta_ref, rel=1e-10)
     alpha = estimate_coercivity(ops.A, ops.R, ops.X, ops.B, xi, shift,
-                                ops.mean_row)
+                                ops.mean_row, dissection_order(ops))
     alpha_ref = estimate_garding(ops.A, ops.R, ops.X, kernel_basis(ops.B),
                                  xi=xi)
     assert alpha == pytest.approx(alpha_ref, rel=1e-10)

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -143,18 +144,42 @@ def test_factorization_reused_matches_per_step_solves(eddy3, eddy_case_default):
         )
 
 
-# level 2 of configs/stokes.cfg and configs/eddy2d.json: the Stokes steps
-# factor in the nested-dissection order (minimum degree filled 67,936),
-# the eddy steps stay on minimum degree with the fill they always had
+# level 2 of configs/stokes.cfg and configs/eddy2d.json, and of the
+# latter on the crossed pattern: every step matrix factors in the
+# nested-dissection order (minimum degree filled 67,936, 16,326 and
+# 138,131; the right eddy level fills more but factors faster, and the
+# crossed one at n=48 filled 42.7M, where this order fills 0.83M)
 @pytest.mark.parametrize("build, n, grid, fill", [
     (build_stokes, 16, TimeGrid(0.5, 16), 60_264),
-    (build_eddy, 12, TimeGrid(0.75, 20), 16_326),
+    (build_eddy, 12, TimeGrid(0.75, 20), 18_601),
+    (functools.partial(build_eddy, pattern="crossed"), 12,
+     TimeGrid(0.75, 20), 34_323),
 ])
 def test_step_factorization_order_and_fill(build, n, grid, fill):
     _, _, _, ops = build(n)
     sol = run(ops, lambda t: np.zeros(ops.B.shape[1]), grid)
     assert sol.factor_fill == fill
-    order = dissection_order(ops)
-    assert (order is None) == (build is build_eddy)
     A_dt = ops.R + grid.dt * ops.A
+    order = dissection_order(ops)
     assert SaddleSolver(A_dt, ops.B, ops.mean_row, order).fill == fill
+
+
+@pytest.mark.parametrize("pattern", ["right", "crossed"])
+@pytest.mark.parametrize("n", [3, 6])
+def test_eddy_first_step_matches_dense_solve(n, pattern, eddy_case_default):
+    # the first step, factored in the dissection order, against a dense
+    # solve of the same assembled block system
+    _, E, _, ops = build_eddy(n, pattern=pattern)
+    case = eddy_case_default
+    grid = TimeGrid(case.T, 5 * n // 3)
+    load = lambda t: assemble_load(
+        E, (case.load_factors, case.load_profiles), t)
+    sol = run(ops, load, grid)
+    Bd = ops.B.toarray()
+    m = Bd.shape[0]
+    K = np.block([[(ops.R + grid.dt * ops.A).toarray(), Bd.T],
+                  [Bd, np.zeros((m, m))]])
+    z = np.linalg.solve(K, np.concatenate([grid.dt * load(grid.dt),
+                                           np.zeros(m)]))
+    step = np.concatenate([sol.u[1], sol.lam[1]])
+    assert np.abs(step - z).max() <= 1e-11 * np.abs(z).max()
