@@ -118,11 +118,15 @@ def _per_row(w, r):
     return np.repeat(w, r.shape[1] // len(w)) * r
 
 
-def _profiles(terms, part, F, pts):
+def _profiles(terms, part, F, pts, C=None):
     """The terms' profiles (`value` or `deriv`) at pts, one row per term,
-    laid out like the rows of the point map F."""
-    return np.array([getattr(term, part)(pts).ravel() for term in terms]
-                    ).reshape(len(terms), F.shape[0])
+    laid out like the rows of the point map F; given the interpolants C
+    (K, n), their residuals P - F C instead, formed in the same array."""
+    P = np.array([getattr(term, part)(pts).ravel() for term in terms]
+                 ).reshape(len(terms), F.shape[0])
+    if C is not None:
+        P -= (F @ C.T).T
+    return P
 
 
 def _interpolants(terms, space):
@@ -159,36 +163,41 @@ class ErrorSweep:
 
         self.C = C = _interpolants(primal, ops.primal)
         self.Cm = Cm = _interpolants(mult, ops.multiplier)
-        Pv = _profiles(primal, "value", tu.val, tu.qp)
-        Pd = _profiles(primal, "deriv", tu.der, tu.qp)
-        rv = Pv - (tu.val @ C.T).T
-        rd = Pd - (tu.der @ C.T).T
-        rm = _profiles(mult, "value", tm.val, tm.qp) - (tm.val @ Cm.T).T
 
         # X is the H1_0 seminorm (Stokes) or the H(curl) norm (eddy); for
-        # the eddy case M likewise adds the H1 seminorm to the L2 norm
+        # the eddy case M likewise adds the H1 seminorm to the L2 norm.
+        # Each residual is formed just before the first form that reads
+        # it, so the precompute holds one form's residuals at a time.
         self.full_norms = case.kind == "eddy2d"
         if self.full_norms:
+            self.M = _Form(ops.M, [
+                (tm.val, tm.w, _profiles(mult, "value", tm.val, tm.qp, Cm)),
+                (tm.der, tm.w, _profiles(mult, "deriv", tm.der, tm.qp, Cm))])
             cells = tu.cells.repeat(tu.wdet.shape[1])
             w_cond = tu.w * (ops.primal.mesh.cell_subdomain[cells]
                              == meshmod.CONDUCTOR)
             self.sigma = sigma = case.coeffs.sigma
+            # Gram matrices of the exact fields for the denominators:
+            # sum w_cond P_k.P_l (conductor) and sum w rot P_k rot P_l,
+            # taken before the profiles become their residuals in place
+            rv = _profiles(primal, "value", tu.val, tu.qp)
+            self.E_exact = rv @ _per_row(w_cond, rv).T
+            rv -= (tu.val @ C.T).T
             self.R = _Form(ops.R, [(tu.val, sigma * w_cond, rv)])
+            rd = _profiles(primal, "deriv", tu.der, tu.qp)
+            self.H_exact = rd @ _per_row(tu.w, rd).T
+            rd -= (tu.der @ C.T).T
             self.X = _Form(ops.X, [(tu.val, tu.w, rv), (tu.der, tu.w, rd)])
-            rmd = (_profiles(mult, "deriv", tm.der, tm.qp)
-                   - (tm.der @ Cm.T).T)
-            self.M = _Form(ops.M, [(tm.val, tm.w, rm), (tm.der, tm.w, rmd)])
             # H = rot(u) / mu_mag; the factor cancels in the ratio, so the
             # magnetic error is the rot part of X, mu_mag A = Dᵀ W D
             self.H = _Form(case.coeffs.mu_mag * ops.A, [(tu.der, tu.w, rd)])
-            # Gram matrices of the exact fields for the denominators:
-            # sum w_cond P_k.P_l (conductor) and sum w rot P_k rot P_l
-            self.E_exact = Pv @ _per_row(w_cond, Pv).T
-            self.H_exact = Pd @ _per_row(tu.w, Pd).T
         else:
-            self.R = _Form(ops.R, [(tu.val, tu.w, rv)])
-            self.X = _Form(ops.X, [(tu.der, tu.w, rd)])
-            self.M = _Form(ops.M, [(tm.val, tm.w, rm)])
+            self.M = _Form(ops.M, [
+                (tm.val, tm.w, _profiles(mult, "value", tm.val, tm.qp, Cm))])
+            self.R = _Form(ops.R, [
+                (tu.val, tu.w, _profiles(primal, "value", tu.val, tu.qp, C))])
+            self.X = _Form(ops.X, [
+                (tu.der, tu.w, _profiles(primal, "deriv", tu.der, tu.qp, C))])
 
         self.max_R = 0.0
         self.l2X = self.l2M = self.dtR = 0.0

@@ -88,21 +88,21 @@ def run_level(cfg, level, vtk_dir=None):
         if n in snapshots:
             snapshots[n] = (u.copy(), lam.copy())
 
-    solution = run(ops, load, grid, observe)
+    # one order for the step matrix and both probes' saddle matrices
+    order = dissection_order(ops)
+    solution = run(ops, load, grid, observe, order)
     constraint_rel_max = np.max(
         solution.constraint_residuals / (1.0 + sweep.u_norms))
 
     beta_h = alpha_h = 0.0
     probed = False
     if cfg.probes and ops.B.shape[1] <= DENSE_LIMIT:
-        beta_h = estimate_infsup(ops.X, ops.B, ops.M,
-                                 project_out=ops.mean_row)
+        beta_h = estimate_infsup(ops.X, ops.B, ops.M, ops.mean_row, order)
         # the smallest eigenvalue of (A, X) on ker B: A = nu X for Stokes,
         # and ker A meets ker B for eddy (see estimate_coercivity)
         shift = cfg.nu if cfg.case == "stokes" else 0.0
         alpha_h = estimate_coercivity(ops.A, ops.R, ops.X, ops.B, cfg.xi,
-                                      shift, ops.mean_row,
-                                      dissection_order(ops))
+                                      shift, ops.mean_row, order)
         probed = True
 
     if snapshots:

@@ -8,10 +8,9 @@ diagonal pivots kept unless below 0.1 of their column's largest entry
 nested dissection of the mesh lattice for Stokes and eddy alike, which
 fills 28% less than minimum degree on Stokes n=64, 39% less on eddy n=96.
 
-The runtime probes are sparse: `estimate_infsup` factors X and solves
-for all of B^T at once, keeping only a dense eigensolve the width of the
-multiplier space; `estimate_coercivity` runs shift-invert Lanczos on
-the kernel pencil through a `SaddleSolver`.  `kernel_basis` and
+Both runtime probes run shift-invert Lanczos through a `SaddleSolver`:
+`estimate_infsup` on the Schur pencil (B X^{-1} B^T, M) and
+`estimate_coercivity` on the kernel pencil.  `kernel_basis` and
 `estimate_garding` are their dense oracles, guarded to desk-scale sizes.
 """
 from __future__ import annotations
@@ -227,33 +226,59 @@ def kernel_basis(B):
     return scipy.linalg.null_space(np.asarray(B.todense()))
 
 
-def estimate_infsup(X, B, M, project_out=None):
+def _bottom_eigenvalue(what, solve, M, start):
+    """Smallest eigenvalue of a positive semidefinite pencil (K, M), where
+    solve(y) returns K^{-1} y, by shift-invert Lanczos about 0 from the
+    fixed vector solve(M start), so repeated calls agree bitwise."""
+    n = M.shape[0]
+    inv = spla.LinearOperator((n, n), dtype=float, matvec=solve)
+    v0 = inv @ (M @ start)
+    if not np.any(v0):
+        # K^{-1} M start underflowed: K's entries are beyond float range
+        raise SingularSystem(f"{what}: the pencil is not finite")
+    if n == 1:
+        # ARPACK needs more unknowns than eigenvalues
+        return start[0] / v0[0]
+    try:
+        # in shift-invert mode ARPACK reads only the shape of its A
+        mu = spla.eigsh(inv, k=1, M=M, sigma=0.0, which="LM", OPinv=inv,
+                        v0=v0, return_eigenvectors=False)
+    except spla.ArpackError as err:
+        raise SingularSystem(f"{what}: {err}") from err
+    return mu[0]
+
+
+def estimate_infsup(X, B, M, project_out=None, order=None):
     """Discrete inf-sup constant of b over the given inner products.
 
     Computed as sqrt of the smallest eigenvalue of the generalized
-    problem  B X^{-1} B^T q = beta^2 M q, with X factored sparsely.
-    `project_out`, when given, restricts the multiplier space to its
-    kernel (the pressure mean for the Stokes pair).  It must be M z for
-    a null vector z of B^T (mean_row = M 1 with B^T 1 = 0): z is then an
-    eigenvector for the eigenvalue 0, and the restricted spectrum is the
-    full one without it.
+    problem  B X^{-1} B^T q = beta^2 M q, through a `SaddleSolver` of X
+    factored in `order`: the solve with right-hand side (0, q) returns
+    lam = -(B X^{-1} B^T)^{-1} q.  `project_out`, when given, restricts
+    the multiplier space to its kernel (the pressure mean for the Stokes
+    pair).  It must be M 1 with B^T 1 = 0, and pins the solver's gauge;
+    each q is projected onto 1^T q = 0 along it, which makes 1 an
+    eigenvector of the solves for the eigenvalue 0.  A zero B gives 0;
+    any other rank-deficient B leaves the saddle matrix singular, and
+    the probe raises.
     """
     n = X.shape[0]
     if n > DENSE_LIMIT:
         raise NotDenseFeasible(f"{n} primal DOFs exceed {DENSE_LIMIT}")
     first = 0 if project_out is None else 1
-    if B.shape[0] <= first:
+    if B.shape[0] <= first or sp.csr_matrix(B).count_nonzero() == 0:
         return 0.0
-    B = sp.csr_matrix(B)
-    Y = spla.splu(sp.csc_matrix(X)).solve(B.T.toarray())
-    S = B @ Y
-    S = 0.5 * (S + S.T)
-    if not np.all(np.isfinite(S)):
-        raise SingularSystem("inf-sup probe: B X^-1 B^T is not finite")
-    Md = sp.csr_matrix(M).toarray()
-    eig = scipy.linalg.eigh(S, Md, eigvals_only=True,
-                            subset_by_index=[first, first])
-    return float(np.sqrt(max(eig[0], 0.0)))
+    solver = SaddleSolver(X, B, project_out, order)
+    zeros = np.zeros(n)
+
+    def solve(q):
+        if project_out is not None:
+            q = q - project_out * (q.sum() / project_out.sum())
+        return -solver.solve(zeros, q)[1]
+    # not the coercivity probe's ones: the projection takes M 1 to zero
+    start = np.random.default_rng(0).standard_normal(B.shape[0])
+    beta2 = _bottom_eigenvalue("inf-sup probe", solve, M, start)
+    return float(np.sqrt(max(beta2, 0.0)))
 
 
 def estimate_coercivity(A, R, X, B, xi, shift, mean_row=None, order=None):
@@ -269,23 +294,17 @@ def estimate_coercivity(A, R, X, B, xi, shift, mean_row=None, order=None):
     step is one solve of the saddle system of A + xi R - shift X, factored
     in `order` (with `mean_row` pinning the multiplier gauge as in
     `SaddleSolver`).  At xi = 0 that matrix is singular on the kernel and
-    the answer is `shift` itself.  The start vector is fixed, so repeated
-    calls agree bitwise.
+    the answer is `shift` itself.
     """
     if xi == 0:
         return float(shift)
     K = (A - shift * X) + xi * R
     solver = SaddleSolver(K, B, mean_row, order)
-    n = K.shape[0]
     zeros = np.zeros(B.shape[0])
-    inv = spla.LinearOperator((n, n), dtype=float,
-                              matvec=lambda y: solver.solve(y, zeros)[0])
-    try:
-        mu = spla.eigsh(K, k=1, M=X, sigma=0.0, which="LM", OPinv=inv,
-                        v0=inv @ (X @ np.ones(n)), return_eigenvectors=False)
-    except spla.ArpackError as err:
-        raise SingularSystem(f"coercivity probe: {err}") from err
-    return float(shift + mu[0])
+    mu = _bottom_eigenvalue("coercivity probe",
+                            lambda y: solver.solve(y, zeros)[0], X,
+                            np.ones(K.shape[0]))
+    return float(shift + mu)
 
 
 def estimate_garding(A, R, X, kernel, xi=1.0):

@@ -59,19 +59,22 @@ class TimeSeriesSolution:
     factor_fill: int = 0
 
 
-def run(ops, load, grid, observe=None):
+def run(ops, load, grid, observe=None, order=None):
     """Advance the backward-Euler scheme from rest over the time grid.
 
     load(t) returns the free-DOF moment vector of f(t).  With `observe`,
     each step n = 1..N ends with observe(n, u^n, lam^n), on fresh arrays
     the observer may keep, and the run stores no history; without it the
-    returned solution holds every step.
+    returned solution holds every step.  `order` is
+    `dissection_order(ops)`, computed here when not given.
     """
     nU = ops.A.shape[0]
     nM = ops.B.shape[0]
     dt = grid.dt
     A_dt = (ops.R + dt * ops.A).tocsr()
-    solver = SaddleSolver(A_dt, ops.B, ops.mean_row, dissection_order(ops))
+    if order is None:
+        order = dissection_order(ops)
+    solver = SaddleSolver(A_dt, ops.B, ops.mean_row, order)
 
     u_hist = lam_hist = None
     if observe is None:

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from mixpar import build_space, interpolate, structured_mesh
 from mixpar.analysis import (ErrorNorms, TooFewLevels, compute_errors,
                              fit_rates)
-from mixpar.assembly import Coefficients, assemble_eddy2d, assemble_load
+from mixpar.assembly import (CellTables, Coefficients, assemble_eddy2d,
+                             assemble_load)
 from mixpar.problems import (ManufacturedCase, Term, Terms, eddy2d_case,
                              stokes_case)
 from mixpar.timestep import TimeGrid, TimeSeriesSolution, run
@@ -161,6 +163,25 @@ def test_sweep_partial_sums_match_oracle_after_each_step(kind):
         assert np.array_equal(sweep.u_norms[:n],
                               [np.linalg.norm(u) for u in sol.u[1:n + 1]])
     assert sweep.u_norm_max > 0.0
+
+
+def test_sweep_precompute_holds_one_form_at_a_time(stokes_case_default):
+    _, V, Q, ops = build_stokes(32)
+    case = stokes_case_default
+    # the tables' points are built on first use, before the sweep's turn
+    CellTables.of(V).qp, CellTables.of(Q).qp
+    rows = CellTables.of(V).der.shape[0] * len(case.terms.primal)
+    tracemalloc.start()
+    try:
+        compute_errors(case, ops, TimeGrid(case.T, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the derivative map's rows (four a point, eight bytes a value) are
+    # the largest: its profiles, their residual and its weighted copy take
+    # about 3.3 such arrays; holding every profile and residual at once
+    # took about 5.5
+    assert peak <= 4 * 8 * rows
 
 
 def test_fit_rates_trivial_sequences():

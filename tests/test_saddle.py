@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixpar import runner
+from mixpar import runner, saddle, timestep
 from mixpar.config import load_config, parse_config
 from mixpar.runner import run_experiment
 from mixpar.saddle import (SPLU_OPTIONS, EmptyKernel, NotDenseFeasible,
@@ -361,14 +361,25 @@ def test_one_pass_block_matrix_matches_bmat(build, n):
     assert solver.lu.solve(rhs).tobytes() == lu.solve(rhs).tobytes()
 
 
-@pytest.mark.parametrize("config", [
+PROBED_LEVELS = pytest.mark.parametrize("config", [
     "case = stokes\nn = 2\nlevels = 1\nsteps = 2\n",
     "case = eddy2d\nn = 3\nlevels = 1\nsteps = 2\npattern = crossed\n",
 ], ids=["stokes", "eddy2d-crossed"])
+
+
+def _run_probed_level(config):
+    cfg = parse_config(config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert runner.run_level(cfg, 0).probed
+    return cfg
+
+
+@PROBED_LEVELS
 def test_every_runtime_factorization_uses_the_dissection_order(monkeypatch,
                                                                config):
-    # a probed level factors twice: the step matrix and the coercivity
-    # probe's shifted one
+    # a probed level factors three times: the step matrix, the inf-sup
+    # probe's X and the coercivity probe's shifted matrix
     orders = []
     init = SaddleSolver.__init__
 
@@ -376,14 +387,24 @@ def test_every_runtime_factorization_uses_the_dissection_order(monkeypatch,
         orders.append(order)
         init(self, A_dt, B, mean_row, order)
     monkeypatch.setattr(SaddleSolver, "__init__", recorded)
-    cfg = parse_config(config)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert runner.run_level(cfg, 0).probed
+    cfg = _run_probed_level(config)
     want = dissection_order(runner._build_instance(cfg, 0)[2])
-    assert len(orders) == 2
+    assert len(orders) == 3
     for order in orders:
         assert np.array_equal(order, want)
+
+
+@PROBED_LEVELS
+def test_probed_level_orders_its_unknowns_once(monkeypatch, config):
+    calls = []
+
+    def counted(ops):
+        calls.append(ops)
+        return dissection_order(ops)
+    monkeypatch.setattr(runner, "dissection_order", counted)
+    monkeypatch.setattr(timestep, "dissection_order", counted)
+    _run_probed_level(config)
+    assert len(calls) == 1
 
 
 def test_infsup_trivial_cases():
@@ -398,6 +419,16 @@ def test_infsup_overflow_is_a_solver_failure():
     with np.errstate(all="ignore"), pytest.raises(SingularSystem,
                                                   match="not finite"):
         estimate_infsup(1e-300 * I5, 1e300 * I5, I5)
+
+
+# the inf-sup probe's solves go through the residual guard: eddy n=3 has
+# one multiplier (a single solve), the others run Lanczos
+@pytest.mark.parametrize("case, n", [("stokes", 4), ("eddy", 3), ("eddy", 6)])
+def test_infsup_solves_pass_the_residual_guard(monkeypatch, case, n):
+    ops, _ = _probe_instance(case, n)
+    monkeypatch.setattr(saddle, "RESIDUAL_TOL", 0.0)
+    with pytest.raises(ResidualTooLarge):
+        estimate_infsup(ops.X, ops.B, ops.M, ops.mean_row)
 
 
 @settings(max_examples=20, deadline=None)
