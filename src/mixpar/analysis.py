@@ -149,9 +149,8 @@ class ErrorSweep:
     for the next step's difference quotient.  `finish()` returns the
     norms of the steps added so far.
 
-    The sweep also keeps the run-level values that read every step: the
-    maxima of ||lam^n||_M (`lam_norm_max`) and ||u^n||_X (`u_norm_max`),
-    and the Euclidean ||u^n|| of each step n >= 1 (`u_norms`, (N,)).
+    The sweep also keeps the running maxima of ||lam^n||_M
+    (`lam_norm_max`) and ||u^n||_X (`u_norm_max`).
     """
 
     def __init__(self, case, ops, grid):
@@ -204,7 +203,6 @@ class ErrorSweep:
         self.relE_num = self.relE_den = self.relH_num = self.relH_den = 0.0
         self.u_prev = np.zeros(ops.primal.num_free)
         self.lam_norm_max = self.u_norm_max = 0.0
-        self.u_norms = np.zeros(grid.N)
 
     def add(self, n, u, lam):
         """Take step n's coefficients."""
@@ -213,7 +211,6 @@ class ErrorSweep:
             self.lam_norm_max, float(np.sqrt(max(lam @ (ops.M @ lam), 0.0))))
         self.u_norm_max = max(
             self.u_norm_max, float(np.sqrt(max(u @ (ops.X @ u), 0.0))))
-        self.u_norms[n - 1] = np.linalg.norm(u)
 
         dt = self.dt
         t = n * dt

@@ -12,7 +12,7 @@ import shutil
 import sys
 import tempfile
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from pathlib import Path
 
 import numpy as np
@@ -74,39 +74,33 @@ def run_level(cfg, level, vtk_dir=None):
             "> 1/2; the per-step stability margin is not guaranteed",
             stacklevel=2,
         )
-    # each step goes into the error sweep, built on the first step so
-    # that nothing runs between the level's start and its first load,
-    # and into the snapshots it is one of; no history is kept
-    snapshots = _snapshot_steps(cfg, ops, grid.N, vtk_dir)
-    sweep = None
+    # each step goes into the error sweep and, when it is one, is written
+    # as a snapshot; both are built on the first step so that nothing runs
+    # between the level's start and its first load, and no history is kept
+    sweep = write = None
 
     def observe(n, u, lam):
-        nonlocal sweep
+        nonlocal sweep, write
         if sweep is None:
             sweep = compute_errors(case, ops, grid)
+            write = _snapshot_writer(cfg, level, mesh, ops, vtk_dir)
         sweep.add(n, u, lam)
-        if n in snapshots:
-            snapshots[n] = (u.copy(), lam.copy())
+        if write and (n % cfg.vtk_every == 0 or n == grid.N):
+            write(n, u, lam)
 
     # one order for the step matrix and both probes' saddle matrices
     order = dissection_order(ops)
     solution = run(ops, load, grid, observe, order)
-    constraint_rel_max = np.max(
-        solution.constraint_residuals / (1.0 + sweep.u_norms))
 
     beta_h = alpha_h = 0.0
-    probed = False
-    if cfg.probes and ops.B.shape[1] <= DENSE_LIMIT:
+    probed = cfg.probes and ops.B.shape[1] <= DENSE_LIMIT
+    if probed:
         beta_h = estimate_infsup(ops.X, ops.B, ops.M, ops.mean_row, order)
         # the smallest eigenvalue of (A, X) on ker B: A = nu X for Stokes,
         # and ker A meets ker B for eddy (see estimate_coercivity)
         shift = cfg.nu if cfg.case == "stokes" else 0.0
         alpha_h = estimate_coercivity(ops.A, ops.R, ops.X, ops.B, cfg.xi,
                                       shift, ops.mean_row, order)
-        probed = True
-
-    if snapshots:
-        _write_snapshots(cfg, level, mesh, ops, snapshots, vtk_dir)
 
     return LevelResult(
         level=level,
@@ -117,28 +111,22 @@ def run_level(cfg, level, vtk_dir=None):
         alpha_h=alpha_h,
         lam_norm_max=sweep.lam_norm_max,
         u_norm_max=sweep.u_norm_max,
-        constraint_max=float(solution.constraint_residuals.max(initial=0.0)),
-        block_residual_max=float(solution.block_residuals.max(initial=0.0)),
+        constraint_max=solution.constraint_max,
+        block_residual_max=solution.block_residual_max,
         factor_fill=solution.factor_fill,
         stability_margin_ok=margin_ok,
-        constraint_rel_max=float(constraint_rel_max),
+        constraint_rel_max=solution.constraint_rel_max,
         n_primal=ops.primal.num_free,
         n_multiplier=ops.multiplier.num_free,
         probed=probed,
     )
 
 
-def _snapshot_steps(cfg, ops, N, vtk_dir):
-    """The steps a level writes, in order, each to be given its (u, lam):
-    every `vtk_every`-th and the last, from step 0, which is rest."""
+def _snapshot_writer(cfg, level, mesh, ops, vtk_dir):
+    """write(n, u^n, lam^n), which writes step n's snapshot, or None when
+    the level writes none.  Step 0, which is rest, is written here."""
     if vtk_dir is None or cfg.vtk_every <= 0:
-        return {}
-    rest = (np.zeros(ops.primal.num_free), np.zeros(ops.multiplier.num_free))
-    return {0: rest, **dict.fromkeys(
-        [*range(cfg.vtk_every, N + 1, cfg.vtk_every), N])}
-
-
-def _write_snapshots(cfg, level, mesh, ops, snapshots, vtk_dir):
+        return None
     vtk_dir.mkdir(parents=True, exist_ok=True)
     # the multiplier at the vertices: p1 maps vertex k to DOF k, and the
     # eddy multiplier, which lives on the insulator, reads 0 inside the
@@ -154,7 +142,8 @@ def _write_snapshots(cfg, level, mesh, ops, snapshots, vtk_dir):
         nq = len(tab.rule.weights)
         average = tab.rule.weights / tab.rule.weights.sum()
         curl = tab.der[::nq]
-    for n, (u, lam_n) in snapshots.items():
+
+    def write(n, u, lam_n):
         path = vtk_dir / f"{cfg.case}_L{level}_step{n:04d}.vtk"
         lam = np.zeros(nv)
         lam[ok] = ops.multiplier.extend(lam_n)[vertex_dof[ok]]
@@ -171,6 +160,9 @@ def _write_snapshots(cfg, level, mesh, ops, snapshots, vtk_dir):
         vtkio.write_unstructured(path, mesh, point_data=point_data,
                                  cell_data=cell_data,
                                  title=f"{cfg.case} step {n}")
+
+    write(0, np.zeros(ops.primal.num_free), np.zeros(ops.multiplier.num_free))
+    return write
 
 
 def _format_row(res):
@@ -245,15 +237,18 @@ def _run_levels(cfg, vtk_dir):
     if cfg.jobs == 1:
         return [run_level(cfg, lv, vtk_dir) for lv in range(cfg.levels)]
     with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
+        # the finest level, most of the study, starts first
         futures = [pool.submit(run_level, cfg, lv, vtk_dir)
-                   for lv in range(cfg.levels)]
+                   for lv in reversed(range(cfg.levels))]
         try:
-            return [f.result() for f in futures]
+            for f in as_completed(futures):
+                f.result()
         except BaseException:
-            # leaving the block waits for every submitted level, so drop
+            # leaving the block waits for every started level, so drop
             # the ones that have not started
             pool.shutdown(cancel_futures=True)
             raise
+        return [f.result() for f in reversed(futures)]
 
 
 def _write_outputs(cfg, out, results):

@@ -10,11 +10,11 @@ zero in both problem instances.  The block matrix is time-independent,
 so it is factorized once and reused for all steps, in the nested-
 dissection order of `saddle.dissection_order` (Stokes and eddy alike).
 A step needs only the one before it, so a run can hand each step to an
-observer and keep no history.
+observer and keep no history; its residuals are kept as running maxima.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,15 +47,17 @@ class TimeGrid:
 
 @dataclass
 class TimeSeriesSolution:
-    """Coefficients (u^n, lam^n) for n = 0..N, per-step residuals and the
-    fill of the block factorization (SaddleSolver.fill).  A run streamed
-    into an observer keeps no history: u and lam are None."""
+    """Coefficients (u^n, lam^n) for n = 0..N (None when a run streams
+    into an observer), the maxima over the steps of the block residual,
+    the constraint residual and that over 1 + ||u^n||, and the fill of
+    the block factorization (SaddleSolver.fill)."""
 
     u: np.ndarray | None     # (N+1, n_primal_free)
     lam: np.ndarray | None   # (N+1, n_multiplier_free)
     grid: TimeGrid
-    block_residuals: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    constraint_residuals: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    block_residual_max: float = 0.0
+    constraint_max: float = 0.0
+    constraint_rel_max: float = 0.0
     factor_fill: int = 0
 
 
@@ -84,8 +86,7 @@ def run(ops, load, grid, observe=None, order=None):
         def observe(n, un, ln):
             u_hist[n] = un
             lam_hist[n] = ln
-    block_res = np.zeros(grid.N)
-    constraint_res = np.zeros(grid.N)
+    block_max = constraint_max = constraint_rel_max = 0.0
 
     u = np.zeros(nU)
     lam = np.zeros(nM)
@@ -97,9 +98,12 @@ def run(ops, load, grid, observe=None, order=None):
             u, lam, info = solver.solve(F, G)
         except SingularSystem as err:
             raise SingularSystem(f"step {n} (t={t:g}): {err}") from err
-        block_res[n - 1] = info.block_residual
-        constraint_res[n - 1] = info.constraint_residual
+        block_max = max(block_max, info.block_residual)
+        constraint_max = max(constraint_max, info.constraint_residual)
+        constraint_rel_max = max(constraint_rel_max, info.constraint_residual
+                                 / (1.0 + np.linalg.norm(u)))
         observe(n, u, lam)
 
-    return TimeSeriesSolution(u_hist, lam_hist, grid, block_res,
-                              constraint_res, solver.fill)
+    return TimeSeriesSolution(u_hist, lam_hist, grid, block_max,
+                              constraint_max, float(constraint_rel_max),
+                              solver.fill)

@@ -160,9 +160,12 @@ def test_sweep_partial_sums_match_oracle_after_each_step(kind):
             for lam in sol.lam[:n + 1])
         assert sweep.u_norm_max == max(
             float(np.sqrt(max(u @ (ops.X @ u), 0.0))) for u in sol.u[:n + 1])
-        assert np.array_equal(sweep.u_norms[:n],
-                              [np.linalg.norm(u) for u in sol.u[1:n + 1]])
     assert sweep.u_norm_max > 0.0
+    # the run's constraint maxima read the same history, with G = 0
+    constraints = [np.linalg.norm(ops.B @ u) for u in sol.u[1:]]
+    assert sol.constraint_max == max(constraints)
+    assert sol.constraint_rel_max == max(
+        c / (1.0 + np.linalg.norm(u)) for c, u in zip(constraints, sol.u[1:]))
 
 
 def test_sweep_precompute_holds_one_form_at_a_time(stokes_case_default):

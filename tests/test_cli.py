@@ -295,7 +295,7 @@ def test_parallel_failure_cancels_pending_levels(tmp_path, monkeypatch):
 
     def fail_first(cfg, level, vtk_dir=None):
         started.append(level)
-        if level == 0:
+        if level == 5:
             raise SingularSystem("step 1: injected failure")
         time.sleep(0.2)
 
@@ -305,9 +305,36 @@ def test_parallel_failure_cancels_pending_levels(tmp_path, monkeypatch):
     cfg.out = str(tmp_path / "out")
     assert runner_mod.run_experiment(cfg) == 3
     assert not (tmp_path / "out").exists()
-    # level 0 fails while level 1 runs, and the freed worker may take
-    # level 2 before the pool is shut down; nothing later starts
+    # level 5, the first to start, fails while level 4 runs, and the freed
+    # worker may take level 3 before the pool is shut down; nothing later
+    # starts
     assert len(started) <= 3
+
+
+def test_parallel_levels_start_finest_first(monkeypatch):
+    import threading
+    from mixpar import runner as runner_mod
+
+    started = []
+    coarsest_started = threading.Event()
+
+    def record(cfg, level, vtk_dir=None):
+        started.append(level)
+        if level == 0:
+            coarsest_started.set()
+        elif level == cfg.levels - 1:
+            # the finest level holds its worker until the other worker
+            # has taken every coarser level, one after another
+            assert coarsest_started.wait(timeout=10)
+        return level
+
+    monkeypatch.setattr(runner_mod, "run_level", record)
+    cfg = parse_config("case = stokes\nn = 2\nlevels = 5\nsteps = 2\n"
+                       "jobs = 2\n")
+    assert runner_mod._run_levels(cfg, None) == [0, 1, 2, 3, 4]
+    # the two workers take levels 4 and 3 in either order, then 2, 1, 0
+    assert sorted(started[:2]) == [3, 4]
+    assert started[2:] == [2, 1, 0]
 
 
 def _tree(root):

@@ -136,6 +136,25 @@ def test_pinned_gauge_rejects_incompatible_constraint_data(stokes2):
         solver.solve(np.zeros(ops.B.shape[1]), G)
 
 
+def test_residual_guard_is_relative_to_the_right_hand_side(stokes2):
+    # scaling (F, G) scales the solution and its residual alike, so the
+    # relative residual stays: bitwise for a power of two, to round-off
+    # otherwise; a zero right-hand side has the zero solution, exactly
+    _, _, _, ops = stokes2
+    rng = np.random.default_rng(5)
+    solver = SaddleSolver(ops.R + 0.25 * ops.A, ops.B, ops.mean_row)
+    F = rng.standard_normal(ops.B.shape[1])
+    G = ops.B @ rng.standard_normal(ops.B.shape[1])
+    assert np.hypot(np.linalg.norm(F), np.linalg.norm(G)) > 1.0
+    rel = solver.solve(F, G)[2].block_residual
+    assert 0.0 < rel <= 1e-14
+    assert solver.solve(2.0**-10 * F, 2.0**-10 * G)[2].block_residual == rel
+    scaled = solver.solve(1e-3 * F, 1e-3 * G)[2].block_residual
+    assert rel / 2 <= scaled <= 2 * rel
+    u, lam, info = solver.solve(0.0 * F, 0.0 * G)
+    assert not u.any() and not lam.any() and info.block_residual == 0.0
+
+
 def test_symmetric_ordering_cuts_stokes_fill():
     # full partial pivoting on top of the symmetric ordering (or COLAMD,
     # SuperLU's default) would fill at least twice as much here

@@ -1,5 +1,6 @@
 import gc
 import sys
+import tracemalloc
 import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -182,6 +183,32 @@ def test_parallel_levels_write_the_same_snapshots(tmp_path, text, files):
     assert codes[0] == codes[1] in (0, 1)
     assert len(snapshots[0]) == files
     assert snapshots[0] == snapshots[1]
+
+
+@pytest.mark.parametrize("text", ["case = stokes\nn = 4\n",
+                                  "case = eddy2d\nn = 6\n"],
+                         ids=["stokes", "eddy2d"])
+def test_level_memory_does_not_grow_with_its_snapshots(tmp_path, text):
+    # every step is written as it is solved, so a level that writes 8x the
+    # snapshots of the same mesh peaks no higher; holding each written
+    # step until the level ends added 54 and 66 KiB
+    def peak(steps):
+        cfg = parse_config(text + f"levels = 1\nsteps = {steps}\n"
+                           "probes = false\nvtk_every = 1\n")
+        vtk = tmp_path / f"steps{steps}"
+        tracemalloc.start()
+        try:
+            runner.run_level(cfg, 0, vtk)
+            traced = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(list(vtk.iterdir())) == steps + 1
+        return traced
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        peak(8)  # the first level builds what later ones reuse
+        assert peak(64) <= peak(8) + 16 * 1024
 
 
 @pytest.mark.parametrize("case", ["point rows", "cell rows", "one column",
