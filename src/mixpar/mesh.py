@@ -131,34 +131,6 @@ class TriMesh:
     def outer_vertices(self):
         return np.unique(self.edges[self.outer_edges])
 
-    def interface_components(self):
-        """Connected components of the interface, as sorted vertex arrays.
-
-        Components are ordered by their smallest vertex index, so the
-        result is deterministic for a given mesh.
-        """
-        iface = self.interface_edges
-        parent = {}
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for e in iface:
-            a, b = self.edges[e]
-            parent.setdefault(a, a)
-            parent.setdefault(b, b)
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-
-        groups = {}
-        for v in sorted(parent):
-            groups.setdefault(find(v), []).append(v)
-        return [np.asarray(groups[r], dtype=np.intp) for r in sorted(groups)]
-
 
 def _lattice_index(coord, start, step, n, tol):
     i = int(round((coord - start) / step))

@@ -192,11 +192,12 @@ def eddy2d_case(sigma=1.0, eps=1.0, mu_mag=1.0, T=0.75):
     <f, v> = int_C sigma du/dt . v + int (1/mu_mag) rot(u) rot(v).
     """
     curl, _, rot, _ = _PHI
+    conductor = x0, y0, x1, y1 = (1.0, 1.0, 2.0, 2.0)
 
     def sigma_curl(pts):
         # sigma times the conductor indicator times curl(phi)
         x, y = pts[:, 0], pts[:, 1]
-        inside = (x >= 1.0) & (x <= 2.0) & (y >= 1.0) & (y <= 2.0)
+        inside = (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)
         return sigma * inside[:, None] * curl(pts)
 
     def sin_mu(t):
@@ -210,7 +211,7 @@ def eddy2d_case(sigma=1.0, eps=1.0, mu_mag=1.0, T=0.75):
     return ManufacturedCase(
         kind="eddy2d",
         domain=(0.0, 0.0, 3.0, 3.0),
-        conductor=(1.0, 1.0, 2.0, 2.0),
+        conductor=conductor,
         coeffs=Coefficients(sigma=sigma, eps=eps, mu_mag=mu_mag),
         T=T,
         terms=terms,

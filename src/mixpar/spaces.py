@@ -9,11 +9,16 @@ Supported kinds:
 * ``edge`` -- lowest-order edge elements, one tangential-moment DOF per
   edge, oriented low vertex index -> high vertex index.
 * ``multiplier`` -- P1 on the insulator subdomain, zero on the outer
-  boundary, with the DOFs of each interface component aliased to a
-  single unknown constant.
+  boundary, with one unknown constant on each connected piece of the
+  conductor/insulator interface.  Its DOFs are numbered in order of
+  their smallest vertex, one per insulator vertex off the interface and
+  one per interface piece.
 
-Essential conditions are homogeneous and handled by free/fixed DOF
-partition; assembled systems live on the free DOFs only.
+`build_space` takes one path for every kind: the kind states its DOF
+count, cell DOFs, active cells and outer-boundary DOFs, and a shared
+tail builds the free/fixed partition.  Essential conditions are
+homogeneous and handled by that partition; assembled systems live on
+the free DOFs only.
 """
 from __future__ import annotations
 
@@ -34,16 +39,18 @@ class FeSpace:
 
     Attributes
     ----------
-    ndof : total logical DOFs (after interface aliasing)
+    ndof : total DOFs (one per interface piece on the multiplier)
     free, fixed : index arrays partitioning range(ndof)
     cell_dofs : (n_active_cells, nl) global DOF per cell basis function
     active_cells : cell ids covered by the space (all cells except for
         the multiplier space, which lives on insulator cells)
+    vertex_dof, dof_vertex : each vertex's DOF (-1 off the space) and
+        each DOF's smallest vertex, for p1 and multiplier; else None
     tables : the space's CellTables, built on first use (see its `of`)
     """
 
     def __init__(self, mesh, kind, ndof, free, fixed, cell_dofs, active_cells,
-                 vertex_dof=None, dof_vertex=None, groups=None):
+                 vertex_dof=None, dof_vertex=None):
         self.mesh = mesh
         self.kind = kind
         self.ndof = ndof
@@ -53,7 +60,6 @@ class FeSpace:
         self.active_cells = active_cells
         self.vertex_dof = vertex_dof
         self.dof_vertex = dof_vertex
-        self.groups = groups or []
         self.tables = None
         self._full_to_free = np.full(ndof, -1, dtype=np.intp)
         self._full_to_free[free] = np.arange(len(free))
@@ -72,95 +78,70 @@ class FeSpace:
         return self._full_to_free[full_dof]
 
 
-def _outer_vertex_mask(mesh):
-    mask = np.zeros(mesh.num_vertices, dtype=bool)
-    mask[mesh.outer_vertices] = True
-    return mask
-
-
-def _partition(ndof, fixed_mask):
-    fixed = np.where(fixed_mask)[0].astype(np.intp)
-    free = np.where(~fixed_mask)[0].astype(np.intp)
-    return free, fixed
-
-
 def build_space(mesh, kind, bc="zero_outer"):
-    """Build a global space on `mesh`; bc is "zero_outer" or None."""
+    """Build a global space on `mesh`; bc is "zero_outer" or None.
+
+    Each kind states its DOF count, its cell DOFs, its active cells and
+    its DOFs on the outer boundary; one shared tail fixes those DOFs
+    under "zero_outer" and partitions range(ndof) into free and fixed.
+    The multiplier numbers its DOFs in order of their smallest vertex,
+    one DOF per insulator vertex off the interface and one per
+    connected piece of the interface.
+    """
     if bc not in (None, "zero_outer"):
         raise ValueError(f"unknown bc spec {bc!r}")
-    all_cells = np.arange(mesh.num_cells, dtype=np.intp)
+    nv, nc = mesh.num_vertices, mesh.num_cells
+    active_cells = np.arange(nc, dtype=np.intp)
+    vertex_dof = dof_vertex = None
 
     if kind == "p1":
-        ndof = mesh.num_vertices
-        fixed_mask = np.zeros(ndof, dtype=bool)
-        if bc == "zero_outer":
-            fixed_mask = _outer_vertex_mask(mesh)
-        free, fixed = _partition(ndof, fixed_mask)
-        vertex_dof = np.arange(ndof, dtype=np.intp)
-        return FeSpace(mesh, kind, ndof, free, fixed,
-                       mesh.cells.copy(), all_cells,
-                       vertex_dof=vertex_dof, dof_vertex=vertex_dof.copy())
-
-    if kind == "mini":
-        nv, nc = mesh.num_vertices, mesh.num_cells
+        ndof, cell_dofs = nv, mesh.cells.copy()
+        vertex_dof = np.arange(nv, dtype=np.intp)
+        dof_vertex = vertex_dof.copy()
+        boundary = mesh.outer_vertices
+    elif kind == "mini":
         ndof = 2 * nv + 2 * nc
-        fixed_mask = np.zeros(ndof, dtype=bool)
-        if bc == "zero_outer":
-            outer = _outer_vertex_mask(mesh)
-            fixed_mask[0:2 * nv:2] = outer
-            fixed_mask[1:2 * nv:2] = outer
-        free, fixed = _partition(ndof, fixed_mask)
         cell_dofs = np.empty((nc, 8), dtype=np.intp)
         for d in range(2):
             cell_dofs[:, d:6:2] = 2 * mesh.cells + d
-            cell_dofs[:, 6 + d] = 2 * nv + 2 * all_cells + d
-        return FeSpace(mesh, kind, ndof, free, fixed, cell_dofs, all_cells)
-
-    if kind == "edge":
-        ndof = mesh.num_edges
-        fixed_mask = np.zeros(ndof, dtype=bool)
-        if bc == "zero_outer":
-            fixed_mask[mesh.outer_edges] = True
-        free, fixed = _partition(ndof, fixed_mask)
-        return FeSpace(mesh, kind, ndof, free, fixed,
-                       mesh.cell_edges.copy(), all_cells)
-
-    if kind == "multiplier":
-        ins_cells = np.where(mesh.cell_subdomain == meshmod.INSULATOR)[0]
-        if len(ins_cells) == 0:
+            cell_dofs[:, 6 + d] = 2 * nv + 2 * active_cells + d
+        boundary = 2 * mesh.outer_vertices[:, None] + np.arange(2)
+    elif kind == "edge":
+        ndof, cell_dofs = mesh.num_edges, mesh.cell_edges.copy()
+        boundary = mesh.outer_edges
+    elif kind == "multiplier":
+        active_cells = np.where(mesh.cell_subdomain == meshmod.INSULATOR)[0]
+        if len(active_cells) == 0:
             raise MissingTag("multiplier space needs insulator cells")
-        ins_vertices = np.unique(mesh.cells[ins_cells])
+        # label each vertex by the smallest vertex joined to it by
+        # interface edges: spread the smaller label across every interface
+        # edge, and jump each label to its own label (log-many passes),
+        # until both ends of every interface edge agree
+        label = np.arange(nv, dtype=np.intp)
+        a, b = mesh.edges[mesh.interface_edges].T
+        while not np.array_equal(label[a], label[b]):
+            low = np.minimum(label[a], label[b])
+            np.minimum.at(label, a, low)
+            np.minimum.at(label, b, low)
+            label = label[label]
+        # every interface edge borders an insulator cell, so each label
+        # is an insulator vertex: the DOF's smallest vertex
+        ins_vertices = np.unique(mesh.cells[active_cells])
+        dof_vertex, dofs = np.unique(label[ins_vertices], return_inverse=True)
+        ndof = len(dof_vertex)
+        vertex_dof = np.full(nv, -1, dtype=np.intp)
+        vertex_dof[ins_vertices] = dofs
+        cell_dofs = vertex_dof[mesh.cells[active_cells]]
+        boundary = np.setdiff1d(vertex_dof[mesh.outer_vertices], -1)
+    else:
+        raise ValueError(f"unknown space kind {kind!r}")
 
-        # one slot per insulator vertex, then alias each interface
-        # component to the slot of its smallest vertex
-        slot_of = np.full(mesh.num_vertices, -1, dtype=np.intp)
-        slot_of[ins_vertices] = np.arange(len(ins_vertices))
-        groups = mesh.interface_components()
-        for grp in groups:
-            if np.any(slot_of[grp] < 0):
-                raise MissingTag("interface vertex missing from insulator")
-            slot_of[grp] = slot_of[grp.min()]
-
-        used, inv = np.unique(slot_of[ins_vertices], return_inverse=True)
-        dof_of_vertex = np.full(mesh.num_vertices, -1, dtype=np.intp)
-        dof_of_vertex[ins_vertices] = inv
-        ndof = len(used)
-
-        # each DOF's representative is its smallest vertex
-        dof_vertex = np.full(ndof, mesh.num_vertices, dtype=np.intp)
-        np.minimum.at(dof_vertex, inv, ins_vertices)
-
-        fixed_mask = np.zeros(ndof, dtype=bool)
-        if bc == "zero_outer":
-            outer = dof_of_vertex[_outer_vertex_mask(mesh)]
-            fixed_mask[outer[outer >= 0]] = True
-        free, fixed = _partition(ndof, fixed_mask)
-        cell_dofs = dof_of_vertex[mesh.cells[ins_cells]]
-        return FeSpace(mesh, kind, ndof, free, fixed, cell_dofs, ins_cells,
-                       vertex_dof=dof_of_vertex, dof_vertex=dof_vertex,
-                       groups=groups)
-
-    raise ValueError(f"unknown space kind {kind!r}")
+    fixed_mask = np.zeros(ndof, dtype=bool)
+    if bc == "zero_outer":
+        fixed_mask[boundary] = True
+    return FeSpace(mesh, kind, ndof, np.flatnonzero(~fixed_mask),
+                   np.flatnonzero(fixed_mask), cell_dofs, active_cells,
+                   vertex_dof=vertex_dof, dof_vertex=dof_vertex)
 
 
 def interpolate(space, fn):

@@ -1,5 +1,5 @@
-"""Test-only mesh helpers: midpoint refinement, edge incidence and an
-invariant checker.
+"""Test-only mesh helpers: midpoint refinement, edge incidence, the
+interface pieces of a multiplier space and an invariant checker.
 
 The refinement makes meshes that `structured_mesh` cannot (children of a
 crossed or refined mesh), and `check_mesh` is the oracle the mesh
@@ -46,6 +46,16 @@ def edge_cells(mesh):
             else:
                 raise ValueError(f"edge {e} shared by more than two cells")
     return cells
+
+
+def interface_pieces(space):
+    """The vertex sets that share one DOF of `space` (on the multiplier,
+    the connected pieces of the interface), as sorted arrays in order of
+    their smallest vertex."""
+    on = np.flatnonzero(space.vertex_dof >= 0)
+    dofs, counts = np.unique(space.vertex_dof[on], return_counts=True)
+    pieces = [on[space.vertex_dof[on] == d] for d in dofs[counts > 1]]
+    return sorted(pieces, key=lambda piece: piece[0])
 
 
 def check_mesh(mesh, expected_area=None):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from mixpar.cli import command, main
 from mixpar.config import ConfigParseError, parse_config
 from mixpar.runner import CSV_COLUMNS, run_experiment
+from mixpar.saddle import RESIDUAL_TOL
 
 SMOKE_KV = """
 # smoke study
@@ -542,3 +543,36 @@ def test_run_seed_env_is_ignored(tmp_path):
     a = (tmp_path / "o1" / "rates.csv").read_bytes()
     b = (tmp_path / "o2" / "rates.csv").read_bytes()
     assert a == b
+
+
+# the validity range (README, CLI): T, nu, sigma, eps, mu_mag and a
+# nonzero xi within two decades of 1, but within one decade for eddy2d
+# with probes on, and n >= 2 for stokes with probes on
+def _decades(width):
+    return st.floats(-width, width).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def _valid_configs(draw):
+    case = draw(st.sampled_from(["stokes", "eddy2d"]))
+    probes = draw(st.booleans())
+    n = (st.integers(2 if probes else 1, 4) if case == "stokes"
+         else st.sampled_from([3, 6]))
+    cfg = {"case": case, "n": draw(n), "levels": draw(st.integers(1, 2)),
+           "steps": draw(st.integers(1, 4)), "probes": probes,
+           "pattern": draw(st.sampled_from(["right", "crossed"]))}
+    decades = _decades(1.0 if probes and case == "eddy2d" else 2.0)
+    for key in ("T", "nu", "sigma", "eps", "mu_mag"):
+        cfg[key] = draw(decades)
+    cfg["xi"] = draw(st.one_of(st.just(0.0), decades))
+    return cfg
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(cfg=_valid_configs())
+def test_valid_configs_solve_within_the_residual_tolerance(cfg):
+    with tempfile.TemporaryDirectory() as folder:
+        code, out = _run_quiet(folder, cfg)
+        assert code in (0, 1)
+        summary = json.loads((out / "summary.json").read_text())
+        assert max(summary["block_residual_max"]) <= RESIDUAL_TOL

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixpar import build_space
 from mixpar.mesh import (CONDUCTOR, INSULATOR, INTERFACE, INTERIOR,
                          OUTER_BOUNDARY, WHOLE, ConductorNotOnLattice,
                          TriMesh, structured_mesh)
-from meshes import check_mesh, edge_cells, uniform_refine
+from meshes import check_mesh, edge_cells, interface_pieces, uniform_refine
 
 
 def test_smallest_right_diagonal_mesh():
@@ -79,7 +80,7 @@ def test_boundary_edges_tagging():
 
 def test_interface_components_single_square():
     m = structured_mesh((0, 0, 3, 3), 6, conductor=(1, 1, 2, 2))
-    comps = m.interface_components()
+    comps = interface_pieces(build_space(m, "multiplier"))
     assert len(comps) == 1
     assert len(comps[0]) == 8  # ring of the [1,2]^2 square at spacing 0.5
 

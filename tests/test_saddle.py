@@ -19,6 +19,7 @@ from mixpar.saddle import (SPLU_OPTIONS, EmptyKernel, NotDenseFeasible,
                            estimate_coercivity, estimate_garding,
                            estimate_infsup, kernel_basis)
 from conftest import build_eddy, build_stokes
+from meshes import interface_pieces
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -247,7 +248,7 @@ def _lattice_x(ops):
     else:
         primal = np.repeat(np.concatenate([vx, mesh.centroids()[:, 0]]), 2)
     multiplier = vx[Q.dof_vertex]
-    multiplier[[Q.vertex_dof[grp[0]] for grp in Q.groups]] = np.nan
+    multiplier[[Q.vertex_dof[grp[0]] for grp in interface_pieces(Q)]] = np.nan
     dropped = int(ops.mean_row is not None)
     return np.concatenate([primal[V.free], multiplier[Q.free][dropped:]])
 
@@ -270,7 +271,7 @@ def test_dissection_order_separates_the_first_bisection(build, n, pattern):
         bubbles = np.arange(2 * mesh.num_vertices, V.ndof)
         bubble[V.free_index(bubbles)] = True
     interface = np.isnan(x)
-    assert np.count_nonzero(interface) == len(Q.groups)
+    assert np.count_nonzero(interface) == len(interface_pieces(Q))
     nb, ni = np.count_nonzero(bubble), np.count_nonzero(interface)
     assert np.all(bubble[order[:nb]])
     assert np.all(interface[order[len(x) - ni:]])

@@ -4,9 +4,9 @@ import pytest
 from mixpar import build_space, interpolate, structured_mesh
 from mixpar.assembly import CellTables
 from mixpar.elements import SIX_POINT_RULE
-from mixpar.mesh import INSULATOR
+from mixpar.mesh import CONDUCTOR, INSULATOR, TriMesh
 from mixpar.spaces import MissingTag
-from meshes import uniform_refine
+from meshes import edge_cells, interface_pieces, uniform_refine
 from rules import collapsed_rule
 
 
@@ -34,7 +34,7 @@ def test_multiplier_space_interface_collapse():
     # 16 insulator vertices, 4 interface vertices alias to one DOF
     assert mu.ndof == 13
     assert mu.num_free == 1
-    grp = mu.groups[0]
+    grp = interface_pieces(mu)[0]
     assert len(grp) == 4
     dofs = {mu.vertex_dof[v] for v in grp}
     assert len(dofs) == 1
@@ -160,7 +160,7 @@ def test_multiplier_group_function_constant_along_interface():
     mu = build_space(m, "multiplier")
     coef = np.zeros(mu.ndof)
     coef[mu.free[0]] = 1.0  # level-2 free DOF ordering: group first by vertex
-    grp_dof = mu.vertex_dof[mu.groups[0][0]]
+    grp_dof = mu.vertex_dof[interface_pieces(mu)[0][0]]
     coef[:] = 0.0
     coef[grp_dof] = 1.0
     # zero tangential derivative along every interface edge
@@ -175,7 +175,7 @@ def test_interpolate_multiplier_uses_group_representative():
     m = structured_mesh((0, 0, 3, 3), 3, conductor=(1, 1, 2, 2))
     mu = build_space(m, "multiplier")
     coef = interpolate(mu, lambda p: p[:, 0] + p[:, 1])
-    grp = mu.groups[0]
+    grp = interface_pieces(mu)[0]
     rep = grp.min()
     got = coef[mu.vertex_dof[grp[0]]]
     assert got == pytest.approx(m.vertices[rep].sum(), rel=1e-15)
@@ -206,3 +206,74 @@ def test_multiplier_arrays_match_per_vertex_loops(pattern, n, bc):
                       (mu.free, np.where(~fixed_mask)[0])):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+
+def _flood_fill_multiplier(mesh, bc):
+    """Reference multiplier numbering by a per-vertex flood fill over the
+    edges between a conductor and an insulator cell: insulator vertices
+    in increasing order, each unvisited one opening the next DOF."""
+    incident = edge_cells(mesh)
+    sub = mesh.cell_subdomain
+    neighbours = {}
+    for e, (c0, c1) in enumerate(incident):
+        if c1 >= 0 and {sub[c0], sub[c1]} == {CONDUCTOR, INSULATOR}:
+            a, b = mesh.edges[e]
+            neighbours.setdefault(a, []).append(b)
+            neighbours.setdefault(b, []).append(a)
+    vertex_dof = np.full(mesh.num_vertices, -1, dtype=np.intp)
+    dof_vertex = []
+    for v in np.unique(mesh.cells[sub == INSULATOR]):
+        if vertex_dof[v] >= 0:
+            continue
+        vertex_dof[v] = len(dof_vertex)
+        stack = [v]
+        while stack:
+            for w in neighbours.get(stack.pop(), []):
+                if vertex_dof[w] < 0:
+                    vertex_dof[w] = len(dof_vertex)
+                    stack.append(w)
+        dof_vertex.append(v)
+    fixed_mask = np.zeros(len(dof_vertex), dtype=bool)
+    if bc == "zero_outer":
+        for e, (c0, c1) in enumerate(incident):
+            if c1 < 0:
+                for v in mesh.edges[e]:
+                    if vertex_dof[v] >= 0:
+                        fixed_mask[vertex_dof[v]] = True
+    return (vertex_dof, np.asarray(dof_vertex, dtype=np.intp),
+            np.flatnonzero(~fixed_mask), np.flatnonzero(fixed_mask))
+
+
+# conductor squares (i, j) of a 5 x 5 lattice on [0,5]^2 and the
+# number of interface pieces around them
+_CONDUCTOR_LAYOUTS = {
+    "two-blocks": ([(1, 1), (3, 2), (3, 3)], 2),
+    "blocks-meeting-at-a-vertex": ([(1, 1), (2, 2)], 1),
+    "block-on-the-outer-boundary": ([(0, 2), (1, 2)], 1),
+}
+
+
+@pytest.mark.parametrize("pattern", ["right", "crossed"])
+@pytest.mark.parametrize("bc", [None, "zero_outer"])
+@pytest.mark.parametrize("layout", sorted(_CONDUCTOR_LAYOUTS))
+def test_multiplier_numbers_each_interface_piece(layout, bc, pattern):
+    squares, pieces = _CONDUCTOR_LAYOUTS[layout]
+    grid = structured_mesh((0, 0, 5, 5), 5, pattern=pattern)
+    # the cells of one lattice square are consecutive, squares row-major
+    per_square = grid.num_cells // 25
+    inside = np.zeros(25, dtype=bool)
+    inside[[5 * j + i for i, j in squares]] = True
+    tags = np.where(np.repeat(inside, per_square), CONDUCTOR, INSULATOR)
+    m = TriMesh(grid.vertices, grid.cells, tags)
+    mu = build_space(m, "multiplier", bc=bc)
+    vertex_dof, dof_vertex, free, fixed = _flood_fill_multiplier(m, bc)
+    assert len(interface_pieces(mu)) == pieces
+    assert mu.ndof == len(dof_vertex)
+    for got, want in ((mu.vertex_dof, vertex_dof), (mu.dof_vertex, dof_vertex),
+                      (mu.free, free), (mu.fixed, fixed)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    # a piece on the outer boundary is fixed with it
+    touches = layout == "block-on-the-outer-boundary"
+    piece_dof = mu.vertex_dof[interface_pieces(mu)[0][0]]
+    assert (piece_dof in mu.fixed) == (touches and bc == "zero_outer")
