@@ -163,15 +163,16 @@ class ErrorSweep:
         self.C = C = _interpolants(primal, ops.primal)
         self.Cm = Cm = _interpolants(mult, ops.multiplier)
 
-        # X is the H1_0 seminorm (Stokes) or the H(curl) norm (eddy); for
-        # the eddy case M likewise adds the H1 seminorm to the L2 norm.
-        # Each residual is formed just before the first form that reads
-        # it, so the precompute holds one form's residuals at a time.
+        # X is the H1_0 seminorm (Stokes) or the H(curl) norm (eddy); the
+        # eddy M adds the H1 seminorm to the L2 norm, but the exact eddy
+        # multiplier has no terms, so its form is dᵀ M d and needs no
+        # derivative piece.  Each residual is formed just before the first
+        # form that reads it, so the precompute holds one form's residuals
+        # at a time.
+        self.M = _Form(ops.M, [
+            (tm.val, tm.w, _profiles(mult, "value", tm.val, tm.qp, Cm))])
         self.full_norms = case.kind == "eddy2d"
         if self.full_norms:
-            self.M = _Form(ops.M, [
-                (tm.val, tm.w, _profiles(mult, "value", tm.val, tm.qp, Cm)),
-                (tm.der, tm.w, _profiles(mult, "deriv", tm.der, tm.qp, Cm))])
             cells = tu.cells.repeat(tu.wdet.shape[1])
             w_cond = tu.w * (ops.primal.mesh.cell_subdomain[cells]
                              == meshmod.CONDUCTOR)
@@ -191,8 +192,6 @@ class ErrorSweep:
             # magnetic error is the rot part of X, mu_mag A = Dᵀ W D
             self.H = _Form(case.coeffs.mu_mag * ops.A, [(tu.der, tu.w, rd)])
         else:
-            self.M = _Form(ops.M, [
-                (tm.val, tm.w, _profiles(mult, "value", tm.val, tm.qp, Cm))])
             self.R = _Form(ops.R, [
                 (tu.val, tu.w, _profiles(primal, "value", tu.val, tu.qp, C))])
             self.X = _Form(ops.X, [

@@ -55,12 +55,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.case not in _CASES:
             raise ConfigParseError(f"case must be one of {_CASES}")
-        if self.levels < 1:
-            raise ConfigParseError("levels must be >= 1")
-        if self.n < 1:
-            raise ConfigParseError("n must be >= 1")
-        if self.steps < 1:
-            raise ConfigParseError("steps must be >= 1")
+        for key in ("levels", "n", "steps", "jobs"):
+            if getattr(self, key) < 1:
+                raise ConfigParseError(f"{key} must be >= 1")
         for key in ("T", "nu", "sigma", "eps", "mu_mag"):
             val = getattr(self, key)
             if not (math.isfinite(val) and val > 0):
@@ -71,16 +68,12 @@ class ExperimentConfig:
             raise ConfigParseError(f"pattern must be one of {_PATTERNS}")
         if self.vtk_every < 0:
             raise ConfigParseError("vtk_every must be >= 0")
-        if self.jobs < 1:
-            raise ConfigParseError("jobs must be >= 1")
         if self.case == "eddy2d" and self.n % 3 != 0:
             raise ConfigParseError(
                 "eddy2d needs n divisible by 3 so the conductor "
                 "corners land on the grid lattice"
             )
-        merged = dict(DEFAULT_THRESHOLDS[self.case])
-        merged.update(self.thresholds)
-        self.thresholds = merged
+        self.thresholds = {**DEFAULT_THRESHOLDS[self.case], **self.thresholds}
         for key, val in self.thresholds.items():
             if key not in _METRICS[self.case]:
                 raise ConfigParseError(
@@ -102,69 +95,69 @@ _FIELD_TYPES = {key: typ
 def _coerce(key, raw, typ=None):
     """`raw` as a value of `typ` (by default the type of field `key`).
 
-    Text arrives as str; JSON may also give a bool, a number or null.  A
-    number takes no bool or null, and an int no non-integral number, so
-    nothing is silently truncated.
+    Text arrives as str; JSON may also give a bool, a number or null.
+    Either way a number is what float() reads, never a bool or null, and
+    an int field takes only an integral one, so nothing is silently
+    truncated: `n = 3.0` and `"n": 3.0` read as 3, `n = 2.7` is rejected.
     """
-    typ = typ or _FIELD_TYPES[key]
-    if typ is bool:
-        if isinstance(raw, bool):
+    typ = typ or _FIELD_TYPES.get(key)
+    if typ is None:
+        raise ConfigParseError(f"unknown config key {key!r}")
+    if typ is bool and not isinstance(raw, bool):
+        raw = _BOOL.get(str(raw).strip().lower(), raw)
+    if typ in (bool, str) or isinstance(raw, bool):
+        if type(raw) is typ:
             return raw
+    else:
         try:
-            return _BOOL[str(raw).strip().lower()]
-        except KeyError:
-            raise ConfigParseError(f"bad boolean for {key}: {raw!r}") from None
-    try:
-        if isinstance(raw, str):
-            return typ(raw)
-        number = isinstance(raw, (int, float)) and not isinstance(raw, bool)
-        if number and typ is float:
-            return float(raw)
-        if number and typ is int and float(raw).is_integer():
-            return int(raw)
-    except (ValueError, OverflowError):
-        pass
+            value = float(raw)
+            if typ is float or value.is_integer():
+                return typ(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
     raise ConfigParseError(f"bad value for {key}: {raw!r}")
+
+
+def _read_json(text):
+    """The (key, value) pairs of a JSON object and of its `thresholds`."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ConfigParseError(f"invalid JSON: {err}") from err
+    if not isinstance(doc, dict):
+        raise ConfigParseError("JSON config must be an object")
+    floors = doc.pop("thresholds", {})
+    if not isinstance(floors, dict):
+        raise ConfigParseError("thresholds must be an object")
+    return doc.items(), floors.items()
+
+
+def _read_text(text):
+    """The (key, value) pairs of the `key = value` lines and of the
+    `threshold.<metric> = value` lines, in file order."""
+    fields, floors = [], []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigParseError(f"line {lineno}: expected key=value")
+        key, _, raw = (part.strip() for part in line.partition("="))
+        if key.startswith("threshold."):
+            floors.append((key.partition(".")[2], raw))
+        else:
+            fields.append((key, raw))
+    return fields, floors
 
 
 def parse_config(text):
     """Parse a JSON document or flat key=value text into a config."""
     text = text.strip()
-    fields: dict = {}
-    thresholds: dict = {}
-    if text.startswith("{"):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as err:
-            raise ConfigParseError(f"invalid JSON: {err}") from err
-        if not isinstance(doc, dict):
-            raise ConfigParseError("JSON config must be an object")
-        for key, val in doc.items():
-            if key == "thresholds":
-                if not isinstance(val, dict):
-                    raise ConfigParseError("thresholds must be an object")
-                thresholds = {k: _coerce(f"threshold.{k}", v, float)
-                              for k, v in val.items()}
-            elif key in _FIELD_TYPES:
-                fields[key] = _coerce(key, val)
-            else:
-                raise ConfigParseError(f"unknown config key {key!r}")
-    else:
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigParseError(f"line {lineno}: expected key=value")
-            key, _, raw = line.partition("=")
-            key, raw = key.strip(), raw.strip()
-            if key.startswith("threshold."):
-                thresholds[key.split(".", 1)[1]] = _coerce(key, raw, float)
-            elif key in _FIELD_TYPES:
-                fields[key] = _coerce(key, raw)
-            else:
-                raise ConfigParseError(f"line {lineno}: unknown key {key!r}")
-    return ExperimentConfig(thresholds=thresholds, **fields)
+    fields, floors = (_read_json if text.startswith("{") else _read_text)(text)
+    # a repeated text key's last value counts, but each must be valid
+    return ExperimentConfig(
+        thresholds={k: _coerce(f"threshold.{k}", v, float) for k, v in floors},
+        **{k: _coerce(k, v) for k, v in fields})
 
 
 def load_config(path):

@@ -170,11 +170,9 @@ def dissection_order(ops):
     The pressure row dropped for the gauge (`mean_row`, see
     SaddleSolver) is left out.  Lattice indices come from the vertex
     coordinates, where the crossed pattern's square centres sit between
-    the grid lines.  Operators without spaces get None (K as it stands).
+    the grid lines.
     """
     V, Q = ops.primal, ops.multiplier
-    if V is None:
-        return None
     xs, ix = np.unique(V.mesh.vertices[:, 0], return_inverse=True)
     ys, iy = np.unique(V.mesh.vertices[:, 1], return_inverse=True)
     width, height = 2 * len(xs) - 1, 2 * len(ys) - 1
@@ -228,6 +226,10 @@ def kernel_basis(B):
     return scipy.linalg.null_space(np.asarray(B.todense()))
 
 
+def _seeded_start(n):
+    return np.random.default_rng(0).standard_normal(n)
+
+
 def _bottom_eigenvalue(what, solve, M, start):
     """Smallest eigenvalue of a positive semidefinite pencil (K, M), where
     solve(y) returns K^{-1} y, by shift-invert Lanczos about 0 from the
@@ -235,6 +237,11 @@ def _bottom_eigenvalue(what, solve, M, start):
     n = M.shape[0]
     inv = spla.LinearOperator((n, n), dtype=float, matvec=solve)
     v0 = inv @ (M @ start)
+    if not np.any(v0):
+        # a symmetric start can map to zero (Stokes n = 1, where only the
+        # bubbles are free): retry once from the β probe's seeded start
+        start = _seeded_start(n)
+        v0 = inv @ (M @ start)
     if not np.any(v0):
         # K^{-1} M start underflowed: K's entries are beyond float range
         raise SingularSystem(f"{what}: the pencil is not finite")
@@ -267,8 +274,6 @@ def estimate_infsup(X, B, M, project_out=None, order=None):
     the probe raises.
     """
     n = X.shape[0]
-    if n > DENSE_LIMIT:
-        raise NotDenseFeasible(f"{n} primal DOFs exceed {DENSE_LIMIT}")
     first = 0 if project_out is None else 1
     if B.shape[0] <= first or sp.csr_matrix(B).count_nonzero() == 0:
         return 0.0
@@ -280,8 +285,8 @@ def estimate_infsup(X, B, M, project_out=None, order=None):
             q = q - project_out * (q.sum() / project_out.sum())
         return -solver.solve(zeros, q)[1]
     # not the coercivity probe's ones: the projection takes M 1 to zero
-    start = np.random.default_rng(0).standard_normal(B.shape[0])
-    beta2 = _bottom_eigenvalue("inf-sup probe", solve, M, start)
+    beta2 = _bottom_eigenvalue("inf-sup probe", solve, M,
+                               _seeded_start(B.shape[0]))
     return float(np.sqrt(max(beta2, 0.0)))
 
 

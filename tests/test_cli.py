@@ -5,6 +5,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixpar.cli import command, main
-from mixpar.config import ConfigParseError, parse_config
+from mixpar.config import ConfigParseError, ExperimentConfig, parse_config
 from mixpar.runner import CSV_COLUMNS, run_experiment
 from mixpar.saddle import RESIDUAL_TOL
 
@@ -51,6 +52,38 @@ def test_keyvalue_and_json_configs_agree():
     assert c == d
     assert type(c.n) is int and type(c.T) is float
     assert type(c.thresholds["err_u_l2X"]) is float
+    # an integral number reads as an int in either format
+    for spelling, n in (("3.0", 3), ("1e1", 10)):
+        text = parse_config(f"case = stokes\nn = {spelling}\n")
+        doc = parse_config(f'{{"case": "stokes", "n": {spelling}}}')
+        assert text == doc and type(text.n) is int and text.n == n
+    with pytest.raises(ConfigParseError):
+        parse_config("case = stokes\nn = 2.7\n")
+
+
+# every field that takes a number or a bool, and a rate floor
+_SCALAR_KEYS = [key for key, typ in get_type_hints(ExperimentConfig).items()
+                if typ in (int, float, bool)] + ["threshold.err_u_l2X"]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(key=st.sampled_from(_SCALAR_KEYS),
+       value=st.one_of(st.booleans(), st.integers(-2, 2 ** 60), st.floats()))
+@example(key="n", value=3.0)
+@example(key="n", value=1e1)
+def test_json_values_and_their_text_spellings_agree(key, value):
+    spelling = (("true" if value else "false") if isinstance(value, bool)
+                else repr(value))
+    metric = key.partition("threshold.")[2]
+    doc = {"case": "stokes",
+           **({"thresholds": {metric: value}} if metric else {key: value})}
+    outcomes = []
+    for source in (json.dumps(doc), f"case = stokes\n{key} = {spelling}\n"):
+        try:
+            outcomes.append(parse_config(source))
+        except ConfigParseError:
+            outcomes.append(ConfigParseError)
+    assert outcomes[0] == outcomes[1]
 
 
 def test_config_validation_errors():
@@ -547,7 +580,7 @@ def test_run_seed_env_is_ignored(tmp_path):
 
 # the validity range (README, CLI): T, nu, sigma, eps, mu_mag and a
 # nonzero xi within two decades of 1, but within one decade for eddy2d
-# with probes on, and n >= 2 for stokes with probes on
+# with probes on
 def _decades(width):
     return st.floats(-width, width).map(lambda e: 10.0 ** e)
 
@@ -556,8 +589,7 @@ def _decades(width):
 def _valid_configs(draw):
     case = draw(st.sampled_from(["stokes", "eddy2d"]))
     probes = draw(st.booleans())
-    n = (st.integers(2 if probes else 1, 4) if case == "stokes"
-         else st.sampled_from([3, 6]))
+    n = st.integers(1, 4) if case == "stokes" else st.sampled_from([3, 6])
     cfg = {"case": case, "n": draw(n), "levels": draw(st.integers(1, 2)),
            "steps": draw(st.integers(1, 4)), "probes": probes,
            "pattern": draw(st.sampled_from(["right", "crossed"]))}

@@ -519,11 +519,8 @@ def test_empty_kernel_raises():
 
 
 def test_dense_limit_guard():
-    big = sp.identity(4000, format="csr")
     with pytest.raises(NotDenseFeasible):
         kernel_basis(sp.csr_matrix((1, 4000)))
-    with pytest.raises(NotDenseFeasible):
-        estimate_infsup(big, sp.csr_matrix((1, 4000)), sp.identity(1, format="csr"))
 
 
 def test_kernel_basis_spans_constraint_kernel(eddy3):
@@ -592,6 +589,9 @@ def _probe_instance(case, n, nu=1.0, **kw):
     ("eddy", 6, dict(sigma=2.5, eps=0.4, mu_mag=3.0, pattern="crossed"),
      0.3),
     ("eddy", 12, dict(pattern="crossed"), 1.0),
+    # only bubbles are free, and the coercivity probe's start X 1 maps to
+    # zero, so it restarts from the seeded vector
+    ("stokes", 1, {}, 1e-3),
 ])
 def test_sparse_probes_match_dense_oracles(case, n, kw, xi):
     ops, shift = _probe_instance(case, n, **kw)
