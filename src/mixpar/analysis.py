@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mesh as meshmod
-from .assembly import CellTables
+from .assembly import CellTables, _per_row
 from .spaces import interpolate
 
 __all__ = [
@@ -113,16 +113,14 @@ class _Form:
         return max(float(sq), 0.0)
 
 
-def _per_row(w, r):
-    """r (K, rows) with each point's rows scaled by its weight."""
-    return np.repeat(w, r.shape[1] // len(w)) * r
-
-
-def _profiles(terms, part, F, pts, C=None):
-    """The terms' profiles (`value` or `deriv`) at pts, one row per term,
-    laid out like the rows of the point map F; given the interpolants C
-    (K, n), their residuals P - F C instead, formed in the same array."""
-    P = np.array([getattr(term, part)(pts).ravel() for term in terms]
+def _profiles(terms, part, tab, C=None):
+    """The terms' profiles (`value` or `deriv`) at the points of the
+    tables tab, one row per term, laid out like the rows of its map F
+    (`val` or `der`); given the interpolants C (K, n), their residuals
+    P - F C instead, formed in the same array.  The points are read only
+    when there are terms."""
+    F = tab.val if part == "value" else tab.der
+    P = np.array([getattr(term, part)(tab.qp).ravel() for term in terms]
                  ).reshape(len(terms), F.shape[0])
     if C is not None:
         P -= (F @ C.T).T
@@ -170,21 +168,21 @@ class ErrorSweep:
         # form that reads it, so the precompute holds one form's residuals
         # at a time.
         self.M = _Form(ops.M, [
-            (tm.val, tm.w, _profiles(mult, "value", tm.val, tm.qp, Cm))])
+            (tm.val, tm.w, _profiles(mult, "value", tm, Cm))])
         self.full_norms = case.kind == "eddy2d"
         if self.full_norms:
-            cells = tu.cells.repeat(tu.wdet.shape[1])
-            w_cond = tu.w * (ops.primal.mesh.cell_subdomain[cells]
-                             == meshmod.CONDUCTOR)
+            # the edge space covers every cell
+            in_cond = ops.primal.mesh.cell_subdomain == meshmod.CONDUCTOR
+            w_cond = tu.w * np.repeat(in_cond, tu.wdet.shape[1])
             self.sigma = sigma = case.coeffs.sigma
             # Gram matrices of the exact fields for the denominators:
             # sum w_cond P_k.P_l (conductor) and sum w rot P_k rot P_l,
             # taken before the profiles become their residuals in place
-            rv = _profiles(primal, "value", tu.val, tu.qp)
+            rv = _profiles(primal, "value", tu)
             self.E_exact = rv @ _per_row(w_cond, rv).T
             rv -= (tu.val @ C.T).T
             self.R = _Form(ops.R, [(tu.val, sigma * w_cond, rv)])
-            rd = _profiles(primal, "deriv", tu.der, tu.qp)
+            rd = _profiles(primal, "deriv", tu)
             self.H_exact = rd @ _per_row(tu.w, rd).T
             rd -= (tu.der @ C.T).T
             self.X = _Form(ops.X, [(tu.val, tu.w, rv), (tu.der, tu.w, rd)])
@@ -193,9 +191,9 @@ class ErrorSweep:
             self.H = _Form(case.coeffs.mu_mag * ops.A, [(tu.der, tu.w, rd)])
         else:
             self.R = _Form(ops.R, [
-                (tu.val, tu.w, _profiles(primal, "value", tu.val, tu.qp, C))])
+                (tu.val, tu.w, _profiles(primal, "value", tu, C))])
             self.X = _Form(ops.X, [
-                (tu.der, tu.w, _profiles(primal, "deriv", tu.der, tu.qp, C))])
+                (tu.der, tu.w, _profiles(primal, "deriv", tu, C))])
 
         self.max_R = 0.0
         self.l2X = self.l2M = self.dtR = 0.0

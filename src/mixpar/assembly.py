@@ -17,8 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import mesh as meshmod
-from .elements import (SIX_POINT_RULE, bubble_values, cell_geometry,
-                       p1_values)
+from .elements import SIX_POINT_RULE, bubble_values
 from .spaces import FeSpace
 
 __all__ = [
@@ -72,15 +71,17 @@ class CellTables:
     The one way to evaluate a discrete field at quadrature points.  Built
     once per space on the six-point rule (see `of`) and shared by the
     operator assembly, the load, the error norms and the VTK output.
+    The areas, barycentric gradients and edge signs of its cells are the
+    mesh's; the tables keep no copy of them.
 
     Kind-agnostic data over the flat list of quadrature points: weights
     `w` (m,), and, built on first use, the points `qp` (m, 2) and two
     sparse maps from free coefficients: `val` to the field values and
     `der` to the gradient (p1, multiplier), the Jacobian (mini) or the
-    scalar curl (edge).  `values`, `derivs` and `moments` sit on top of
-    them, and every operator is a weighted product of them (see `_gram`).
-    `load` holds the moments of the last separable load (see
-    `assemble_load`).
+    scalar curl (edge).  A field's values at the points are `val @ u`;
+    `moments` applies the transposes, and every operator is a weighted
+    product of the maps (see `_gram`).  `load` holds the moments of the
+    last separable load (see `assemble_load`).
 
     Per-kind local basis data, from which the maps are built, computed
     on access rather than kept, as the maps hold all a level needs: p1 /
@@ -89,31 +90,19 @@ class CellTables:
     basis; edge has `wvals` (nc, nq, 3, 2) and `wrot` (nc, 3).
     """
 
-    # per-point shapes of the values and the derivatives
-    _SHAPES = {"p1": ((), (2,)), "multiplier": ((), (2,)),
-               "mini": ((2,), (2, 2)), "edge": ((2,), ())}
-
     def __init__(self, space, rule):
-        if space.kind not in self._SHAPES:
-            raise ValueError(f"unknown space kind {space.kind!r}")
         self.kind = space.kind
-        self._shapes = self._SHAPES[space.kind]
         self.rule = rule
         self._mesh = mesh = space.mesh
-        cells = space.active_cells
-        # physical gradients of the barycentric coordinates
-        area, self._g = cell_geometry(mesh.vertices[mesh.cells[cells]])
-        det = 2.0 * area
+        self.cells = cells = space.active_cells
         self.load = None
-        self.wdet = np.outer(det, rule.weights)  # weights sum to A per cell
+        # weights sum to the area per cell
+        self.wdet = np.outer(2.0 * mesh.cell_areas[cells], rule.weights)
         self.w = self.wdet.ravel()
-        self.dofs = space.cell_dofs
-        self.cells = cells
         self.nfree = space.num_free
         # free column of each cell DOF, -1 on constrained DOFs
-        self._cols = space.free_index(self.dofs).astype(np.int32)[:, None]
-        if self.kind == "edge":
-            self._sign = mesh.cell_edge_sign[cells][:, :, None]  # (nc, 3, 1)
+        cols = space.free_index(space.cell_dofs)
+        self._cols = cols.astype(np.int32)[:, None]
 
     @cached_property
     def qp(self):
@@ -129,12 +118,13 @@ class CellTables:
     def vals(self):
         bary = self.rule.points
         if self.kind == "mini":
-            return np.column_stack([p1_values(bary), bubble_values(bary)])
-        return p1_values(bary)
+            return np.column_stack([bary, bubble_values(bary)])
+        return bary
 
     @property
     def grads(self):
-        g = self._g
+        # physical gradients of the barycentric coordinates
+        g = self._mesh.cell_grads[self.cells]
         if self.kind != "mini":
             return g
         l0, l1, l2 = self.rule.points.T
@@ -150,20 +140,21 @@ class CellTables:
     def _edge_ends(self):
         # local edge k runs from vertex k+1 to k+2; signing both endpoint
         # gradients turns it to the global low -> high edge
-        s, g = self._sign, self._g
+        s = self._mesh.cell_edge_sign[self.cells][:, :, None]  # (nc, 3, 1)
+        g = self.grads
         return s * g[:, [1, 2, 0]], s * g[:, [2, 0, 1]]
 
     @property
     def wvals(self):
         ga, gb = self._edge_ends()
-        lam = p1_values(self.rule.points)               # (nq, 3)
+        lam = self.rule.points                          # (nq, 3)
         return (lam[:, [1, 2, 0], None] * gb[:, None]
                 - lam[:, [2, 0, 1], None] * ga[:, None])
 
     @property
     def wrot(self):
         ga, gb = self._edge_ends()
-        return 2.0 * self._sign[:, :, 0] * (
+        return 2.0 * self._mesh.cell_edge_sign[self.cells] * (
             ga[:, :, 0] * gb[:, :, 1] - ga[:, :, 1] * gb[:, :, 0])
 
     def _recipe(self, name):
@@ -225,26 +216,20 @@ class CellTables:
     def der(self):
         return self._point_map(*self._recipe("der"))
 
-    def values(self, u):
-        """Field values at the points from free coefficients u."""
-        return (self.val @ u).reshape(-1, *self._shapes[0])
-
-    def derivs(self, u):
-        """Gradient, Jacobian or scalar curl at the points (see `der`)."""
-        return (self.der @ u).reshape(-1, *self._shapes[1])
-
     def moments(self, fq, dq=None):
         """valᵀ(w·fq) + derᵀ(w·dq) over the free DOFs; either may be None."""
         out = np.zeros(self.nfree)
         if fq is not None:
-            out += self.val.T @ self._weighted(fq)
+            out += self.val.T @ _per_row(self.w, np.ravel(fq))
         if dq is not None:
-            out += self.der.T @ self._weighted(dq)
+            out += self.der.T @ _per_row(self.w, np.ravel(dq))
         return out
 
-    def _weighted(self, a):
-        a = np.asarray(a, dtype=float).reshape(len(self.w), -1)
-        return (self.w[:, None] * a).ravel()
+
+def _per_row(w, r):
+    """r (..., rows), laid out like a point map's rows, with each
+    point's rows scaled by its weight w[point]."""
+    return np.repeat(w, r.shape[-1] // len(w)) * r
 
 
 def _gram(P, w, Q=None):
@@ -318,8 +303,7 @@ def assemble_eddy2d(edge, multiplier, sigma=1.0, eps=1.0, mu_mag=1.0):
         raise SpaceMismatch("edge and multiplier live on different meshes")
     if edge.kind != "edge" or multiplier.kind != "multiplier":
         raise SpaceMismatch("expected edge primal and multiplier spaces")
-    in_cond = (edge.mesh.cell_subdomain[edge.active_cells]
-               == meshmod.CONDUCTOR)
+    in_cond = edge.mesh.cell_subdomain == meshmod.CONDUCTOR
     if not in_cond.any() or sigma <= 0.0:
         raise NoConductorCells("degenerate mass term has empty support")
 
@@ -327,9 +311,9 @@ def assemble_eddy2d(edge, multiplier, sigma=1.0, eps=1.0, mu_mag=1.0):
     tm = CellTables.of(multiplier)
     nq = te.wdet.shape[1]
     cond = np.flatnonzero(np.repeat(in_cond, nq))
-    # the multiplier's points are the edge table's points on its cells
-    ins = (np.searchsorted(te.cells, tm.cells)[:, None] * nq
-           + np.arange(nq)).ravel()
+    # the edge space covers every cell, so its points on cell c are
+    # nq * c + (0..nq-1); the multiplier's points are those on its cells
+    ins = (multiplier.active_cells[:, None] * nq + np.arange(nq)).ravel()
     rot = _gram(te.der, te.w)
     return OperatorSet(
         R=sigma * _gram(_rows_at(te.val, cond, len(te.w)), te.w[cond]),

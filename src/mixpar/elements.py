@@ -16,7 +16,7 @@ from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "QuadratureRule", "SIX_POINT_RULE", "DegenerateCell", "gauss1d",
-    "p1_values", "bubble_values",
+    "bubble_values",
     "cell_geometry", "p1_mass_reference", "p1_stiffness",
 ]
 
@@ -69,12 +69,7 @@ def gauss1d(npoints):
     return 0.5 * (nodes + 1.0), 0.5 * wts
 
 
-# -- reference shape functions ------------------------------------------
-
-def p1_values(bary):
-    """P1 values at barycentric points: identity on the coordinates."""
-    return np.asarray(bary, dtype=float)
-
+# -- reference shape functions (P1's are the barycentric coordinates) ----
 
 def bubble_values(bary):
     """Cubic bubble 27*lam0*lam1*lam2, equal to 1 at the barycenter."""

@@ -44,6 +44,10 @@ class TriMesh:
     vertices : (nv, 2) float array
     cells : (nc, 3) int array, positively oriented vertex triples
     cell_subdomain : (nc,) int8 array with WHOLE / CONDUCTOR / INSULATOR
+    cell_areas : (nc,) float array of cell areas
+    cell_grads : (nc, 3, 2) float array, the physical gradient of each
+        cell's barycentric coordinates; with the areas, the geometry
+        every table of the mesh reads
     edges : (ne, 2) int array, globally oriented low index -> high index
     cell_edges : (nc, 3) int array, global edge of local edge k
     cell_edge_sign : (nc, 3) float array, +1.0 where local edge k, run
@@ -66,7 +70,8 @@ class TriMesh:
         if self.cell_subdomain.shape != (nc,):
             raise ValueError("cell_subdomain must be (nc,)")
 
-        self.cell_areas, _ = cell_geometry(self.vertices[self.cells])
+        self.cell_areas, self.cell_grads = cell_geometry(
+            self.vertices[self.cells])
 
         # local edge k runs from local vertex k+1 to k+2
         local = self.cells[:, _LOCAL_EDGES]                 # (nc, 3, 2)

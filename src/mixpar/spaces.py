@@ -16,9 +16,9 @@ Supported kinds:
 
 `build_space` takes one path for every kind: the kind states its DOF
 count, cell DOFs, active cells and outer-boundary DOFs, and a shared
-tail builds the free/fixed partition.  Essential conditions are
-homogeneous and handled by that partition; assembled systems live on
-the free DOFs only.
+tail keeps the DOFs off the outer boundary as the free ones.  Essential
+conditions are homogeneous and handled by that split; assembled systems
+live on the free DOFs only.
 """
 from __future__ import annotations
 
@@ -40,7 +40,7 @@ class FeSpace:
     Attributes
     ----------
     ndof : total DOFs (one per interface piece on the multiplier)
-    free, fixed : index arrays partitioning range(ndof)
+    free : sorted index array of the unconstrained DOFs
     cell_dofs : (n_active_cells, nl) global DOF per cell basis function
     active_cells : cell ids covered by the space (all cells except for
         the multiplier space, which lives on insulator cells)
@@ -49,13 +49,12 @@ class FeSpace:
     tables : the space's CellTables, built on first use (see its `of`)
     """
 
-    def __init__(self, mesh, kind, ndof, free, fixed, cell_dofs, active_cells,
+    def __init__(self, mesh, kind, ndof, free, cell_dofs, active_cells,
                  vertex_dof=None, dof_vertex=None):
         self.mesh = mesh
         self.kind = kind
         self.ndof = ndof
         self.free = free
-        self.fixed = fixed
         self.cell_dofs = cell_dofs
         self.active_cells = active_cells
         self.vertex_dof = vertex_dof
@@ -83,7 +82,7 @@ def build_space(mesh, kind, bc="zero_outer"):
 
     Each kind states its DOF count, its cell DOFs, its active cells and
     its DOFs on the outer boundary; one shared tail fixes those DOFs
-    under "zero_outer" and partitions range(ndof) into free and fixed.
+    under "zero_outer" and keeps the others as the free DOFs.
     The multiplier numbers its DOFs in order of their smallest vertex,
     one DOF per insulator vertex off the interface and one per
     connected piece of the interface.
@@ -139,9 +138,8 @@ def build_space(mesh, kind, bc="zero_outer"):
     fixed_mask = np.zeros(ndof, dtype=bool)
     if bc == "zero_outer":
         fixed_mask[boundary] = True
-    return FeSpace(mesh, kind, ndof, np.flatnonzero(~fixed_mask),
-                   np.flatnonzero(fixed_mask), cell_dofs, active_cells,
-                   vertex_dof=vertex_dof, dof_vertex=dof_vertex)
+    return FeSpace(mesh, kind, ndof, np.flatnonzero(~fixed_mask), cell_dofs,
+                   active_cells, vertex_dof=vertex_dof, dof_vertex=dof_vertex)
 
 
 def interpolate(space, fn):
@@ -177,8 +175,6 @@ def interpolate(space, fn):
             coef += wg * (vals[:, 0] * vec[:, 0] + vals[:, 1] * vec[:, 1])
         return coef
 
-    if space.kind in ("p1", "multiplier"):
-        coef[:] = fn(mesh.vertices[space.dof_vertex])
-        return coef
-
-    raise ValueError(f"unknown space kind {space.kind!r}")
+    # p1 and multiplier
+    coef[:] = fn(mesh.vertices[space.dof_vertex])
+    return coef

@@ -33,16 +33,12 @@ class TimeGrid:
     def __post_init__(self):
         if self.N < 1:
             raise ValueError("N must be >= 1")
-        if self.T <= 0.0:
-            raise ValueError("T must be positive")
+        if not (np.isfinite(self.T) and self.T > 0.0):
+            raise ValueError("T must be finite and positive")
 
     @property
     def dt(self):
         return self.T / self.N
-
-    @property
-    def times(self):
-        return self.dt * np.arange(self.N + 1)
 
 
 @dataclass

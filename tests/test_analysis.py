@@ -57,7 +57,7 @@ def test_exact_reproduction_gives_zero_norms():
     case = _series_case(_SERIES)
     grid = TimeGrid(1.0, 3)
     coef0 = interpolate(E, lambda p: exact_fields(case).u(p, 0.0))
-    u = np.array([(1.0 - t) / 1.0 * coef0 for t in grid.times])
+    u = np.array([(1.0 - n * grid.dt) * coef0 for n in range(grid.N + 1)])
     sol = TimeSeriesSolution(u, np.zeros((grid.N + 1, MU.num_free)), grid)
     norms = swept_errors(sol, case, ops)
     for val in (norms.max_R, norms.l2_X, norms.l2_M, norms.dt_R):
@@ -185,6 +185,18 @@ def test_sweep_precompute_holds_one_form_at_a_time(stokes_case_default):
     # about 3.3 such arrays; holding every profile and residual at once
     # took about 5.5
     assert peak <= 4 * 8 * rows
+
+
+def test_eddy_sweep_builds_no_multiplier_points(eddy_case_default):
+    # the exact eddy multiplier has no terms, so the sweep has no profile
+    # to evaluate at the multiplier's points
+    _, E, MU, ops = build_eddy(3)
+    case = eddy_case_default
+    assert case.terms.multiplier == ()
+    sweep = compute_errors(case, ops, TimeGrid(case.T, 2))
+    sweep.add(1, np.zeros(E.num_free), np.zeros(MU.num_free))
+    assert "qp" not in vars(CellTables.of(MU))
+    assert "qp" in vars(CellTables.of(E))
 
 
 def test_fit_rates_trivial_sequences():

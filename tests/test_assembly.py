@@ -10,8 +10,7 @@ from mixpar import build_space, interpolate, structured_mesh
 from mixpar.assembly import (CellTables, NoConductorCells, SpaceMismatch,
                              assemble_eddy2d, assemble_load, assemble_stokes)
 from mixpar.config import parse_config
-from mixpar.elements import (SIX_POINT_RULE, cell_geometry,
-                             p1_mass_reference, p1_values)
+from mixpar.elements import SIX_POINT_RULE, cell_geometry, p1_mass_reference
 from mixpar.mesh import CONDUCTOR, TriMesh
 from mixpar.runner import run_level
 from mixpar.spaces import MissingTag
@@ -181,7 +180,7 @@ def test_moments_adjoint_to_values_and_derivs(kind):
     tab = CellTables.of(space)
     rng = np.random.default_rng(17)
     u = rng.standard_normal(space.num_free)
-    vals, ders = tab.values(u), tab.derivs(u)
+    vals, ders = tab.val @ u, tab.der @ u
     fq = rng.standard_normal(vals.shape)
     dq = rng.standard_normal(ders.shape)
     lhs = tab.moments(fq, dq) @ u
@@ -197,7 +196,7 @@ def test_values_and_derivs_match_per_kind_fields(kind):
     space = _four_spaces()[kind]
     tab = CellTables.of(space)
     u = np.random.default_rng(5).standard_normal(space.num_free)
-    c = space.extend(u)[tab.dofs]
+    c = space.extend(u)[space.cell_dofs]
     nc, nq = tab.wdet.shape
     if kind == "mini":
         c4 = c.reshape(nc, 4, 2)
@@ -209,10 +208,8 @@ def test_values_and_derivs_match_per_kind_fields(kind):
     else:
         vals = np.einsum("qm,cm->cq", tab.vals, c)
         ders = np.repeat(np.einsum("cmd,cm->cd", tab.grads, c), nq, axis=0)
-    assert np.allclose(tab.values(u), vals.reshape(tab.values(u).shape),
-                       rtol=0, atol=1e-12)
-    assert np.allclose(tab.derivs(u), ders.reshape(tab.derivs(u).shape),
-                       rtol=0, atol=1e-12)
+    assert np.allclose(tab.val @ u, vals.ravel(), rtol=0, atol=1e-12)
+    assert np.allclose(tab.der @ u, ders.ravel(), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("case, extra, expected", [
@@ -265,18 +262,19 @@ def _interleave_vector_blocks(scalar_local):
 
 def _stokes_oracle(V, Q, nu):
     tv, tp = CellTables.of(V), CellTables.of(Q)
+    dv, dp = V.cell_dofs, Q.cell_dofs
     sq = lambda s: (s.ndof, s.ndof)
     mass4 = np.einsum("cq,qs,qt->cst", tv.wdet, tv.vals, tv.vals)
     stiff4 = np.einsum("cq,cqsg,cqtg->cst", tv.wdet, tv.grads, tv.grads)
-    R = _scatter(_interleave_vector_blocks(mass4), tv.dofs, tv.dofs, sq(V))
-    X = _scatter(_interleave_vector_blocks(stiff4), tv.dofs, tv.dofs, sq(V))
+    R = _scatter(_interleave_vector_blocks(mass4), dv, dv, sq(V))
+    X = _scatter(_interleave_vector_blocks(stiff4), dv, dv, sq(V))
     div = -np.einsum("cq,qm,cqtd->cmtd", tv.wdet, tp.vals, tv.grads)
-    B = _scatter(div.reshape(len(tv.cells), 3, 8), tp.dofs, tv.dofs,
+    B = _scatter(div.reshape(len(tv.cells), 3, 8), dp, dv,
                  (Q.ndof, V.ndof))
     mp = np.einsum("cq,qm,qn->cmn", tp.wdet, tp.vals, tp.vals)
-    M = _scatter(mp, tp.dofs, tp.dofs, sq(Q))
+    M = _scatter(mp, dp, dp, sq(Q))
     mean = np.zeros(Q.ndof)
-    np.add.at(mean, tp.dofs.ravel(),
+    np.add.at(mean, dp.ravel(),
               np.einsum("cq,qm->cm", tp.wdet, tp.vals).ravel())
     X = _reduce(X, V, V)
     return {"R": _reduce(R, V, V), "A": nu * X, "B": _reduce(B, Q, V),
@@ -285,23 +283,24 @@ def _stokes_oracle(V, Q, nu):
 
 def _eddy_oracle(E, MU, sigma, eps, mu_mag):
     te, tm = CellTables.of(E), CellTables.of(MU)
+    de, dm = E.cell_dofs, MU.cell_dofs
     mesh = E.mesh
     sq = lambda s: (s.ndof, s.ndof)
     mass = np.einsum("cq,cqed,cqfd->cef", te.wdet, te.wvals, te.wvals)
     rot = np.einsum("c,ce,cf->cef", mesh.cell_areas[te.cells], te.wrot,
                     te.wrot)
     cond = mesh.cell_subdomain[te.cells] == CONDUCTOR
-    R = sigma * _scatter(mass[cond], te.dofs[cond], te.dofs[cond], sq(E))
-    A = _scatter(rot, te.dofs, te.dofs, sq(E)) / mu_mag
-    X = _scatter(mass + rot, te.dofs, te.dofs, sq(E))
+    R = sigma * _scatter(mass[cond], de[cond], de[cond], sq(E))
+    A = _scatter(rot, de, de, sq(E)) / mu_mag
+    X = _scatter(mass + rot, de, de, sq(E))
     ins = np.searchsorted(te.cells, tm.cells)
     b = eps * np.einsum("cq,cqed,cmd->cme", te.wdet[ins], te.wvals[ins],
                         tm.grads)
-    B = _scatter(b, tm.dofs, te.dofs[ins], (MU.ndof, E.ndof))
+    B = _scatter(b, dm, de[ins], (MU.ndof, E.ndof))
     m_mass = np.einsum("cq,qm,qn->cmn", tm.wdet, tm.vals, tm.vals)
     m_stiff = np.einsum("c,cmd,cnd->cmn", mesh.cell_areas[tm.cells],
                         tm.grads, tm.grads)
-    M = _scatter(m_mass + m_stiff, tm.dofs, tm.dofs, sq(MU))
+    M = _scatter(m_mass + m_stiff, dm, dm, sq(MU))
     return {"R": _reduce(R, E, E), "A": _reduce(A, E, E),
             "B": _reduce(B, MU, E), "X": _reduce(X, E, E),
             "M": _reduce(M, MU, MU)}
@@ -380,7 +379,7 @@ def test_table_products_match_their_einsums_bitwise(pattern):
               + _instance_spaces("eddy2d", pattern)[0])
     bary = SIX_POINT_RULE.points
     l0, l1, l2 = bary.T
-    lam = p1_values(bary)
+    lam = bary
     for space in spaces:
         tab = CellTables.of(space)
         mesh, cells = space.mesh, space.active_cells
@@ -430,8 +429,8 @@ def test_point_maps_drop_zeros_without_changing_results(case, pattern):
             assert (P != ref).nnz == 0, (space.kind, name)
         u = rng.standard_normal(tab.nfree)
         npts = len(tab.w)
-        assert np.array_equal(tab.values(u).ravel(), padded["val"] @ u)
-        assert np.array_equal(tab.derivs(u).ravel(), padded["der"] @ u)
+        assert np.array_equal(tab.val @ u, padded["val"] @ u)
+        assert np.array_equal(tab.der @ u, padded["der"] @ u)
         fq = rng.standard_normal(padded["val"].shape[0])
         dq = rng.standard_normal(padded["der"].shape[0])
         kf, kd = len(fq) // npts, len(dq) // npts

@@ -9,7 +9,7 @@ from mixpar import build_space
 from mixpar.assembly import CellTables
 from mixpar.elements import (SIX_POINT_RULE, DegenerateCell, QuadratureRule,
                              bubble_values, cell_geometry, gauss1d,
-                             p1_mass_reference, p1_stiffness, p1_values)
+                             p1_mass_reference, p1_stiffness)
 from mixpar.mesh import TriMesh, structured_mesh
 from meshes import uniform_refine
 from rules import CENTROID, collapsed_rule
@@ -147,6 +147,7 @@ def test_batched_geometry_matches_one_cell_formula_bitwise(pattern):
     ref_area = np.array([a for a, _ in ref])
     ref_grads = np.array([g for _, g in ref])
     assert mesh.cell_areas.tobytes() == ref_area.tobytes()
+    assert mesh.cell_grads.tobytes() == ref_grads.tobytes()
     for batch, area_ref, grads_ref in (
             (pts[5], ref_area[5], ref_grads[5]),
             (pts, ref_area, ref_grads),
@@ -187,9 +188,9 @@ def test_edge_curl_orientation_flip():
     t_fwd, t_rev = CellTables.of(fwd), CellTables.of(rev)
     assert np.array_equal(t_fwd.qp, t_rev.qp)
     u_fwd, u_rev = np.eye(3)[i_fwd], np.eye(3)[i_rev]
-    assert np.allclose(t_fwd.derivs(u_fwd), -t_rev.derivs(u_rev),
+    assert np.allclose(t_fwd.der @ u_fwd, -(t_rev.der @ u_rev),
                        rtol=1e-15, atol=0)
-    assert np.allclose(t_fwd.values(u_fwd), -t_rev.values(u_rev),
+    assert np.allclose(t_fwd.val @ u_fwd, -(t_rev.val @ u_rev),
                        rtol=0, atol=1e-15)
 
 
@@ -203,7 +204,7 @@ def _gathered_edge_basis(mesh, cells, bary):
     la, lb = loc[:, :, 0], loc[:, :, 1]
     ga = np.take_along_axis(g, la[:, :, None], axis=1)
     gb = np.take_along_axis(g, lb[:, :, None], axis=1)
-    lam = p1_values(bary)
+    lam = bary
     wvals = (np.einsum("qce,ced->cqed", lam[:, la], gb)
              - np.einsum("qce,ced->cqed", lam[:, lb], ga))
     wrot = 2.0 * (ga[:, :, 0] * gb[:, :, 1] - ga[:, :, 1] * gb[:, :, 0])
@@ -236,10 +237,10 @@ def test_whitney_stokes_line_integral_identity():
         u[_edge_dof(mesh, a, b)] = 1.0 if a < b else -1.0
     bary, w = _points_on_edges(pairs, 4)
     tab = _tables_at(space, bary)
-    vals = tab.values(u).reshape(len(pairs), -1, 2)
+    vals = (tab.val @ u).reshape(len(pairs), -1, 2)
     circulation = sum(w @ (vals[k] @ (tri[b] - tri[a]))
                       for k, (a, b) in enumerate(pairs))
-    curl = tab.derivs(u)
+    curl = tab.der @ u
     assert np.ptp(curl) <= 1e-12 * abs(curl[0])
     assert circulation == pytest.approx(area * curl[0], rel=1e-12)
     assert curl[0] == pytest.approx(3.0 / area, rel=1e-12)
@@ -271,15 +272,18 @@ def test_bubble_vanishes_on_boundary():
 
 
 def test_p1_partition_of_unity():
-    vals = p1_values(SIX_POINT_RULE.points)
-    assert np.allclose(vals.sum(axis=1), 1.0, atol=1e-15)
+    mesh = structured_mesh((0, 0, 1, 1), 2)
+    tab = CellTables.of(build_space(mesh, "p1", bc=None))
+    vals = tab.val @ np.ones(mesh.num_vertices)
+    assert np.allclose(vals, 1.0, rtol=0, atol=1e-15)
 
 
 def test_whitney_values_reference_edge():
     # w_01 on the reference triangle is (1 - y, x)
     mesh, space = _edge_space(REF)
     pts = np.array([[0.2, 0.3, 0.5], [0.6, 0.1, 0.3]])
-    vals = _tables_at(space, pts).values(np.eye(3)[_edge_dof(mesh, 0, 1)])
+    vals = (_tables_at(space, pts).val
+            @ np.eye(3)[_edge_dof(mesh, 0, 1)]).reshape(-1, 2)
     x, y = pts[:, 1], pts[:, 2]
     assert np.allclose(vals[:, 0], 1.0 - y, atol=1e-14)
     assert np.allclose(vals[:, 1], x, atol=1e-14)

@@ -22,10 +22,14 @@ def test_p1_zero_boundary_counts():
 
 def test_free_fixed_partition():
     m = structured_mesh((0, 0, 1, 1), 3)
-    for kind in ("p1", "mini", "edge"):
+    outer = m.outer_vertices
+    for kind, fixed in (("p1", outer),
+                        ("mini", (2 * outer[:, None] + [0, 1]).ravel()),
+                        ("edge", m.outer_edges)):
         spc = build_space(m, kind)
-        both = np.concatenate([spc.free, spc.fixed])
-        assert np.array_equal(np.sort(both), np.arange(spc.ndof))
+        # the free DOFs are the sorted complement of the boundary ones
+        assert np.array_equal(spc.free,
+                              np.setdiff1d(np.arange(spc.ndof), fixed))
 
 
 def test_multiplier_space_interface_collapse():
@@ -82,7 +86,7 @@ def test_interpolate_edge_constant_reproduction():
     const = np.array([1.0, 0.5])
     coef = interpolate(spc, lambda p: np.tile(const, (len(p), 1)))
     tab = CellTables(spc, SIX_POINT_RULE)
-    vals = np.einsum("cqed,ce->cqd", tab.wvals, coef[tab.dofs])
+    vals = np.einsum("cqed,ce->cqd", tab.wvals, coef[spc.cell_dofs])
     assert np.abs(vals - const).max() <= 1e-12
 
 
@@ -94,7 +98,7 @@ def test_interpolate_edge_reproduces_space_member():
     f = lambda p: np.column_stack([-0.7 * p[:, 1] + 0.2, 0.7 * p[:, 0] - 0.4])
     coef = interpolate(spc, f)
     tab = CellTables(spc, SIX_POINT_RULE)
-    vals = np.einsum("cqed,ce->cqd", tab.wvals, coef[tab.dofs])
+    vals = np.einsum("cqed,ce->cqd", tab.wvals, coef[spc.cell_dofs])
     exact = f(tab.qp.reshape(-1, 2)).reshape(vals.shape)
     assert np.abs(vals - exact).max() <= 1e-12
 
@@ -114,7 +118,7 @@ def test_interpolate_mini_reproduces_bubble_member():
     # evaluate the coefficient field pointwise, then reinterpolate it
     def from_coef(p):
         vals = np.zeros((len(p), 2))
-        c4 = coef2[tab.dofs].reshape(len(tab.cells), 4, 2)
+        c4 = coef2[spc.cell_dofs].reshape(len(tab.cells), 4, 2)
         # locate each point's cell by brute force (tiny mesh)
         for i, pt in enumerate(p):
             for c, cell in enumerate(m.cells):
@@ -145,7 +149,7 @@ def test_interpolation_h1_error_halves_per_refinement():
         spc = build_space(mesh, "p1", bc=None)
         coef = interpolate(spc, f)
         tab = CellTables(spc, collapsed_rule(6))
-        gh = np.einsum("cmd,cm->cd", tab.grads, coef[tab.dofs])
+        gh = np.einsum("cmd,cm->cd", tab.grads, coef[spc.cell_dofs])
         ge = gf(tab.qp.reshape(-1, 2)).reshape(len(tab.cells), -1, 2)
         diff = ge - gh[:, None, :]
         errs.append(np.sqrt((tab.wdet * (diff ** 2).sum(axis=2)).sum()))
@@ -202,7 +206,6 @@ def test_multiplier_arrays_match_per_vertex_loops(pattern, n, bc):
             if dof_of_vertex[v] >= 0:
                 fixed_mask[dof_of_vertex[v]] = True
     for got, want in ((mu.dof_vertex, dof_vertex),
-                      (mu.fixed, np.where(fixed_mask)[0]),
                       (mu.free, np.where(~fixed_mask)[0])):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -241,7 +244,7 @@ def _flood_fill_multiplier(mesh, bc):
                     if vertex_dof[v] >= 0:
                         fixed_mask[vertex_dof[v]] = True
     return (vertex_dof, np.asarray(dof_vertex, dtype=np.intp),
-            np.flatnonzero(~fixed_mask), np.flatnonzero(fixed_mask))
+            np.flatnonzero(~fixed_mask))
 
 
 # conductor squares (i, j) of a 5 x 5 lattice on [0,5]^2 and the
@@ -266,14 +269,14 @@ def test_multiplier_numbers_each_interface_piece(layout, bc, pattern):
     tags = np.where(np.repeat(inside, per_square), CONDUCTOR, INSULATOR)
     m = TriMesh(grid.vertices, grid.cells, tags)
     mu = build_space(m, "multiplier", bc=bc)
-    vertex_dof, dof_vertex, free, fixed = _flood_fill_multiplier(m, bc)
+    vertex_dof, dof_vertex, free = _flood_fill_multiplier(m, bc)
     assert len(interface_pieces(mu)) == pieces
     assert mu.ndof == len(dof_vertex)
     for got, want in ((mu.vertex_dof, vertex_dof), (mu.dof_vertex, dof_vertex),
-                      (mu.free, free), (mu.fixed, fixed)):
+                      (mu.free, free)):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
     # a piece on the outer boundary is fixed with it
     touches = layout == "block-on-the-outer-boundary"
     piece_dof = mu.vertex_dof[interface_pieces(mu)[0][0]]
-    assert (piece_dof in mu.fixed) == (touches and bc == "zero_outer")
+    assert (piece_dof not in mu.free) == (touches and bc == "zero_outer")

