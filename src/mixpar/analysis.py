@@ -120,7 +120,8 @@ def _profiles(terms, part, tab, C=None):
     P - F C instead, formed in the same array.  The points are read only
     when there are terms."""
     F = tab.val if part == "value" else tab.der
-    P = np.array([getattr(term, part)(tab.qp).ravel() for term in terms]
+    qp = tab.qp if terms else None
+    P = np.array([getattr(term, part)(qp).ravel() for term in terms]
                  ).reshape(len(terms), F.shape[0])
     if C is not None:
         P -= (F @ C.T).T
@@ -154,6 +155,7 @@ class ErrorSweep:
     def __init__(self, case, ops, grid):
         tu = CellTables.of(ops.primal)
         tm = CellTables.of(ops.multiplier)
+        w = tu.w  # one point layout, so the weights of both tables
         self.ops = ops
         self.dt = grid.dt
         self.terms = primal, mult = case.terms
@@ -168,12 +170,11 @@ class ErrorSweep:
         # form that reads it, so the precompute holds one form's residuals
         # at a time.
         self.M = _Form(ops.M, [
-            (tm.val, tm.w, _profiles(mult, "value", tm, Cm))])
+            (tm.val, w, _profiles(mult, "value", tm, Cm))])
         self.full_norms = case.kind == "eddy2d"
         if self.full_norms:
-            # the edge space covers every cell
             in_cond = ops.primal.mesh.cell_subdomain == meshmod.CONDUCTOR
-            w_cond = tu.w * np.repeat(in_cond, tu.wdet.shape[1])
+            w_cond = w * np.repeat(in_cond, len(tu.rule.weights))
             self.sigma = sigma = case.coeffs.sigma
             # Gram matrices of the exact fields for the denominators:
             # sum w_cond P_k.P_l (conductor) and sum w rot P_k rot P_l,
@@ -183,17 +184,17 @@ class ErrorSweep:
             rv -= (tu.val @ C.T).T
             self.R = _Form(ops.R, [(tu.val, sigma * w_cond, rv)])
             rd = _profiles(primal, "deriv", tu)
-            self.H_exact = rd @ _per_row(tu.w, rd).T
+            self.H_exact = rd @ _per_row(w, rd).T
             rd -= (tu.der @ C.T).T
-            self.X = _Form(ops.X, [(tu.val, tu.w, rv), (tu.der, tu.w, rd)])
+            self.X = _Form(ops.X, [(tu.val, w, rv), (tu.der, w, rd)])
             # H = rot(u) / mu_mag; the factor cancels in the ratio, so the
             # magnetic error is the rot part of X, mu_mag A = Dᵀ W D
-            self.H = _Form(case.coeffs.mu_mag * ops.A, [(tu.der, tu.w, rd)])
+            self.H = _Form(case.coeffs.mu_mag * ops.A, [(tu.der, w, rd)])
         else:
             self.R = _Form(ops.R, [
-                (tu.val, tu.w, _profiles(primal, "value", tu, C))])
+                (tu.val, w, _profiles(primal, "value", tu, C))])
             self.X = _Form(ops.X, [
-                (tu.der, tu.w, _profiles(primal, "deriv", tu, C))])
+                (tu.der, w, _profiles(primal, "deriv", tu, C))])
 
         self.max_R = 0.0
         self.l2X = self.l2M = self.dtR = 0.0

@@ -66,16 +66,19 @@ class OperatorSet:
 
 
 class CellTables:
-    """Quadrature geometry and basis data per active cell of a space.
+    """Quadrature geometry and basis data of a space over its mesh.
 
     The one way to evaluate a discrete field at quadrature points.  Built
     once per space on the six-point rule (see `of`) and shared by the
     operator assembly, the load, the error norms and the VTK output.
-    The areas, barycentric gradients and edge signs of its cells are the
-    mesh's; the tables keep no copy of them.
+    Every table of a level has one point layout, all of the mesh's cells
+    times the rule's points; a cell the space does not cover (the eddy
+    multiplier's conductor cells) has empty rows in the maps.  Areas,
+    gradients, edge signs, weights and points are derived from the mesh
+    and the rule on access: a table stores only its maps and its load.
 
     Kind-agnostic data over the flat list of quadrature points: weights
-    `w` (m,), and, built on first use, the points `qp` (m, 2) and two
+    `w` (m,), the points `qp` (m, 2), and, built on first use, two
     sparse maps from free coefficients: `val` to the field values and
     `der` to the gradient (p1, multiplier), the Jacobian (mini) or the
     scalar curl (edge).  A field's values at the points are `val @ u`;
@@ -94,22 +97,30 @@ class CellTables:
         self.kind = space.kind
         self.rule = rule
         self._mesh = mesh = space.mesh
-        self.cells = cells = space.active_cells
         self.load = None
-        # weights sum to the area per cell
-        self.wdet = np.outer(2.0 * mesh.cell_areas[cells], rule.weights)
-        self.w = self.wdet.ravel()
         self.nfree = space.num_free
-        # free column of each cell DOF, -1 on constrained DOFs
-        cols = space.free_index(space.cell_dofs)
-        self._cols = cols.astype(np.int32)[:, None]
+        # free column of each cell DOF, -1 on constrained DOFs and on
+        # every cell the space does not cover
+        cols = np.full((mesh.num_cells, space.cell_dofs.shape[1]), -1,
+                       dtype=np.int32)
+        cols[space.active_cells] = space.free_index(space.cell_dofs)
+        self._cols = cols[:, None]
 
-    @cached_property
+    @property
+    def wdet(self):
+        # weights sum to the area per cell
+        return np.outer(2.0 * self._mesh.cell_areas, self.rule.weights)
+
+    @property
+    def w(self):
+        return self.wdet.ravel()
+
+    @property
     def qp(self):
         # the three barycentric terms summed in order (a matmul would
         # round differently)
         bary = self.rule.points
-        pts = self._mesh.vertices[self._mesh.cells[self.cells]]  # (nc, 3, 2)
+        pts = self._mesh.vertices[self._mesh.cells]  # (nc, 3, 2)
         return (bary[:, 0, None] * pts[:, None, 0]
                 + bary[:, 1, None] * pts[:, None, 1]
                 + bary[:, 2, None] * pts[:, None, 2]).reshape(-1, 2)
@@ -124,7 +135,7 @@ class CellTables:
     @property
     def grads(self):
         # physical gradients of the barycentric coordinates
-        g = self._mesh.cell_grads[self.cells]
+        g = self._mesh.cell_grads
         if self.kind != "mini":
             return g
         l0, l1, l2 = self.rule.points.T
@@ -140,7 +151,7 @@ class CellTables:
     def _edge_ends(self):
         # local edge k runs from vertex k+1 to k+2; signing both endpoint
         # gradients turns it to the global low -> high edge
-        s = self._mesh.cell_edge_sign[self.cells][:, :, None]  # (nc, 3, 1)
+        s = self._mesh.cell_edge_sign[:, :, None]  # (nc, 3, 1)
         g = self.grads
         return s * g[:, [1, 2, 0]], s * g[:, [2, 0, 1]]
 
@@ -154,7 +165,7 @@ class CellTables:
     @property
     def wrot(self):
         ga, gb = self._edge_ends()
-        return 2.0 * self._mesh.cell_edge_sign[self.cells] * (
+        return 2.0 * self._mesh.cell_edge_sign * (
             ga[:, :, 0] * gb[:, :, 1] - ga[:, :, 1] * gb[:, :, 0])
 
     def _recipe(self, name):
@@ -190,8 +201,8 @@ class CellTables:
         # DOF's slot holds a zero in column 0), then every exact zero is
         # dropped, constrained slots and vanishing gradient components
         # alike, so no product with the map pays for them
-        shape = self.wdet.shape + np.broadcast_shapes(data.shape,
-                                                      cols.shape)[2:]
+        shape = ((self._mesh.num_cells, len(self.rule.weights))
+                 + np.broadcast_shapes(data.shape, cols.shape)[2:])
         free = cols >= 0
         slots = np.zeros(shape)
         np.copyto(slots, data, where=free)
@@ -255,12 +266,6 @@ def _scale_rows(P, s):
         shape=P.shape)
 
 
-def _rows_at(P, pts, npts):
-    """The rows of point map P at the points pts, out of npts points."""
-    k = P.shape[0] // npts
-    return P[(k * pts[:, None] + np.arange(k)).ravel()]
-
-
 def assemble_stokes(velocity, pressure, nu=1.0):
     """Operators of the transient Stokes instance on the MINI pair.
 
@@ -278,16 +283,17 @@ def assemble_stokes(velocity, pressure, nu=1.0):
 
     # Jacobian rows are (d_x v_x, d_y v_x, d_x v_y, d_y v_y) per point
     div = tv.der[0::4] + tv.der[3::4]
-    X = _gram(tv.der, tv.w)
+    w = tv.w  # one point layout, so the weights of both tables
+    X = _gram(tv.der, w)
     return OperatorSet(
-        R=_gram(tv.val, tv.w),
+        R=_gram(tv.val, w),
         A=nu * X,
-        B=-_gram(tp.val, tp.w, div),
+        B=-_gram(tp.val, w, div),
         X=X,
-        M=_gram(tp.val, tp.w),
+        M=_gram(tp.val, w),
         primal=velocity,
         multiplier=pressure,
-        mean_row=tp.val.T @ tp.w,
+        mean_row=tp.val.T @ w,
     )
 
 
@@ -309,18 +315,14 @@ def assemble_eddy2d(edge, multiplier, sigma=1.0, eps=1.0, mu_mag=1.0):
 
     te = CellTables.of(edge)
     tm = CellTables.of(multiplier)
-    nq = te.wdet.shape[1]
-    cond = np.flatnonzero(np.repeat(in_cond, nq))
-    # the edge space covers every cell, so its points on cell c are
-    # nq * c + (0..nq-1); the multiplier's points are those on its cells
-    ins = (multiplier.active_cells[:, None] * nq + np.arange(nq)).ravel()
-    rot = _gram(te.der, te.w)
+    w = te.w  # one point layout, so the weights of both tables
+    rot = _gram(te.der, w)
     return OperatorSet(
-        R=sigma * _gram(_rows_at(te.val, cond, len(te.w)), te.w[cond]),
+        R=sigma * _gram(te.val, w * np.repeat(in_cond, len(te.rule.weights))),
         A=rot / mu_mag,
-        B=eps * _gram(tm.der, tm.w, _rows_at(te.val, ins, len(te.w))),
-        X=_gram(te.val, te.w) + rot,
-        M=_gram(tm.val, tm.w) + _gram(tm.der, tm.w),
+        B=eps * _gram(tm.der, w, te.val),
+        X=_gram(te.val, w) + rot,
+        M=_gram(tm.val, w) + _gram(tm.der, w),
         primal=edge,
         multiplier=multiplier,
         mean_row=None,

@@ -31,8 +31,9 @@ class TimeGrid:
     N: int
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("N must be >= 1")
+        if (isinstance(self.N, bool)
+                or not isinstance(self.N, (int, np.integer)) or self.N < 1):
+            raise ValueError("N must be an integer >= 1")
         if not (np.isfinite(self.T) and self.T > 0.0):
             raise ValueError("T must be finite and positive")
 

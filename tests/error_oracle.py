@@ -74,13 +74,15 @@ def quadrature_errors(solution, case, ops):
     # eddy case M likewise adds the H1 seminorm to the L2 norm
     full_norms = case.kind == "eddy2d"
     exact_der = exact.rot_u if full_norms else exact.grad_u
+    # every table lays its points out over all cells; the multiplier
+    # lives on the insulator cells only (eddy), so its weights are masked
+    tag = ops.primal.mesh.cell_subdomain.repeat(len(tu.rule.weights))
     if full_norms:
-        cells = tu.cells.repeat(tu.wdet.shape[1])
-        w_cond = tu.w * (ops.primal.mesh.cell_subdomain[cells]
-                         == meshmod.CONDUCTOR)
+        w_cond = tu.w * (tag == meshmod.CONDUCTOR)
         wR = case.coeffs.sigma * w_cond
+        wM = tm.w * (tag == meshmod.INSULATOR)
     else:
-        wR = tu.w
+        wR = wM = tu.w
 
     norms = ErrorNorms()
     relE_num = relE_den = relH_num = relH_den = 0.0
@@ -102,10 +104,10 @@ def quadrature_errors(solution, case, ops):
         dtR += float(wR @ de2)
 
         lam = solution.lam[n]
-        l2M += float(tm.w @ _sq(exact.multiplier(tm.qp, t) - tm.val @ lam))
+        l2M += float(wM @ _sq(exact.multiplier(tm.qp, t) - tm.val @ lam))
         if full_norms:
-            l2M += float(tm.w @ _sq(exact.grad_multiplier(tm.qp, t)
-                                    - (tm.der @ lam).reshape(-1, 2)))
+            l2M += float(wM @ _sq(exact.grad_multiplier(tm.qp, t)
+                                  - (tm.der @ lam).reshape(-1, 2)))
             relE_num += float(w_cond @ de2)
             relE_den += float(w_cond @ _sq(due))
             # H = rot(u) / mu_mag; the factor cancels in the ratio

@@ -169,10 +169,8 @@ def test_sweep_partial_sums_match_oracle_after_each_step(kind):
 
 
 def test_sweep_precompute_holds_one_form_at_a_time(stokes_case_default):
-    _, V, Q, ops = build_stokes(32)
+    _, V, _, ops = build_stokes(32)
     case = stokes_case_default
-    # the tables' points are built on first use, before the sweep's turn
-    CellTables.of(V).qp, CellTables.of(Q).qp
     rows = CellTables.of(V).der.shape[0] * len(case.terms.primal)
     tracemalloc.start()
     try:
@@ -187,16 +185,25 @@ def test_sweep_precompute_holds_one_form_at_a_time(stokes_case_default):
     assert peak <= 4 * 8 * rows
 
 
-def test_eddy_sweep_builds_no_multiplier_points(eddy_case_default):
+def test_eddy_sweep_builds_no_multiplier_points(monkeypatch,
+                                                eddy_case_default):
     # the exact eddy multiplier has no terms, so the sweep has no profile
     # to evaluate at the multiplier's points
     _, E, MU, ops = build_eddy(3)
     case = eddy_case_default
     assert case.terms.multiplier == ()
+    derived = []
+    qp = CellTables.qp
+
+    def spied_qp(tab):
+        derived.append(tab.kind)
+        return qp.fget(tab)
+
+    monkeypatch.setattr(CellTables, "qp", property(spied_qp))
     sweep = compute_errors(case, ops, TimeGrid(case.T, 2))
     sweep.add(1, np.zeros(E.num_free), np.zeros(MU.num_free))
-    assert "qp" not in vars(CellTables.of(MU))
-    assert "qp" in vars(CellTables.of(E))
+    assert "multiplier" not in derived
+    assert "edge" in derived
 
 
 def test_fit_rates_trivial_sequences():

@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,12 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixpar import build_space, interpolate, structured_mesh
+from mixpar.analysis import compute_errors
 from mixpar.assembly import (CellTables, NoConductorCells, SpaceMismatch,
                              assemble_eddy2d, assemble_load, assemble_stokes)
 from mixpar.config import parse_config
 from mixpar.elements import SIX_POINT_RULE, cell_geometry, p1_mass_reference
 from mixpar.mesh import CONDUCTOR, TriMesh
-from mixpar.runner import run_level
+from mixpar.runner import _build_instance, run_level
 from mixpar.spaces import MissingTag
 from conftest import build_eddy, build_stokes, discrete_gradient
 
@@ -196,8 +195,10 @@ def test_values_and_derivs_match_per_kind_fields(kind):
     space = _four_spaces()[kind]
     tab = CellTables.of(space)
     u = np.random.default_rng(5).standard_normal(space.num_free)
-    c = space.extend(u)[space.cell_dofs]
     nc, nq = tab.wdet.shape
+    # the tables span every cell; a cell off the space carries no field
+    c = np.zeros((nc, space.cell_dofs.shape[1]))
+    c[space.active_cells] = space.extend(u)[space.cell_dofs]
     if kind == "mini":
         c4 = c.reshape(nc, 4, 2)
         vals = np.einsum("qs,csd->cqd", tab.vals, c4)
@@ -232,10 +233,37 @@ def test_one_level_builds_one_table_per_space_and_degree(
         built.clear()
         cfg = parse_config(f"case = {case}\nn = {n}\nlevels = 1\n"
                            f"steps = {steps}\nprobes = false\n{extra}")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            run_level(cfg, 0, vtk_dir=tmp_path / f"vtk{steps}")
+        run_level(cfg, 0, vtk_dir=tmp_path / f"vtk{steps}")
         assert sorted(built) == sorted(expected)
+
+
+@pytest.mark.parametrize("pattern", ["right", "crossed"])
+@pytest.mark.parametrize("case", ["stokes", "eddy2d"])
+def test_every_table_of_a_level_spans_its_mesh_and_stores_only_maps(
+        case, pattern):
+    cfg = parse_config(f"case = {case}\nn = 3\nlevels = 1\nsteps = 2\n"
+                       f"probes = false\npattern = {pattern}\n")
+    mesh, exact, ops, grid, load = _build_instance(cfg, 0)
+    compute_errors(exact, ops, grid)
+    load(grid.dt)
+    tables = [CellTables.of(s) for s in (ops.primal, ops.multiplier)]
+    # one point layout per level: every cell, times the rule's six points
+    for tab in tables:
+        npts = len(tab.w)
+        assert npts == 6 * mesh.num_cells, tab.kind
+        for P in (tab.val, tab.der):
+            assert P.shape[0] % npts == 0, tab.kind
+    if case == "eddy2d":
+        # the multiplier's rows on conductor cells are empty
+        on_cond = np.repeat(mesh.cell_subdomain == CONDUCTOR, 6)
+        assert on_cond.any()
+        for P in (tables[1].val, tables[1].der):
+            rows = np.repeat(on_cond, P.shape[0] // len(on_cond))
+            assert not np.diff(P.indptr)[rows].any()
+            assert np.diff(P.indptr)[~rows].any()
+    # weights and points are derived on access, never stored
+    for tab in tables:
+        assert not {"wdet", "w", "qp"} & set(vars(tab)), tab.kind
 
 
 # -- the per-kind einsum-and-scatter assembly that the Gram products of
@@ -269,7 +297,7 @@ def _stokes_oracle(V, Q, nu):
     R = _scatter(_interleave_vector_blocks(mass4), dv, dv, sq(V))
     X = _scatter(_interleave_vector_blocks(stiff4), dv, dv, sq(V))
     div = -np.einsum("cq,qm,cqtd->cmtd", tv.wdet, tp.vals, tv.grads)
-    B = _scatter(div.reshape(len(tv.cells), 3, 8), dp, dv,
+    B = _scatter(div.reshape(len(dv), 3, 8), dp, dv,
                  (Q.ndof, V.ndof))
     mp = np.einsum("cq,qm,qn->cmn", tp.wdet, tp.vals, tp.vals)
     M = _scatter(mp, dp, dp, sq(Q))
@@ -287,19 +315,20 @@ def _eddy_oracle(E, MU, sigma, eps, mu_mag):
     mesh = E.mesh
     sq = lambda s: (s.ndof, s.ndof)
     mass = np.einsum("cq,cqed,cqfd->cef", te.wdet, te.wvals, te.wvals)
-    rot = np.einsum("c,ce,cf->cef", mesh.cell_areas[te.cells], te.wrot,
-                    te.wrot)
-    cond = mesh.cell_subdomain[te.cells] == CONDUCTOR
+    rot = np.einsum("c,ce,cf->cef", mesh.cell_areas, te.wrot, te.wrot)
+    cond = mesh.cell_subdomain == CONDUCTOR
     R = sigma * _scatter(mass[cond], de[cond], de[cond], sq(E))
     A = _scatter(rot, de, de, sq(E)) / mu_mag
     X = _scatter(mass + rot, de, de, sq(E))
-    ins = np.searchsorted(te.cells, tm.cells)
+    # both tables span every cell; the multiplier's cell DOFs are those
+    # of its insulator cells
+    ins = MU.active_cells
     b = eps * np.einsum("cq,cqed,cmd->cme", te.wdet[ins], te.wvals[ins],
-                        tm.grads)
+                        tm.grads[ins])
     B = _scatter(b, dm, de[ins], (MU.ndof, E.ndof))
-    m_mass = np.einsum("cq,qm,qn->cmn", tm.wdet, tm.vals, tm.vals)
-    m_stiff = np.einsum("c,cmd,cnd->cmn", mesh.cell_areas[tm.cells],
-                        tm.grads, tm.grads)
+    m_mass = np.einsum("cq,qm,qn->cmn", tm.wdet[ins], tm.vals, tm.vals)
+    m_stiff = np.einsum("c,cmd,cnd->cmn", mesh.cell_areas[ins],
+                        tm.grads[ins], tm.grads[ins])
     M = _scatter(m_mass + m_stiff, dm, dm, sq(MU))
     return {"R": _reduce(R, E, E), "A": _reduce(A, E, E),
             "B": _reduce(B, MU, E), "X": _reduce(X, E, E),
@@ -382,8 +411,9 @@ def test_table_products_match_their_einsums_bitwise(pattern):
     lam = bary
     for space in spaces:
         tab = CellTables.of(space)
-        mesh, cells = space.mesh, space.active_cells
-        pts = mesh.vertices[mesh.cells[cells]]
+        # every table spans all of its mesh's cells
+        mesh = space.mesh
+        pts = mesh.vertices[mesh.cells]
         g = cell_geometry(pts)[1]
         qp = np.einsum("qk,ckd->cqd", bary, pts).reshape(-1, 2)
         assert tab.qp.tobytes() == qp.tobytes(), space.kind
@@ -393,7 +423,7 @@ def test_table_products_match_their_einsums_bitwise(pattern):
                              + np.einsum("q,cd->cqd", l0 * l1, g[:, 2]))
             assert tab.grads[:, :, 3].tobytes() == bubble.tobytes()
         elif space.kind == "edge":
-            s = mesh.cell_edge_sign[cells][:, :, None]
+            s = mesh.cell_edge_sign[:, :, None]
             ga, gb = s * g[:, [1, 2, 0]], s * g[:, [2, 0, 1]]
             wvals = (np.einsum("qe,ced->cqed", lam[:, [1, 2, 0]], gb)
                      - np.einsum("qe,ced->cqed", lam[:, [2, 0, 1]], ga))

@@ -194,12 +194,13 @@ def test_edge_curl_orientation_flip():
                        rtol=0, atol=1e-15)
 
 
-def _gathered_edge_basis(mesh, cells, bary):
-    """The edge basis from the local positions of each edge's global
-    (low, high) endpoints: the gather formula the tables once used."""
-    _, g = cell_geometry(mesh.vertices[mesh.cells[cells]])
-    ends = mesh.edges[mesh.cell_edges[cells]]            # (nc, 3, 2)
-    loc = (mesh.cells[cells][:, None, None, :]
+def _gathered_edge_basis(mesh, bary):
+    """The edge basis on every cell from the local positions of each
+    edge's global (low, high) endpoints: the gather formula the tables
+    once used."""
+    _, g = cell_geometry(mesh.vertices[mesh.cells])
+    ends = mesh.edges[mesh.cell_edges]                   # (nc, 3, 2)
+    loc = (mesh.cells[:, None, None, :]
            == ends[..., None]).argmax(axis=3)            # (nc, 3, 2)
     la, lb = loc[:, :, 0], loc[:, :, 1]
     ga = np.take_along_axis(g, la[:, :, None], axis=1)
@@ -220,7 +221,7 @@ def test_edge_tables_match_gathered_basis_bitwise(pattern):
         space = build_space(m, "edge")
         for rule in (CENTROID, SIX_POINT_RULE):
             tab = CellTables(space, rule)
-            wvals, wrot = _gathered_edge_basis(m, tab.cells, rule.points)
+            wvals, wrot = _gathered_edge_basis(m, rule.points)
             assert tab.wvals.tobytes() == wvals.tobytes()
             assert tab.wrot.tobytes() == wrot.tobytes()
 

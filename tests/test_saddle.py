@@ -1,5 +1,4 @@
 import tracemalloc
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -389,9 +388,7 @@ PROBED_LEVELS = pytest.mark.parametrize("config", [
 
 def _run_probed_level(config):
     cfg = parse_config(config)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert runner.run_level(cfg, 0).probed
+    assert runner.run_level(cfg, 0).probed
     return cfg
 
 

@@ -113,12 +113,11 @@ def test_interpolate_mini_reproduces_bubble_member():
     assert np.abs(coef[2 * nv:]).max() <= 1e-13
     coef2 = coef.copy()
     coef2[2 * nv] = 0.8  # add a bubble; reinterpolating must reproduce it
-    tab = CellTables(spc, SIX_POINT_RULE)
 
     # evaluate the coefficient field pointwise, then reinterpolate it
     def from_coef(p):
         vals = np.zeros((len(p), 2))
-        c4 = coef2[spc.cell_dofs].reshape(len(tab.cells), 4, 2)
+        c4 = coef2[spc.cell_dofs].reshape(m.num_cells, 4, 2)
         # locate each point's cell by brute force (tiny mesh)
         for i, pt in enumerate(p):
             for c, cell in enumerate(m.cells):
@@ -150,7 +149,7 @@ def test_interpolation_h1_error_halves_per_refinement():
         coef = interpolate(spc, f)
         tab = CellTables(spc, collapsed_rule(6))
         gh = np.einsum("cmd,cm->cd", tab.grads, coef[spc.cell_dofs])
-        ge = gf(tab.qp.reshape(-1, 2)).reshape(len(tab.cells), -1, 2)
+        ge = gf(tab.qp.reshape(-1, 2)).reshape(mesh.num_cells, -1, 2)
         diff = ge - gh[:, None, :]
         errs.append(np.sqrt((tab.wdet * (diff ** 2).sum(axis=2)).sum()))
         mesh = uniform_refine(mesh)

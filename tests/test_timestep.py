@@ -48,6 +48,20 @@ def test_time_grid_validation():
     assert g.dt == pytest.approx(0.1)
 
 
+@pytest.mark.parametrize("N", [2.5, 2.0, True, "3", None])
+def test_time_grid_rejects_a_step_count_that_is_not_an_integer(N):
+    # a float count used to fail later inside numpy, and True ran one step
+    with pytest.raises(ValueError, match="N must be an integer >= 1"):
+        TimeGrid(0.5, N)
+
+
+def test_time_grid_accepts_numpy_integers():
+    grid = TimeGrid(0.5, np.int64(4))
+    assert grid.dt == 0.125
+    sol = run(toy_ops(), lambda t: np.ones(1), grid, order=np.arange(1))
+    assert sol.u.shape == (5, 1)
+
+
 @pytest.mark.parametrize("T", [float("nan"), float("inf")])
 def test_time_grid_rejects_non_finite_T(T):
     # a NaN or infinite T would only fail later, inside the saddle solver

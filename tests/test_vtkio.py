@@ -1,7 +1,6 @@
 import gc
 import sys
 import tracemalloc
-import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -174,10 +173,8 @@ def test_parallel_levels_write_the_same_snapshots(tmp_path, text, files):
         cfg = parse_config(text + "probes = false\nvtk_every = 1\n")
         cfg.jobs = jobs
         cfg.out = str(tmp_path / f"jobs{jobs}")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            # the coarse eddy levels miss the default rate floors (exit 1)
-            codes.append(run_experiment(cfg))
+        # the coarse eddy levels miss the default rate floors (exit 1)
+        codes.append(run_experiment(cfg))
         vtk = tmp_path / f"jobs{jobs}" / "vtk"
         snapshots.append({p.name: p.read_bytes() for p in vtk.iterdir()})
     assert codes[0] == codes[1] in (0, 1)
@@ -205,10 +202,8 @@ def test_level_memory_does_not_grow_with_its_snapshots(tmp_path, text):
         assert len(list(vtk.iterdir())) == steps + 1
         return traced
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        peak(8)  # the first level builds what later ones reuse
-        assert peak(64) <= peak(8) + 16 * 1024
+    peak(8)  # the first level builds what later ones reuse
+    assert peak(64) <= peak(8) + 16 * 1024
 
 
 @pytest.mark.parametrize("case", ["point rows", "cell rows", "one column",
@@ -247,12 +242,10 @@ def test_eddy_snapshot_cell_data_is_centroid_field_and_curl(tmp_path,
                                                             pattern):
     cfg = parse_config(f"case = eddy2d\nn = 3\nlevels = 1\nsteps = 3\n"
                        f"probes = false\nvtk_every = 1\npattern = {pattern}\n")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        runner.run_level(cfg, 0, vtk_dir=tmp_path)
-        # the same level solved again: the solve is deterministic
-        mesh, _, ops, grid, load = runner._build_instance(cfg, 0)
-        u = run(ops, load, grid).u[grid.N]
+    runner.run_level(cfg, 0, vtk_dir=tmp_path)
+    # the same level solved again: the solve is deterministic
+    mesh, _, ops, grid, load = runner._build_instance(cfg, 0)
+    u = run(ops, load, grid).u[grid.N]
     got = _cell_data(tmp_path / f"eddy2d_L0_step{grid.N:04d}.vtk",
                      mesh.num_cells)
     centroid = CellTables(ops.primal, CENTROID)
