@@ -112,19 +112,20 @@ class _Form:
         # round-off may take a vanishing error below 0
         return max(float(sq), 0.0)
 
+    def gram(self, C):
+        """sum w P_k.P_l, the Gram matrix of the profiles themselves, from
+        P_k = (P_k - F c_k) + F c_k: H + G Cᵀ + C Gᵀ + C Q Cᵀ."""
+        GC = self.G @ C.T
+        return self.H + GC + GC.T + C @ (self.Q @ C.T)
 
-def _profiles(terms, part, tab, C=None):
-    """The terms' profiles (`value` or `deriv`) at the points of the
-    tables tab, one row per term, laid out like the rows of its map F
-    (`val` or `der`); given the interpolants C (K, n), their residuals
-    P - F C instead, formed in the same array.  The points are read only
-    when there are terms."""
-    F = tab.val if part == "value" else tab.der
-    qp = tab.qp if terms else None
+
+def _profiles(terms, part, F, qp, C):
+    """The residuals P - F C of the terms' profiles (`value` or `deriv`)
+    at the points qp, one row per term, laid out like the rows of the map
+    F (`val` or `der`), given their interpolants C (K, n)."""
     P = np.array([getattr(term, part)(qp).ravel() for term in terms]
                  ).reshape(len(terms), F.shape[0])
-    if C is not None:
-        P -= (F @ C.T).T
+    P -= (F @ C.T).T
     return P
 
 
@@ -155,7 +156,8 @@ class ErrorSweep:
     def __init__(self, case, ops, grid):
         tu = CellTables.of(ops.primal)
         tm = CellTables.of(ops.multiplier)
-        w = tu.w  # one point layout, so the weights of both tables
+        # one point layout, so the weights and points of both tables
+        w, qp = tu.w, tu.qp
         self.ops = ops
         self.dt = grid.dt
         self.terms = primal, mult = case.terms
@@ -166,35 +168,32 @@ class ErrorSweep:
         # X is the H1_0 seminorm (Stokes) or the H(curl) norm (eddy); the
         # eddy M adds the H1 seminorm to the L2 norm, but the exact eddy
         # multiplier has no terms, so its form is dᵀ M d and needs no
-        # derivative piece.  Each residual is formed just before the first
-        # form that reads it, so the precompute holds one form's residuals
-        # at a time.
+        # derivative piece.  The value form is built, and its residual
+        # dropped unless the eddy X reads it, before the derivative residual
+        # is formed, and the points are dropped before its form is built:
+        # the precompute holds at most two residuals and one weighted copy.
         self.M = _Form(ops.M, [
-            (tm.val, w, _profiles(mult, "value", tm, Cm))])
+            (tm.val, w, _profiles(mult, "value", tm.val, qp, Cm))])
         self.full_norms = case.kind == "eddy2d"
+        w_R = w
         if self.full_norms:
             in_cond = ops.primal.mesh.cell_subdomain == meshmod.CONDUCTOR
-            w_cond = w * np.repeat(in_cond, len(tu.rule.weights))
-            self.sigma = sigma = case.coeffs.sigma
-            # Gram matrices of the exact fields for the denominators:
-            # sum w_cond P_k.P_l (conductor) and sum w rot P_k rot P_l,
-            # taken before the profiles become their residuals in place
-            rv = _profiles(primal, "value", tu)
-            self.E_exact = rv @ _per_row(w_cond, rv).T
-            rv -= (tu.val @ C.T).T
-            self.R = _Form(ops.R, [(tu.val, sigma * w_cond, rv)])
-            rd = _profiles(primal, "deriv", tu)
-            self.H_exact = rd @ _per_row(w, rd).T
-            rd -= (tu.der @ C.T).T
-            self.X = _Form(ops.X, [(tu.val, w, rv), (tu.der, w, rd)])
+            w_R = case.coeffs.sigma * w * np.repeat(in_cond,
+                                                    len(tu.rule.weights))
+        rv = _profiles(primal, "value", tu.val, qp, C)
+        self.R = _Form(ops.R, [(tu.val, w_R, rv)])
+        values = [(tu.val, w, rv)] if self.full_norms else []
+        del rv
+        rd = _profiles(primal, "deriv", tu.der, qp, C)
+        del qp
+        self.X = _Form(ops.X, values + [(tu.der, w, rd)])
+        if self.full_norms:
             # H = rot(u) / mu_mag; the factor cancels in the ratio, so the
-            # magnetic error is the rot part of X, mu_mag A = Dᵀ W D
+            # magnetic error is the rot part of X, mu_mag A = Dᵀ W D.  The
+            # denominators are the exact fields' Gram matrices: sigma E on
+            # the conductor, sigma cancelling in the ratio too, and rot u
             self.H = _Form(case.coeffs.mu_mag * ops.A, [(tu.der, w, rd)])
-        else:
-            self.R = _Form(ops.R, [
-                (tu.val, w, _profiles(primal, "value", tu, C))])
-            self.X = _Form(ops.X, [
-                (tu.der, w, _profiles(primal, "deriv", tu, C))])
+            self.E_exact, self.H_exact = self.R.gram(C), self.H.gram(C)
 
         self.max_R = 0.0
         self.l2X = self.l2M = self.dtR = 0.0
@@ -226,7 +225,7 @@ class ErrorSweep:
         am = np.array([term.a(t) for term in mult])
         self.l2M += self.M(am, am @ self.Cm - lam)
         if self.full_norms:
-            self.relE_num += de2 / self.sigma
+            self.relE_num += de2
             self.relE_den += float(da @ self.E_exact @ da)
             self.relH_num += self.H(a, d)
             self.relH_den += float(a @ self.H_exact @ a)

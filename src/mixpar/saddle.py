@@ -226,22 +226,15 @@ def kernel_basis(B):
     return scipy.linalg.null_space(np.asarray(B.todense()))
 
 
-def _seeded_start(n):
-    return np.random.default_rng(0).standard_normal(n)
-
-
-def _bottom_eigenvalue(what, solve, M, start):
+def _bottom_eigenvalue(what, solve, M):
     """Smallest eigenvalue of a positive semidefinite pencil (K, M), where
-    solve(y) returns K^{-1} y, by shift-invert Lanczos about 0 from the
-    fixed vector solve(M start), so repeated calls agree bitwise."""
+    solve(y) returns K^{-1} y, by shift-invert Lanczos about 0 from
+    solve(M start), with start a seeded normal vector, so repeated calls
+    agree bitwise."""
     n = M.shape[0]
     inv = spla.LinearOperator((n, n), dtype=float, matvec=solve)
+    start = np.random.default_rng(0).standard_normal(n)
     v0 = inv @ (M @ start)
-    if not np.any(v0):
-        # a symmetric start can map to zero (Stokes n = 1, where only the
-        # bubbles are free): retry once from the β probe's seeded start
-        start = _seeded_start(n)
-        v0 = inv @ (M @ start)
     if not np.any(v0):
         # K^{-1} M start underflowed: K's entries are beyond float range
         raise SingularSystem(f"{what}: the pencil is not finite")
@@ -284,13 +277,12 @@ def estimate_infsup(X, B, M, project_out=None, order=None):
         if project_out is not None:
             q = q - project_out * (q.sum() / project_out.sum())
         return -solver.solve(zeros, q)[1]
-    # not the coercivity probe's ones: the projection takes M 1 to zero
-    beta2 = _bottom_eigenvalue("inf-sup probe", solve, M,
-                               _seeded_start(B.shape[0]))
+    beta2 = _bottom_eigenvalue("inf-sup probe", solve, M)
     return float(np.sqrt(max(beta2, 0.0)))
 
 
-def estimate_coercivity(A, R, X, B, xi, shift, mean_row=None, order=None):
+def estimate_coercivity(A, R, X, B, xi, shift, mean_row=None, order=None,
+                        lift=0.0):
     """Coercivity constant of A + xi R on the discrete kernel, sparsely.
 
     Returns shift + the smallest eigenvalue of (A + xi R - shift X, X)
@@ -298,22 +290,24 @@ def estimate_coercivity(A, R, X, B, xi, shift, mean_row=None, order=None):
     `shift` must be the smallest eigenvalue of (A, X) on that kernel,
     known from the discretization (nu for Stokes, where A = nu X; 0 for
     eddy, where discrete gradients supported in the conductor lie in
-    ker A and ker B), and xi >= 0.  The shifted pencil is then positive
-    semidefinite, so shift-invert Lanczos about 0 finds its bottom; each
-    step is one solve of the saddle system of A + xi R - shift X, factored
-    in `order` (with `mean_row` pinning the multiplier gauge as in
-    `SaddleSolver`).  At xi = 0 that matrix is singular on the kernel and
-    the answer is `shift` itself.
+    ker A and ker B), and xi >= 0.  The shifted pencil (K, X) is then
+    positive semidefinite, and shift-invert Lanczos about 0 finds the
+    bottom of (K + s X, X), less s, with s = lift tr(K) / tr(X).  Each
+    step solves the saddle system of K + s X, factored in `order` (with
+    `mean_row` pinning the multiplier gauge as in `SaddleSolver`); the
+    residual of that solve grows as 1 / (bottom + s), so the lift keeps a
+    small bottom within RESIDUAL_TOL.  At xi = 0, K is singular on the
+    kernel and the answer is `shift` itself.
     """
     if xi == 0:
         return float(shift)
     K = (A - shift * X) + xi * R
-    solver = SaddleSolver(K, B, mean_row, order)
+    s = lift * K.diagonal().sum() / X.diagonal().sum()
+    solver = SaddleSolver(K + s * X, B, mean_row, order)
     zeros = np.zeros(B.shape[0])
     mu = _bottom_eigenvalue("coercivity probe",
-                            lambda y: solver.solve(y, zeros)[0], X,
-                            np.ones(K.shape[0]))
-    return float(shift + mu)
+                            lambda y: solver.solve(y, zeros)[0], X)
+    return float(shift + mu - s)
 
 
 def estimate_garding(A, R, X, kernel, xi=1.0):

@@ -185,13 +185,8 @@ def test_sweep_precompute_holds_one_form_at_a_time(stokes_case_default):
     assert peak <= 4 * 8 * rows
 
 
-def test_eddy_sweep_builds_no_multiplier_points(monkeypatch,
-                                                eddy_case_default):
-    # the exact eddy multiplier has no terms, so the sweep has no profile
-    # to evaluate at the multiplier's points
-    _, E, MU, ops = build_eddy(3)
-    case = eddy_case_default
-    assert case.terms.multiplier == ()
+def _spy_points(monkeypatch):
+    """The kinds of the tables whose points are derived from now on."""
     derived = []
     qp = CellTables.qp
 
@@ -200,10 +195,33 @@ def test_eddy_sweep_builds_no_multiplier_points(monkeypatch,
         return qp.fget(tab)
 
     monkeypatch.setattr(CellTables, "qp", property(spied_qp))
+    return derived
+
+
+def test_eddy_sweep_builds_no_multiplier_points(monkeypatch,
+                                                eddy_case_default):
+    # the exact eddy multiplier has no terms, so the sweep has no profile
+    # to evaluate at the multiplier's points
+    _, E, MU, ops = build_eddy(3)
+    case = eddy_case_default
+    assert case.terms.multiplier == ()
+    derived = _spy_points(monkeypatch)
     sweep = compute_errors(case, ops, TimeGrid(case.T, 2))
     sweep.add(1, np.zeros(E.num_free), np.zeros(MU.num_free))
     assert "multiplier" not in derived
     assert "edge" in derived
+
+
+@pytest.mark.parametrize("build, case", [(build_stokes, stokes_case()),
+                                         (build_eddy, eddy2d_case())],
+                         ids=["stokes", "eddy"])
+def test_sweep_derives_the_points_once(monkeypatch, build, case):
+    # both tables of a level share one point layout, so every profile,
+    # primal or multiplier, is evaluated at one derivation of the points
+    ops = build(3)[3]
+    derived = _spy_points(monkeypatch)
+    compute_errors(case, ops, TimeGrid(case.T, 2))
+    assert len(derived) == 1
 
 
 def test_fit_rates_trivial_sequences():
