@@ -197,7 +197,7 @@ class ErrorSweep:
 
         self.max_R = 0.0
         self.l2X = self.l2M = self.dtR = 0.0
-        self.relE_num = self.relE_den = self.relH_num = self.relH_den = 0.0
+        self.relE_den = self.relH_num = self.relH_den = 0.0
         self.u_prev = np.zeros(ops.primal.num_free)
         self.lam_norm_max = self.u_norm_max = 0.0
 
@@ -219,13 +219,11 @@ class ErrorSweep:
         self.u_prev = u
         self.max_R = max(self.max_R, self.R(a, d))
         self.l2X += self.X(a, d)
-        de2 = self.R(da, dd)
-        self.dtR += de2
+        self.dtR += self.R(da, dd)
 
         am = np.array([term.a(t) for term in mult])
         self.l2M += self.M(am, am @ self.Cm - lam)
         if self.full_norms:
-            self.relE_num += de2
             self.relE_den += float(da @ self.E_exact @ da)
             self.relH_num += self.H(a, d)
             self.relH_den += float(a @ self.H_exact @ a)
@@ -236,7 +234,8 @@ class ErrorSweep:
         norms = ErrorNorms(max_R=self.max_R, l2_X=dt * self.l2X,
                            l2_M=dt * self.l2M, dt_R=dt * self.dtR)
         if self.full_norms:
-            norms.rel_E = _percent(self.relE_num, self.relE_den)
+            # the electric error is the time-derivative error in R
+            norms.rel_E = _percent(self.dtR, self.relE_den)
             norms.rel_H = _percent(self.relH_num, self.relH_den)
         return norms
 

@@ -39,7 +39,6 @@ class NoConductorCells(ValueError):
 class Coefficients:
     nu: float = 1.0
     sigma: float = 1.0
-    eps: float = 1.0
     mu_mag: float = 1.0   # magnetic coefficient; 'mu' names the multiplier
 
 

@@ -29,11 +29,9 @@ class DegenerateCell(ValueError):
 class QuadratureRule:
     """Quadrature on the reference triangle.
 
-    points are barycentric (nq, 3); weights sum to the reference area 1/2
-    and the rule is exact for polynomials up to `degree`.
+    points are barycentric (nq, 3); weights sum to the reference area 1/2.
     """
 
-    degree: int
     points: np.ndarray
     weights: np.ndarray
 
@@ -56,7 +54,7 @@ def _make_six_point():
     p, w = np.array(pts), np.array(wts)
     p.setflags(write=False)
     w.setflags(write=False)
-    return QuadratureRule(4, p, w)
+    return QuadratureRule(p, w)
 
 
 # the one rule every level is built from, exact for degree 4

@@ -71,7 +71,6 @@ class ManufacturedCase:
     domain: tuple
     conductor: Optional[tuple]
     coeffs: Coefficients
-    T: float
     terms: Terms                  # the exact fields, term by term
     load_factors: tuple           # the load's time factors a_k(t)
     load_profiles: Callable       # pts -> ((value or None, rot or None), ...)
@@ -143,7 +142,7 @@ _PHI = _stream(Polynomial.fromroots([0, 0, 3, 3]), scale=1.0 / 1.5 ** 8)
 
 # -- transient Stokes ------------------------------------------------------
 
-def stokes_case(nu=1.0, T=0.5):
+def stokes_case(nu=1.0):
     """Unit-square transient Stokes with stream function x^2(1-x)^2 y^2(1-y)^2.
 
     u = sin(pi t) curl(psi) is divergence free with zero boundary trace;
@@ -173,7 +172,6 @@ def stokes_case(nu=1.0, T=0.5):
         domain=(0.0, 0.0, 1.0, 1.0),
         conductor=None,
         coeffs=Coefficients(nu=nu),
-        T=T,
         terms=terms,
         load_factors=(_dsin, _sin),
         load_profiles=load_profiles,
@@ -182,7 +180,7 @@ def stokes_case(nu=1.0, T=0.5):
 
 # -- 2D eddy-current analog -------------------------------------------------
 
-def eddy2d_case(sigma=1.0, eps=1.0, mu_mag=1.0, T=0.75):
+def eddy2d_case(sigma=1.0, mu_mag=1.0):
     """Degenerate eddy analog on [0,3]^2 with conductor [1,2]^2.
 
     u = sin(pi t) curl(phi) with phi = (x(3-x) y(3-y))^2 / norm, so
@@ -212,8 +210,7 @@ def eddy2d_case(sigma=1.0, eps=1.0, mu_mag=1.0, T=0.75):
         kind="eddy2d",
         domain=(0.0, 0.0, 3.0, 3.0),
         conductor=conductor,
-        coeffs=Coefficients(sigma=sigma, eps=eps, mu_mag=mu_mag),
-        T=T,
+        coeffs=Coefficients(sigma=sigma, mu_mag=mu_mag),
         terms=terms,
         load_factors=(_dsin, sin_mu),
         load_profiles=load_profiles,

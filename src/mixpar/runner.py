@@ -43,14 +43,13 @@ CSV_COLUMNS = [
 def _build_instance(cfg, level):
     n = cfg.n * 2 ** level
     if cfg.case == "stokes":
-        case = stokes_case(nu=cfg.nu, T=cfg.T)
+        case = stokes_case(nu=cfg.nu)
         mesh = structured_mesh(case.domain, n, pattern=cfg.pattern)
         primal = build_space(mesh, "mini", bc="zero_outer")
         mult = build_space(mesh, "p1", bc=None)
         ops = assemble_stokes(primal, mult, nu=cfg.nu)
     else:
-        case = eddy2d_case(sigma=cfg.sigma, eps=cfg.eps, mu_mag=cfg.mu_mag,
-                           T=cfg.T)
+        case = eddy2d_case(sigma=cfg.sigma, mu_mag=cfg.mu_mag)
         mesh = structured_mesh(case.domain, n, conductor=case.conductor,
                                pattern=cfg.pattern)
         primal = build_space(mesh, "edge", bc="zero_outer")

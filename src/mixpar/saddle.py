@@ -252,13 +252,13 @@ def _bottom_eigenvalue(what, solve, M):
     return mu[0]
 
 
-def estimate_infsup(X, B, M, project_out=None, order=None):
+def estimate_infsup(X, B, M, mean_row=None, order=None):
     """Discrete inf-sup constant of b over the given inner products.
 
     Computed as sqrt of the smallest eigenvalue of the generalized
     problem  B X^{-1} B^T q = beta^2 M q, through a `SaddleSolver` of X
     factored in `order`: the solve with right-hand side (0, q) returns
-    lam = -(B X^{-1} B^T)^{-1} q.  `project_out`, when given, restricts
+    lam = -(B X^{-1} B^T)^{-1} q.  `mean_row`, when given, restricts
     the multiplier space to its kernel (the pressure mean for the Stokes
     pair).  It must be M 1 with B^T 1 = 0, and pins the solver's gauge;
     each q is projected onto 1^T q = 0 along it, which makes 1 an
@@ -267,15 +267,15 @@ def estimate_infsup(X, B, M, project_out=None, order=None):
     the probe raises.
     """
     n = X.shape[0]
-    first = 0 if project_out is None else 1
+    first = 0 if mean_row is None else 1
     if B.shape[0] <= first or sp.csr_matrix(B).count_nonzero() == 0:
         return 0.0
-    solver = SaddleSolver(X, B, project_out, order)
+    solver = SaddleSolver(X, B, mean_row, order)
     zeros = np.zeros(n)
 
     def solve(q):
-        if project_out is not None:
-            q = q - project_out * (q.sum() / project_out.sum())
+        if mean_row is not None:
+            q = q - mean_row * (q.sum() / mean_row.sum())
         return -solver.solve(zeros, q)[1]
     beta2 = _bottom_eigenvalue("inf-sup probe", solve, M)
     return float(np.sqrt(max(beta2, 0.0)))

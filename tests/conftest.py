@@ -45,9 +45,9 @@ def stokes2():
 
 @pytest.fixture(scope="session")
 def stokes_case_default():
-    return stokes_case(T=0.5)
+    return stokes_case()
 
 
 @pytest.fixture(scope="session")
 def eddy_case_default():
-    return eddy2d_case(T=0.75)
+    return eddy2d_case()

@@ -12,7 +12,7 @@ from numpy.polynomial.legendre import leggauss
 from mixpar.elements import QuadratureRule
 
 # one point at the barycenter, exact for degree 1
-CENTROID = QuadratureRule(1, np.full((1, 3), 1 / 3), np.array([0.5]))
+CENTROID = QuadratureRule(np.full((1, 3), 1 / 3), np.array([0.5]))
 
 
 def collapsed_rule(degree):
@@ -28,4 +28,4 @@ def collapsed_rule(degree):
     v = np.tile(u, m)
     w = np.repeat(wu, m) * np.tile(wu, m) * (1.0 - x)
     y = v * (1.0 - x)
-    return QuadratureRule(degree, np.column_stack([1.0 - x - y, x, y]), w)
+    return QuadratureRule(np.column_stack([1.0 - x - y, x, y]), w)

@@ -471,7 +471,7 @@ def test_infsup_mini_uniform_across_levels():
     for n in (2, 4, 8):
         _, _, _, ops = build_stokes(n)
         betas.append(
-            estimate_infsup(ops.X, ops.B, ops.M, project_out=ops.mean_row)
+            estimate_infsup(ops.X, ops.B, ops.M, mean_row=ops.mean_row)
         )
     betas = np.array(betas)
     assert betas.min() > 1e-3
@@ -595,7 +595,7 @@ def _probe_instance(case, n, nu=1.0, **kw):
 ])
 def test_sparse_probes_match_dense_oracles(case, n, kw, xi):
     ops, shift, lift = _probe_instance(case, n, **kw)
-    beta = estimate_infsup(ops.X, ops.B, ops.M, project_out=ops.mean_row)
+    beta = estimate_infsup(ops.X, ops.B, ops.M, mean_row=ops.mean_row)
     beta_ref = _dense_infsup(ops.X, ops.B, ops.M, project_out=ops.mean_row)
     assert beta == pytest.approx(beta_ref, rel=1e-10)
     alpha = estimate_coercivity(ops.A, ops.R, ops.X, ops.B, xi, shift,

@@ -72,7 +72,7 @@ def test_time_grid_rejects_non_finite_T(T):
 def test_constraint_satisfied_every_step(eddy3, eddy_case_default):
     _, E, _, ops = eddy3
     case = eddy_case_default
-    grid = TimeGrid(case.T, 5)
+    grid = TimeGrid(0.75, 5)
     load = lambda t: assemble_load(
         E, (case.load_factors, case.load_profiles), t)
     sol = run(ops, load, grid)
@@ -105,7 +105,7 @@ def test_observed_run_streams_the_steps_it_would_store(eddy3,
                                                       eddy_case_default):
     _, E, _, ops = eddy3
     case = eddy_case_default
-    grid = TimeGrid(case.T, 5)
+    grid = TimeGrid(0.75, 5)
     load = lambda t: assemble_load(
         E, (case.load_factors, case.load_profiles), t)
     stored = run(ops, load, grid)
@@ -146,7 +146,7 @@ def test_factorization_reused_matches_per_step_solves(eddy3, eddy_case_default):
     # the once-factorized run must agree with independent per-step solves
     _, E, _, ops = eddy3
     case = eddy_case_default
-    grid = TimeGrid(case.T, 3)
+    grid = TimeGrid(0.75, 3)
     load = lambda t: assemble_load(
         E, (case.load_factors, case.load_profiles), t)
     sol = run(ops, load, grid)
@@ -191,7 +191,7 @@ def test_eddy_first_step_matches_dense_solve(n, pattern, eddy_case_default):
     # solve of the same assembled block system
     _, E, _, ops = build_eddy(n, pattern=pattern)
     case = eddy_case_default
-    grid = TimeGrid(case.T, 5 * n // 3)
+    grid = TimeGrid(0.75, 5 * n // 3)
     load = lambda t: assemble_load(
         E, (case.load_factors, case.load_profiles), t)
     sol = run(ops, load, grid)
