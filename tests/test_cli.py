@@ -604,11 +604,6 @@ def _valid_configs(draw):
 # sees only bubbles; its old ones start mapped to zero there and exited 3
 @example(cfg={"case": "stokes", "n": 1, "levels": 2, "steps": 4, "T": 0.86,
               "nu": 1.65, "xi": 0.178, "probes": True})
-# alpha_h is 7.5e-4 here: the unlifted coercivity probe's solves,
-# conditioned by it, left residuals of 1e-9 relative and exited 3
-@example(cfg={"case": "eddy2d", "n": 6, "levels": 2, "sigma": 0.020,
-              "eps": 9.6, "mu_mag": 0.015, "xi": 0.14, "T": 7.2,
-              "probes": True})
 def test_valid_configs_solve_within_the_residual_tolerance(cfg):
     with tempfile.TemporaryDirectory() as folder:
         code, out = _run_quiet(folder, cfg)
@@ -619,3 +614,16 @@ def test_valid_configs_solve_within_the_residual_tolerance(cfg):
         # every drawn level is small enough to probe
         assert [p["probed"] for p in summary["probes"]] == \
             [cfg["probes"]] * cfg["levels"]
+
+
+def test_small_eddy_coercivity_passes_the_residual_guard(tmp_path):
+    # alpha_h is 7.5e-4 here: the unlifted probe's solves, conditioned by
+    # it, left residuals of 1e-9 relative and exited 3
+    cfg = {"case": "eddy2d", "n": 6, "levels": 2, "sigma": 0.020,
+           "eps": 9.6, "mu_mag": 0.015, "xi": 0.14, "T": 7.2,
+           "probes": True}
+    code, out = _run_quiet(tmp_path, cfg)
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert max(summary["block_residual_max"]) <= RESIDUAL_TOL
+    assert all(p["probed"] for p in summary["probes"])
