@@ -79,21 +79,25 @@ def run_level(cfg, level, vtk_dir=None):
         if write and (n % cfg.vtk_every == 0 or n == grid.N):
             write(n, u, lam)
 
-    # one order for the step matrix and both probes' saddle matrices
+    # one order for the step matrix and both probes' saddle matrices, each
+    # with the cell bubbles eliminated before factoring
     order = dissection_order(ops)
+    bubbles = ops.primal.num_bubbles
     solution = run(ops, load, grid, observe, order)
 
     beta_h = alpha_h = 0.0
     probed = cfg.probes and ops.B.shape[1] <= DENSE_LIMIT
     if probed:
-        beta_h = estimate_infsup(ops.X, ops.B, ops.M, ops.mean_row, order)
+        beta_h = estimate_infsup(ops.X, ops.B, ops.M, ops.mean_row, order,
+                                 bubbles)
         # the smallest eigenvalue of (A, X) on ker B: A = nu X for Stokes,
         # and ker A meets ker B for eddy (see estimate_coercivity); only the
         # eddy pencil is lifted, as the bottom of the Stokes one, xi R on
         # ker B, is clustered near 0, where a lift takes 40-400x the solves
         shift, lift = (cfg.nu, 0.0) if cfg.case == "stokes" else (0.0, 0.01)
         alpha_h = estimate_coercivity(ops.A, ops.R, ops.X, ops.B, cfg.xi,
-                                      shift, ops.mean_row, order, lift)
+                                      shift, ops.mean_row, order, lift,
+                                      bubbles)
 
     return LevelResult(
         level=level,

@@ -7,6 +7,10 @@ diagonal pivots kept unless below 0.1 of their column's largest entry
 (see SPLU_OPTIONS).  The runtime's order is `dissection_order`, one
 nested dissection of the mesh lattice for Stokes and eddy alike, which
 fills 28% less than minimum degree on Stokes n=64, 39% less on eddy n=96.
+The MINI cell bubbles, which that order ranks first, couple to no other
+bubble: the solver eliminates them by their diagonal and factors only
+the Schur complement of the other unknowns, which on Stokes n=64 has
+12,162 of K's 28,546 unknowns and fills 1,667,014 against K's 1,860,840.
 
 Both runtime probes run shift-invert Lanczos through a `SaddleSolver`:
 `estimate_infsup` on the Schur pencil (B X^{-1} B^T, M) and
@@ -73,9 +77,19 @@ class SaddleSolver:
     takes and returns unpermuted vectors, and the residual guard checks
     the unpermuted system, with `BT`, the CSR B^T formed once.
 
-    `fill` is the number of L and U entries SuperLU stores
-    (`SuperLU.nnz`; building the L and U matrices to count them would
-    add about 30 MiB to the peak memory of a Stokes study at n=64).
+    The last `eliminate` primal unknowns (the MINI cell bubbles, which
+    `dissection_order` ranks first) must couple to no other of their
+    kind: their block D of A_dt is diagonal, and `order` ranks them
+    first.  They are eliminated by D before factoring, so SuperLU
+    factors only the Schur complement S = K_rr - C D^{-1} C^T of the
+    remaining unknowns r, with C = [A_rb; B_b] their coupling, in
+    `order` without them.  Each solve forms r - C D^{-1} F_b, solves
+    with S and recovers u_b = (F_b - C^T z_r) / D.
+
+    `fill` is the number of L and U entries SuperLU stores: `SuperLU.nnz`
+    of the bubble-free factor, of S (of K when nothing is eliminated);
+    building the L and U matrices to count them would add about 30 MiB
+    to the peak memory of a Stokes study at n=64.
 
     With `mean_row`, lam is unique only up to a constant (B^T 1 = 0): the
     first constraint row is left out of the factored matrix and lam is
@@ -83,7 +97,7 @@ class SaddleSolver:
     full system, so an incompatible G (1^T G != 0) is still rejected.
     """
 
-    def __init__(self, A_dt, B, mean_row=None, order=None):
+    def __init__(self, A_dt, B, mean_row=None, order=None, eliminate=0):
         self.n = A_dt.shape[0]
         if B.shape[1] != self.n:
             raise ValueError("B column count does not match A_dt")
@@ -93,11 +107,40 @@ class SaddleSolver:
         self.dropped = 0 if mean_row is None else 1
         # every valid (1,1) block has a positive diagonal; a zero one (say
         # dt * A underflowing off the conductor) can crash SuperLU
-        if not np.all(self.A_dt.diagonal() > 0):
+        diagonal = self.A_dt.diagonal()
+        if not np.all(diagonal > 0):
             raise SingularSystem("(1,1) block has a non-positive diagonal")
         size = self.n + self.B.shape[0] - self.dropped
-        self.order = np.arange(size) if order is None else order
-        K = _block_matrix(self.A_dt, self.B[self.dropped:], self.order)
+        self.kept = kept = self.n - eliminate
+        if order is None:
+            order = np.r_[kept:self.n, :kept, self.n:size]
+        elif not np.all((order[:eliminate] >= kept)
+                        & (order[:eliminate] < self.n)):
+            raise ValueError("order does not rank the eliminated unknowns "
+                             "first")
+        B1 = self.B[self.dropped:]
+        self.C = None
+        if eliminate:
+            bb = self.A_dt[kept:, kept:].tocoo()
+            if np.any(bb.data[bb.row != bb.col]):
+                raise SingularSystem("eliminated block is not diagonal")
+            self.D = diagonal[kept:]
+            self.C = sp.vstack([self.A_dt[:kept, kept:], B1[:, kept:]],
+                               format="csr")
+            self.CT = self.C.T.tocsr()
+            scaled = self.C.copy()
+            scaled.data /= self.D[scaled.indices]
+            schur = scaled @ self.CT
+            del scaled
+            # the rest of the order, in the numbering of S's unknowns
+            order = order[eliminate:]
+            order = np.where(order >= self.n, order - eliminate, order)
+            K = _block_matrix(self.A_dt[:kept, :kept], B1[:, :kept], order,
+                              schur)
+            del schur
+        else:
+            K = _block_matrix(self.A_dt, B1, order)
+        self.order = order
         try:
             self.lu = spla.splu(K, **SPLU_OPTIONS)
         except RuntimeError as err:
@@ -107,13 +150,18 @@ class SaddleSolver:
         self.BT = self.B.T.tocsr()
 
     def solve(self, F, G):
-        rhs = np.concatenate([F, G[self.dropped:]])
+        kept = self.kept
+        rhs = np.concatenate([F[:kept], G[self.dropped:]])
+        if self.C is not None:
+            rhs -= self.C @ (F[kept:] / self.D)
         z = np.empty_like(rhs)
         z[self.order] = self.lu.solve(rhs[self.order])
-        if not np.all(np.isfinite(z)):
+        u = z[:kept]
+        if self.C is not None:
+            u = np.concatenate([u, (F[kept:] - self.CT @ z) / self.D])
+        lam = np.concatenate([np.zeros(self.dropped), z[kept:]])
+        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(lam))):
             raise SingularSystem("factorization produced non-finite solution")
-        u = z[: self.n]
-        lam = np.concatenate([np.zeros(self.dropped), z[self.n :]])
         if self.mean_row is not None:
             lam -= (self.mean_row @ lam) / self.mean_row.sum()
         constraint = float(np.linalg.norm(self.B @ u - G))
@@ -127,22 +175,24 @@ class SaddleSolver:
         return u, lam, SolveInfo(residual / (scale or 1.0), constraint)
 
 
-def _block_matrix(A_dt, B1, order):
-    """K = [[A_dt, B1ᵀ], [B1, 0]] in CSC, with `order` as K[order][:, order].
+def _block_matrix(A_dt, B1, order, schur=None):
+    """K = [[A_dt, B1ᵀ], [B1, 0]] - schur in CSC, with `order` as
+    K[order][:, order].
 
     One COO pass with int32 indices: entry (i, j) goes to (rank[i],
-    rank[j]), where rank inverts `order`, and the triplets are freed on
-    return.  Built directly, as fancy indexing of a sparse matrix may
-    warn.
+    rank[j]), where rank inverts `order`, duplicates summed, and the
+    triplets are freed on return.  Built directly, as fancy indexing of
+    a sparse matrix may warn.
     """
     n = A_dt.shape[0]
     size = n + B1.shape[0]
     A = A_dt.tocoo(copy=False)
     B = B1.tocoo(copy=False)
-    rows = np.concatenate([A.row, B.col, B.row + n], dtype=np.int32)
-    cols = np.concatenate([A.col, B.row + n, B.col], dtype=np.int32)
-    data = np.concatenate([A.data, B.data, B.data])
-    del A, B
+    W = sp.coo_matrix((size, size)) if schur is None else schur.tocoo()
+    rows = np.concatenate([A.row, B.col, B.row + n, W.row], dtype=np.int32)
+    cols = np.concatenate([A.col, B.row + n, B.col, W.col], dtype=np.int32)
+    data = np.concatenate([A.data, B.data, B.data, -W.data])
+    del A, B, W
     rank = np.empty(size, dtype=np.int32)
     rank[order] = np.arange(size, dtype=np.int32)
     rows = rank[rows]
@@ -206,7 +256,7 @@ def dissection_order(ops):
         primal = at[V.mesh.edges].sum(axis=1) // 2
     else:
         primal = np.concatenate([np.repeat(at, 2),
-                                 np.zeros(2 * V.mesh.num_cells, np.intp)])
+                                 np.zeros(V.num_bubbles, np.intp)])
     shared = np.bincount(Q.vertex_dof[Q.vertex_dof >= 0]) > 1
     multiplier = np.where(shared, last, at[Q.dof_vertex])
     dropped = int(ops.mean_row is not None)
@@ -252,12 +302,13 @@ def _bottom_eigenvalue(what, solve, M):
     return mu[0]
 
 
-def estimate_infsup(X, B, M, mean_row=None, order=None):
+def estimate_infsup(X, B, M, mean_row=None, order=None, eliminate=0):
     """Discrete inf-sup constant of b over the given inner products.
 
     Computed as sqrt of the smallest eigenvalue of the generalized
     problem  B X^{-1} B^T q = beta^2 M q, through a `SaddleSolver` of X
-    factored in `order`: the solve with right-hand side (0, q) returns
+    factored in `order`, its last `eliminate` primal unknowns eliminated
+    by their diagonal: the solve with right-hand side (0, q) returns
     lam = -(B X^{-1} B^T)^{-1} q.  `mean_row`, when given, restricts
     the multiplier space to its kernel (the pressure mean for the Stokes
     pair).  It must be M 1 with B^T 1 = 0, and pins the solver's gauge;
@@ -270,7 +321,7 @@ def estimate_infsup(X, B, M, mean_row=None, order=None):
     first = 0 if mean_row is None else 1
     if B.shape[0] <= first or sp.csr_matrix(B).count_nonzero() == 0:
         return 0.0
-    solver = SaddleSolver(X, B, mean_row, order)
+    solver = SaddleSolver(X, B, mean_row, order, eliminate)
     zeros = np.zeros(n)
 
     def solve(q):
@@ -282,7 +333,7 @@ def estimate_infsup(X, B, M, mean_row=None, order=None):
 
 
 def estimate_coercivity(A, R, X, B, xi, shift, mean_row=None, order=None,
-                        lift=0.0):
+                        lift=0.0, eliminate=0):
     """Coercivity constant of A + xi R on the discrete kernel, sparsely.
 
     Returns shift + the smallest eigenvalue of (A + xi R - shift X, X)
@@ -294,16 +345,17 @@ def estimate_coercivity(A, R, X, B, xi, shift, mean_row=None, order=None,
     positive semidefinite, and shift-invert Lanczos about 0 finds the
     bottom of (K + s X, X), less s, with s = lift tr(K) / tr(X).  Each
     step solves the saddle system of K + s X, factored in `order` (with
-    `mean_row` pinning the multiplier gauge as in `SaddleSolver`); the
-    residual of that solve grows as 1 / (bottom + s), so the lift keeps a
-    small bottom within RESIDUAL_TOL.  At xi = 0, K is singular on the
+    `mean_row` pinning the multiplier gauge and the last `eliminate`
+    primal unknowns eliminated, as in `SaddleSolver`); the residual of
+    that solve grows as 1 / (bottom + s), so the lift keeps a small
+    bottom within RESIDUAL_TOL.  At xi = 0, K is singular on the
     kernel and the answer is `shift` itself.
     """
     if xi == 0:
         return float(shift)
     K = (A - shift * X) + xi * R
     s = lift * K.diagonal().sum() / X.diagonal().sum()
-    solver = SaddleSolver(K + s * X, B, mean_row, order)
+    solver = SaddleSolver(K + s * X, B, mean_row, order, eliminate)
     zeros = np.zeros(B.shape[0])
     mu = _bottom_eigenvalue("coercivity probe",
                             lambda y: solver.solve(y, zeros)[0], X)

@@ -67,6 +67,11 @@ class FeSpace:
     def num_free(self):
         return len(self.free)
 
+    @property
+    def num_bubbles(self):
+        """Cell-bubble DOFs (mini only): all free, numbered last."""
+        return 2 * self.mesh.num_cells if self.kind == "mini" else 0
+
     def extend(self, free_vec):
         """Full coefficient vector with zeros on constrained DOFs."""
         out = np.zeros(self.ndof)

@@ -8,7 +8,10 @@ Each step solves
 starting from rest, u^0 = 0 and lam^0 = 0; the constraint data g is
 zero in both problem instances.  The block matrix is time-independent,
 so it is factorized once and reused for all steps, in the nested-
-dissection order of `saddle.dissection_order` (Stokes and eddy alike).
+dissection order of `saddle.dissection_order` (Stokes and eddy alike);
+the primal space's cell bubbles (Stokes; the edge space has none) are
+eliminated by their diagonal first, so the factor holds only the other
+unknowns (see `saddle.SaddleSolver`).
 A step needs only the one before it, so a run can hand each step to an
 observer and keep no history; its residuals are kept as running maxima.
 """
@@ -47,7 +50,7 @@ class TimeSeriesSolution:
     """Coefficients (u^n, lam^n) for n = 0..N (None when a run streams
     into an observer), the maxima over the steps of the block residual,
     the constraint residual and that over 1 + ||u^n||, and the fill of
-    the block factorization (SaddleSolver.fill)."""
+    the bubble-free factorization (SaddleSolver.fill)."""
 
     u: np.ndarray | None     # (N+1, n_primal_free)
     lam: np.ndarray | None   # (N+1, n_multiplier_free)
@@ -73,7 +76,8 @@ def run(ops, load, grid, observe=None, order=None):
     A_dt = (ops.R + dt * ops.A).tocsr()
     if order is None:
         order = dissection_order(ops)
-    solver = SaddleSolver(A_dt, ops.B, ops.mean_row, order)
+    solver = SaddleSolver(A_dt, ops.B, ops.mean_row, order,
+                          ops.primal.num_bubbles)
 
     u_hist = lam_hist = None
     if observe is None:

@@ -103,24 +103,31 @@ def test_bordered_mean_row_pins_pressure(stokes2):
     assert info.constraint_residual <= 1e-10
 
 
+def _dense_gauged_solve(A_dt, B, mean_row, F, G):
+    """(u, lam) of the bordered system [[A_dt, B^T, 0], [B, 0, m],
+    [0, m^T, 0]], m = mean_row, solved densely: it fixes the gauge
+    mean_row @ lam = 0 with one dense row and column."""
+    n, m = B.shape[1], B.shape[0]
+    Bd = B.toarray()
+    mc = mean_row[:, None]
+    K = np.block([
+        [A_dt.toarray(), Bd.T, np.zeros((n, 1))],
+        [Bd, np.zeros((m, m)), mc],
+        [np.zeros((1, n)), mc.T, np.zeros((1, 1))],
+    ])
+    z = np.linalg.solve(K, np.concatenate([F, G, [0.0]]))
+    return z[:n], z[n:n + m]
+
+
 def test_pinned_gauge_matches_dense_bordered_solve():
-    # the bordered system [[A_dt, B^T, 0], [B, 0, m], [0, m^T, 0]] fixes
-    # the same gauge (mean_row @ lam = 0) with one dense row and column
     _, _, _, ops = build_stokes(4)
     A_dt = ops.R + 0.25 * ops.A
     n, m = ops.B.shape[1], ops.B.shape[0]
     rng = np.random.default_rng(8)
     F = rng.standard_normal(n)
     u, lam, _ = SaddleSolver(A_dt, ops.B, ops.mean_row).solve(F, np.zeros(m))
-    Bd = ops.B.toarray()
-    mc = ops.mean_row[:, None]
-    K = np.block([
-        [A_dt.toarray(), Bd.T, np.zeros((n, 1))],
-        [Bd, np.zeros((m, m)), mc],
-        [np.zeros((1, n)), mc.T, np.zeros((1, 1))],
-    ])
-    z = np.linalg.solve(K, np.concatenate([F, np.zeros(m + 1)]))
-    u_ref, lam_ref = z[:n], z[n:n + m]
+    u_ref, lam_ref = _dense_gauged_solve(A_dt, ops.B, ops.mean_row, F,
+                                         np.zeros(m))
     assert np.abs(u - u_ref).max() <= 1e-11 * np.abs(u_ref).max()
     assert np.abs(lam - lam_ref).max() <= 1e-11 * np.abs(lam_ref).max()
 
@@ -291,18 +298,20 @@ def test_dissection_order_separates_the_first_bisection(build, n, pattern):
     assert rank[upper].max() < rank[on].min()
 
 
-# the step matrix of configs/stokes.cfg at n (dt = 1/(2n)); minimum
-# degree fills 437,234, 2,579,410 and 3,207,495 entries
+# the step matrix of configs/stokes.cfg at n (dt = 1/(2n)), its cell
+# bubbles eliminated; the whole block matrix fills 345,656, 1,860,840 and
+# 2,664,877 entries in the same order, and 437,234, 2,579,410 and
+# 3,207,495 in minimum degree
 @pytest.mark.parametrize("n, pattern, fill", [
-    (32, "right", 345_656),
-    (64, "right", 1_860_840),
-    (64, "crossed", 2_664_877),
+    (32, "right", 297_750),
+    (64, "right", 1_667_014),
+    (64, "crossed", 2_242_887),
 ])
 def test_dissection_fill_pinned(n, pattern, fill):
     _, _, _, ops = build_stokes(n, pattern=pattern)
     A_dt = (ops.R + (0.5 / n) * ops.A).tocsr()
-    solver = SaddleSolver(A_dt, ops.B, ops.mean_row,
-                          order=dissection_order(ops))
+    solver = SaddleSolver(A_dt, ops.B, ops.mean_row, dissection_order(ops),
+                          ops.primal.num_bubbles)
     assert solver.fill == fill
 
 
@@ -320,18 +329,76 @@ def test_dissection_solve_matches_minimum_degree_and_dense(pattern):
     u_md, lam_md, _ = SaddleSolver(
         A_dt, ops.B, ops.mean_row,
         _minimum_degree_order(A_dt, ops.B[1:])).solve(F, G)
-    Bd = ops.B.toarray()
-    mc = ops.mean_row[:, None]
-    K = np.block([
-        [A_dt.toarray(), Bd.T, np.zeros((n, 1))],
-        [Bd, np.zeros((m, m)), mc],
-        [np.zeros((1, n)), mc.T, np.zeros((1, 1))],
-    ])
-    z = np.linalg.solve(K, np.concatenate([F, G, [0.0]]))
-    for ref_u, ref_lam in ((u_md, lam_md), (z[:n], z[n:n + m])):
+    dense = _dense_gauged_solve(A_dt, ops.B, ops.mean_row, F, G)
+    for ref_u, ref_lam in ((u_md, lam_md), dense):
         assert np.abs(u - ref_u).max() <= 1e-12 * np.abs(ref_u).max()
         assert np.abs(lam - ref_lam).max() <= 1e-12 * np.abs(ref_lam).max()
     assert info.block_residual <= 1e-12
+
+
+@pytest.mark.parametrize("pattern", ["right", "crossed"])
+@pytest.mark.parametrize("n", [2, 5])
+def test_bubble_elimination_matches_dense_oracle(n, pattern):
+    # the bubbles eliminated by their diagonal, in the dissection order and
+    # in K's own, against the dense gauged solve, with 1^T G = 0 and G != 0
+    _, V, _, ops = build_stokes(n, pattern=pattern)
+    A_dt = (ops.R + ops.A / (2 * n)).tocsr()
+    rng = np.random.default_rng(n)
+    F = rng.standard_normal(ops.B.shape[1])
+    G = rng.standard_normal(ops.B.shape[0])
+    G -= G.mean()
+    u_ref, lam_ref = _dense_gauged_solve(A_dt, ops.B, ops.mean_row, F, G)
+    for order in (dissection_order(ops), None):
+        solver = SaddleSolver(A_dt, ops.B, ops.mean_row, order,
+                              V.num_bubbles)
+        assert solver.lu.shape[0] == (ops.B.shape[1] - V.num_bubbles
+                                      + ops.B.shape[0] - 1)
+        u, lam, info = solver.solve(F, G)
+        assert np.abs(u - u_ref).max() <= 1e-12 * np.abs(u_ref).max()
+        assert np.abs(lam - lam_ref).max() <= 1e-12 * np.abs(lam_ref).max()
+        assert info.block_residual <= 1e-13
+
+
+def test_eliminated_block_must_be_diagonal_positive_and_ranked_first():
+    _, V, _, ops = build_stokes(3)
+    A_dt = (ops.R + ops.A / 6).tolil()
+    n, nb = A_dt.shape[0], V.num_bubbles
+    order = dissection_order(ops)
+    coupled = A_dt.copy()
+    coupled[n - 1, n - 2] = coupled[n - 2, n - 1] = 1e-3
+    with pytest.raises(SingularSystem, match="not diagonal"):
+        SaddleSolver(coupled.tocsr(), ops.B, ops.mean_row, order, nb)
+    # without the elimination the same matrix factors
+    SaddleSolver(coupled.tocsr(), ops.B, ops.mean_row, order)
+    for bad in (0.0, -1.0):
+        negative = A_dt.copy()
+        negative[n - 1, n - 1] = bad
+        with pytest.raises(SingularSystem, match="non-positive diagonal"):
+            SaddleSolver(negative.tocsr(), ops.B, ops.mean_row, order, nb)
+    # the last vertex unknown is not a bubble, so one more is not diagonal
+    with pytest.raises(SingularSystem, match="not diagonal"):
+        SaddleSolver(A_dt.tocsr(), ops.B, ops.mean_row, None, nb + 1)
+    # the order must rank the eliminated unknowns first
+    with pytest.raises(ValueError, match="first"):
+        SaddleSolver(A_dt.tocsr(), ops.B, ops.mean_row, order[::-1], nb)
+
+
+# the step matrix R + dt A of Stokes levels far outside the shipped
+# configs (dt = 1/(2n), nu = 1), each with its bubbles eliminated
+@pytest.mark.parametrize("pattern", ["right", "crossed"])
+@pytest.mark.parametrize("nu", [0.01, 1.0, 100.0])
+@pytest.mark.parametrize("n", [4, 16])
+def test_bubble_elimination_residual_across_nu_and_dt(n, nu, pattern):
+    _, V, _, ops = build_stokes(n, nu=nu, pattern=pattern)
+    order = dissection_order(ops)
+    rng = np.random.default_rng(16)
+    F = rng.standard_normal(ops.B.shape[1])
+    G = rng.standard_normal(ops.B.shape[0])
+    G -= G.mean()
+    for dt in (1e-4, 1 / 64, 0.5, 5.0):
+        solver = SaddleSolver(ops.R + dt * ops.A, ops.B, ops.mean_row, order,
+                              V.num_bubbles)
+        assert solver.solve(F, G)[2].block_residual <= saddle.RESIDUAL_TOL
 
 
 def _minimum_degree_order(A_dt, B1):
@@ -396,19 +463,23 @@ def _run_probed_level(config):
 def test_every_runtime_factorization_uses_the_dissection_order(monkeypatch,
                                                                config):
     # a probed level factors three times: the step matrix, the inf-sup
-    # probe's X and the coercivity probe's shifted matrix
-    orders = []
+    # probe's X and the coercivity probe's shifted matrix; each eliminates
+    # the space's cell bubbles (Stokes) or nothing (eddy)
+    calls = []
     init = SaddleSolver.__init__
 
-    def recorded(self, A_dt, B, mean_row=None, order=None):
-        orders.append(order)
-        init(self, A_dt, B, mean_row, order)
+    def recorded(self, A_dt, B, mean_row=None, order=None, eliminate=0):
+        calls.append((order, eliminate))
+        init(self, A_dt, B, mean_row, order, eliminate)
     monkeypatch.setattr(SaddleSolver, "__init__", recorded)
     cfg = _run_probed_level(config)
-    want = dissection_order(runner._build_instance(cfg, 0)[2])
-    assert len(orders) == 3
-    for order in orders:
+    ops = runner._build_instance(cfg, 0)[2]
+    want = dissection_order(ops)
+    bubbles = 2 * ops.primal.mesh.num_cells if cfg.case == "stokes" else 0
+    assert len(calls) == 3
+    for order, eliminate in calls:
         assert np.array_equal(order, want)
+        assert eliminate == bubbles
 
 
 @PROBED_LEVELS
@@ -579,7 +650,8 @@ def _probe_instance(case, n, nu=1.0, **kw):
 # every probed level of configs/stokes.cfg (n = 4, 8, 16; n = 32 exceeds
 # DENSE_LIMIT) and configs/eddy2d.json (n = 3, 6, 12, 24), then other
 # coefficients on the crossed pattern, and that pattern's eddy level 2;
-# the coercivity probe factors in the dissection order, as the runner's
+# both probes factor in the dissection order with the cell bubbles
+# eliminated, as the runner's
 @pytest.mark.parametrize("case, n, kw, xi", [
     *[("stokes", n, {}, 1.0) for n in (4, 8, 16)],
     *[("eddy", n, {}, 1.0) for n in (3, 6, 12, 24)],
@@ -595,11 +667,12 @@ def _probe_instance(case, n, nu=1.0, **kw):
 ])
 def test_sparse_probes_match_dense_oracles(case, n, kw, xi):
     ops, shift, lift = _probe_instance(case, n, **kw)
-    beta = estimate_infsup(ops.X, ops.B, ops.M, mean_row=ops.mean_row)
+    order, bubbles = dissection_order(ops), ops.primal.num_bubbles
+    beta = estimate_infsup(ops.X, ops.B, ops.M, ops.mean_row, order, bubbles)
     beta_ref = _dense_infsup(ops.X, ops.B, ops.M, project_out=ops.mean_row)
     assert beta == pytest.approx(beta_ref, rel=1e-10)
     alpha = estimate_coercivity(ops.A, ops.R, ops.X, ops.B, xi, shift,
-                                ops.mean_row, dissection_order(ops), lift)
+                                ops.mean_row, order, lift, bubbles)
     alpha_ref = estimate_garding(ops.A, ops.R, ops.X, kernel_basis(ops.B),
                                  xi=xi)
     assert alpha == pytest.approx(alpha_ref, rel=1e-10)

@@ -1,5 +1,6 @@
 import functools
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,13 +13,15 @@ from conftest import build_eddy, build_stokes
 
 
 def toy_ops(r=1.0, a=1.0):
+    # one primal unknown, no multiplier; `run` reads only the primal
+    # space's bubble count, which is none
     return OperatorSet(
         R=sp.csr_matrix(np.array([[r]])),
         A=sp.csr_matrix(np.array([[a]])),
         B=sp.csr_matrix((0, 1)),
         X=sp.csr_matrix(np.array([[a]])),
         M=sp.csr_matrix((0, 0)),
-        primal=None,
+        primal=SimpleNamespace(num_bubbles=0),
         multiplier=None,
     )
 
@@ -166,11 +169,12 @@ def test_factorization_reused_matches_per_step_solves(eddy3, eddy_case_default):
 
 # level 2 of configs/stokes.cfg and configs/eddy2d.json, and of the
 # latter on the crossed pattern: every step matrix factors in the
-# nested-dissection order (minimum degree filled 67,936, 16,326 and
+# nested-dissection order, the Stokes one with its cell bubbles
+# eliminated (60,264 without; minimum degree filled 67,936, 16,326 and
 # 138,131; the right eddy level fills more but factors faster, and the
 # crossed one at n=48 filled 42.7M, where this order fills 0.83M)
 @pytest.mark.parametrize("build, n, grid, fill", [
-    (build_stokes, 16, TimeGrid(0.5, 16), 60_264),
+    (build_stokes, 16, TimeGrid(0.5, 16), 48_454),
     (build_eddy, 12, TimeGrid(0.75, 20), 18_601),
     (functools.partial(build_eddy, pattern="crossed"), 12,
      TimeGrid(0.75, 20), 34_323),
@@ -181,7 +185,8 @@ def test_step_factorization_order_and_fill(build, n, grid, fill):
     assert sol.factor_fill == fill
     A_dt = ops.R + grid.dt * ops.A
     order = dissection_order(ops)
-    assert SaddleSolver(A_dt, ops.B, ops.mean_row, order).fill == fill
+    assert SaddleSolver(A_dt, ops.B, ops.mean_row, order,
+                        ops.primal.num_bubbles).fill == fill
 
 
 @pytest.mark.parametrize("pattern", ["right", "crossed"])
