@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mesh as meshmod
-from .assembly import CellTables, _per_row
+from .assembly import CellTables
 from .spaces import interpolate
 
 __all__ = [
@@ -84,6 +84,12 @@ class LevelResult:
     probed: bool = False
 
 
+def _per_row(w, r):
+    """r (..., rows), laid out like the fields at the points, with each
+    point's rows scaled by its weight w[point]."""
+    return np.repeat(w, r.shape[-1] // len(w)) * r
+
+
 class _Form:
     """One squared norm  sum_points w |sum_k a_k P_k - F u|^2  as a
     quadratic form in the free coefficients u.
@@ -98,14 +104,14 @@ class _Form:
 
     Every term is of the error's size, so nothing cancels.  A form may
     sum several maps (values plus derivatives), each as a piece
-    (F, w, r) with w one weight per point and r the (K, rows)
-    residuals P - F C at F's rows.
+    (tab, name, w, r) with F the map `name` of the tables `tab`, w one
+    weight per point and r the (K, rows) residuals P - F C at F's rows.
     """
 
     def __init__(self, Q, pieces):
         self.Q = Q
-        self.H = sum(r @ _per_row(w, r).T for _, w, r in pieces)
-        self.G = sum((F.T @ _per_row(w, r).T).T for F, w, r in pieces)
+        self.H = sum(r @ _per_row(w, r).T for *_, w, r in pieces)
+        self.G = sum(tab.adjoint(name, r, w) for tab, name, w, r in pieces)
 
     def __call__(self, a, d):
         sq = a @ self.H @ a + 2.0 * (a @ (self.G @ d)) + d @ (self.Q @ d)
@@ -119,14 +125,12 @@ class _Form:
         return self.H + GC + GC.T + C @ (self.Q @ C.T)
 
 
-def _profiles(terms, part, F, qp, C):
+def _profiles(terms, part, tab, qp, C):
     """The residuals P - F C of the terms' profiles (`value` or `deriv`)
-    at the points qp, one row per term, laid out like the rows of the map
-    F (`val` or `der`), given their interpolants C (K, n)."""
-    P = np.array([getattr(term, part)(qp).ravel() for term in terms]
-                 ).reshape(len(terms), F.shape[0])
-    P -= (F @ C.T).T
-    return P
+    at the points qp, one row per term, laid out like the fields of the
+    table's map F (`val` or `der`), given their interpolants C (K, n)."""
+    P = np.array([getattr(term, part)(qp).ravel() for term in terms])
+    return tab.residual("val" if part == "value" else "der", P, C)
 
 
 def _interpolants(terms, space):
@@ -173,26 +177,26 @@ class ErrorSweep:
         # is formed, and the points are dropped before its form is built:
         # the precompute holds at most two residuals and one weighted copy.
         self.M = _Form(ops.M, [
-            (tm.val, w, _profiles(mult, "value", tm.val, qp, Cm))])
+            (tm, "val", w, _profiles(mult, "value", tm, qp, Cm))])
         self.full_norms = case.kind == "eddy2d"
         w_R = w
         if self.full_norms:
             in_cond = ops.primal.mesh.cell_subdomain == meshmod.CONDUCTOR
             w_R = case.coeffs.sigma * w * np.repeat(in_cond,
                                                     len(tu.rule.weights))
-        rv = _profiles(primal, "value", tu.val, qp, C)
-        self.R = _Form(ops.R, [(tu.val, w_R, rv)])
-        values = [(tu.val, w, rv)] if self.full_norms else []
+        rv = _profiles(primal, "value", tu, qp, C)
+        self.R = _Form(ops.R, [(tu, "val", w_R, rv)])
+        values = [(tu, "val", w, rv)] if self.full_norms else []
         del rv
-        rd = _profiles(primal, "deriv", tu.der, qp, C)
+        rd = _profiles(primal, "deriv", tu, qp, C)
         del qp
-        self.X = _Form(ops.X, values + [(tu.der, w, rd)])
+        self.X = _Form(ops.X, values + [(tu, "der", w, rd)])
         if self.full_norms:
             # H = rot(u) / mu_mag; the factor cancels in the ratio, so the
             # magnetic error is the rot part of X, mu_mag A = Dᵀ W D.  The
             # denominators are the exact fields' Gram matrices: sigma E on
             # the conductor, sigma cancelling in the ratio too, and rot u
-            self.H = _Form(case.coeffs.mu_mag * ops.A, [(tu.der, w, rd)])
+            self.H = _Form(case.coeffs.mu_mag * ops.A, [(tu, "der", w, rd)])
             self.E_exact, self.H_exact = self.R.gram(C), self.H.gram(C)
 
         self.max_R = 0.0

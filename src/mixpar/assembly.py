@@ -5,8 +5,11 @@ point maps of `CellTables` (field values or derivatives at the
 quadrature points), so the operators, the load and the error norms use
 one quadrature path.  The maps act on free coefficients, so operators
 live on the free DOFs of their spaces (essential conditions are
-homogeneous), and they store no exact zeros.  Sparse products run in a
-fixed order, so serial runs produce bitwise-identical matrices.
+homogeneous), and they store no exact zeros.  The MINI velocity space is
+one scalar P1+bubble space per component, so its maps are scalar and its
+vector operators are the scalar Gram products interleaved as S ⊗ I₂.
+Sparse products run in a fixed order, so serial runs produce
+bitwise-identical matrices.
 """
 from __future__ import annotations
 
@@ -79,11 +82,16 @@ class CellTables:
     Kind-agnostic data over the flat list of quadrature points: weights
     `w` (m,), the points `qp` (m, 2), and, built on first use, two
     sparse maps from free coefficients: `val` to the field values and
-    `der` to the gradient (p1, multiplier), the Jacobian (mini) or the
-    scalar curl (edge).  A field's values at the points are `val @ u`;
-    `moments` applies the transposes, and every operator is a weighted
-    product of the maps (see `_gram`).  `load` holds the moments of the
-    last separable load (see `assemble_load`).
+    `der` to the gradient (p1, multiplier, mini) or the scalar curl
+    (edge).  The mini maps are scalar: their columns are the scalar free
+    layout, the free vertices then the bubbles, and the free vector DOF
+    2s+d is scalar function s times e_d (`ncomp` = 2 components, 1 on
+    every other kind).  `apply` takes coefficient vectors to the field
+    at the points, mini fields with value rows (point, component) and
+    Jacobian rows (point, component, direction); `adjoint` and `moments`
+    apply the transposes, and every operator is a weighted product of
+    the maps (see `_gram`).  `load` holds the moments of the last
+    separable load (see `assemble_load`).
 
     Per-kind local basis data, from which the maps are built, computed
     on access rather than kept, as the maps hold all a level needs: p1 /
@@ -98,11 +106,15 @@ class CellTables:
         self._mesh = mesh = space.mesh
         self.load = None
         self.nfree = space.num_free
-        # free column of each cell DOF, -1 on constrained DOFs and on
-        # every cell the space does not cover
-        cols = np.full((mesh.num_cells, space.cell_dofs.shape[1]), -1,
+        self.ncomp = k = 2 if self.kind == "mini" else 1
+        # free column of each scalar cell function, -1 on constrained DOFs
+        # and on every cell the space does not cover: a mini cell's DOFs
+        # are (function, component) pairs whose free DOFs are 2s, 2s+1 or
+        # both constrained, and -1 // 2 stays -1
+        cell_dofs = space.cell_dofs[:, ::k]
+        cols = np.full((mesh.num_cells, cell_dofs.shape[1]), -1,
                        dtype=np.int32)
-        cols[space.active_cells] = space.free_index(space.cell_dofs)
+        cols[space.active_cells] = space.free_index(cell_dofs) // k
         self._cols = cols[:, None]
 
     @property
@@ -173,20 +185,18 @@ class CellTables:
         contribution at point q of cell c and cols[c, 0, *shape, j] its
         free column."""
         cols = self._cols
-        if self.kind in ("p1", "multiplier"):
+        if self.kind == "edge":
             if name == "val":
-                return self.vals[None], cols
-            return self.grads.transpose(0, 2, 1)[:, None], cols[:, :, None]
-        if self.kind == "mini":
-            # DOF 2s+d is scalar basis s times the unit vector e_d
-            vcols = cols.reshape(len(cols), 1, 4, 2).transpose(0, 1, 3, 2)
-            if name == "val":
-                return self.vals[None, :, None, :], vcols
-            return (self.grads.transpose(0, 1, 3, 2)[:, :, None],
-                    vcols[:, :, :, None])
+                return self.wvals.transpose(0, 1, 3, 2), cols[:, :, None]
+            return self.wrot[:, None], cols
+        # the scalar bases: gradients per cell (p1, multiplier) or per
+        # point (mini), rows (point, direction)
         if name == "val":
-            return self.wvals.transpose(0, 1, 3, 2), cols[:, :, None]
-        return self.wrot[:, None], cols
+            return self.vals[None], cols
+        g = self.grads
+        if g.ndim == 3:
+            g = g[:, None]
+        return g.transpose(0, 1, 3, 2), cols[:, :, None]
 
     @classmethod
     def of(cls, space):
@@ -211,7 +221,7 @@ class CellTables:
         P = sp.csr_matrix(
             (slots.ravel(), slot_cols.ravel(),
              np.arange(0, slots.size + 1, width, dtype=cols.dtype)),
-            shape=(slots.size // width, self.nfree))
+            shape=(slots.size // width, self.nfree // self.ncomp))
         P.eliminate_zeros()
         if P.nnz < slots.size:
             # the pruned arrays may be views into the full-size ones
@@ -226,20 +236,63 @@ class CellTables:
     def der(self):
         return self._point_map(*self._recipe("der"))
 
+    def _rows(self, P):
+        # (points, scalar rows a point) of the map P
+        m = self._mesh.num_cells * len(self.rule.weights)
+        return m, P.shape[0] // m
+
+    def _fields(self, name, C):
+        # the fields of the coefficient rows C (K, nfree) as a view (K,
+        # points, ncomp, scalar rows a point) of one product with the map:
+        # the components of each row go side by side as its columns
+        P, k = getattr(self, name), self.ncomp
+        m, r = self._rows(P)
+        K, n = len(C), P.shape[1]
+        Y = P @ C.reshape(K, n, k).transpose(1, 0, 2).reshape(n, K * k)
+        return Y.reshape(m, r, K, k).transpose(2, 0, 3, 1)
+
+    def apply(self, name, C):
+        """The map `name` ("val" or "der") applied to the coefficient
+        vectors C (..., nfree): the fields at the points, (..., rows),
+        with each component's rows after its point's (mini: value rows
+        (point, component), Jacobian rows (point, component, direction))."""
+        F = self._fields(name, np.reshape(C, (-1, self.nfree)))
+        return F.reshape(*np.shape(C)[:-1], np.prod(F.shape[1:], dtype=int))
+
+    def residual(self, name, V, C):
+        """V - apply(name, C) for the coefficient rows C (K, nfree) and
+        point values V of K rows laid out like the fields (any shape),
+        computed in V's memory: (K, rows)."""
+        F = self._fields(name, C)
+        V = V.reshape(F.shape)
+        V -= F
+        return V.reshape(len(F), np.prod(F.shape[1:], dtype=int))
+
+    def adjoint(self, name, Z, w):
+        """The weighted transpose of `apply`: Fᵀ diag(w) Z for Z (...,
+        rows) laid out like the fields and w one weight per point, as
+        (..., nfree)."""
+        P, k = getattr(self, name), self.ncomp
+        m, r = self._rows(P)
+        lead = np.shape(Z)[:-1]
+        K = int(np.prod(lead))
+        # the weighted copy is laid out as the map's rows need, so the
+        # reshape copies nothing
+        Z = np.multiply(w[:, None, None, None],
+                        np.reshape(Z, (K, m, k, r)).transpose(1, 3, 0, 2),
+                        order="C")
+        Y = P.T @ Z.reshape(m * r, K * k)
+        return Y.reshape(P.shape[1], K, k).transpose(1, 0, 2).reshape(
+            *lead, self.nfree)
+
     def moments(self, fq, dq=None):
         """valᵀ(w·fq) + derᵀ(w·dq) over the free DOFs; either may be None."""
         out = np.zeros(self.nfree)
         if fq is not None:
-            out += self.val.T @ _per_row(self.w, np.ravel(fq))
+            out += self.adjoint("val", np.ravel(fq), self.w)
         if dq is not None:
-            out += self.der.T @ _per_row(self.w, np.ravel(dq))
+            out += self.adjoint("der", np.ravel(dq), self.w)
         return out
-
-
-def _per_row(w, r):
-    """r (..., rows), laid out like a point map's rows, with each
-    point's rows scaled by its weight w[point]."""
-    return np.repeat(w, r.shape[-1] // len(w)) * r
 
 
 def _gram(P, w, Q=None):
@@ -265,13 +318,36 @@ def _scale_rows(P, s):
         shape=P.shape)
 
 
+def _interleave(S):
+    """S ⊗ I₂ of a CSR matrix S: row 2s+d holds row s of S at the columns
+    2t+d, in S's order, one CSR build and no products."""
+    c = np.diff(S.indptr)
+    indptr = np.empty(2 * len(c) + 1, dtype=S.indptr.dtype)
+    indptr[0::2] = 2 * S.indptr
+    indptr[1::2] = S.indptr[:-1] + S.indptr[1:]
+    # entry e of row s goes to slot indptr[s] + e of row 2s, and c[s]
+    # slots further, into row 2s+1
+    first = np.repeat(S.indptr[:-1], c) + np.arange(S.nnz)
+    second = first + np.repeat(c, c)
+    data = np.empty(2 * S.nnz)
+    indices = np.empty(2 * S.nnz, dtype=S.indices.dtype)
+    data[first] = data[second] = S.data
+    indices[first] = 2 * S.indices
+    indices[second] = 2 * S.indices + 1
+    return sp.csr_matrix((data, indices, indptr),
+                         shape=(2 * S.shape[0], 2 * S.shape[1]))
+
+
 def assemble_stokes(velocity, pressure, nu=1.0):
     """Operators of the transient Stokes instance on the MINI pair.
 
     R is the vector L2 mass, A = nu * vector stiffness, and
     B[q, v] = -int q div(v), so the multiplier equation reads B u = 0.
-    X (the H1_0 inner product) is the Gram matrix of the Jacobian map,
-    making A = nu * X an exact matrix identity.
+    X (the H1_0 inner product) is the Gram matrix of the Jacobian,
+    making A = nu * X an exact matrix identity.  The velocity maps are
+    scalar, so R and X are the scalar mass and stiffness interleaved as
+    R_s ⊗ I₂ and X_s ⊗ I₂, and div(v) reads the gradient row of each
+    component's direction.
     """
     if velocity.mesh is not pressure.mesh:
         raise SpaceMismatch("velocity and pressure live on different meshes")
@@ -280,12 +356,17 @@ def assemble_stokes(velocity, pressure, nu=1.0):
     tv = CellTables.of(velocity)
     tp = CellTables.of(pressure)
 
-    # Jacobian rows are (d_x v_x, d_y v_x, d_x v_y, d_y v_y) per point
-    div = tv.der[0::4] + tv.der[3::4]
+    # div of vector DOF 2s+d at point p is d_d of scalar function s: the
+    # gradient rows (p, d) of the scalar map become row p's column 2s+d
+    der = tv.der
+    parity = np.arange(der.shape[0], dtype=der.indices.dtype) % 2
+    div = sp.csr_matrix(
+        (der.data, 2 * der.indices + np.repeat(parity, np.diff(der.indptr)),
+         der.indptr[::2]), shape=(der.shape[0] // 2, velocity.num_free))
     w = tv.w  # one point layout, so the weights of both tables
-    X = _gram(tv.der, w)
+    X = _interleave(_gram(der, w))
     return OperatorSet(
-        R=_gram(tv.val, w),
+        R=_interleave(_gram(tv.val, w)),
         A=nu * X,
         B=-_gram(tp.val, w, div),
         X=X,

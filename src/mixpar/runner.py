@@ -150,7 +150,7 @@ def _snapshot_writer(cfg, level, mesh, ops, vtk_dir):
             point_data = {"velocity": vel, "multiplier": lam}
             cell_data = None
         else:
-            vals = (tab.val @ u).reshape(-1, nq, 2)
+            vals = tab.apply("val", u).reshape(-1, nq, 2)
             point_data = {"multiplier": lam}
             cell_data = {"u": np.einsum("q,cqd->cd", average, vals),
                          "rot_u": curl @ u}

@@ -15,6 +15,7 @@ import numpy as np
 from mixpar import mesh as meshmod
 from mixpar.analysis import ErrorNorms, compute_errors
 from mixpar.assembly import CellTables
+from point_maps import fields
 
 
 def _field(pairs, shape):
@@ -88,26 +89,29 @@ def quadrature_errors(solution, case, ops):
     relE_num = relE_den = relH_num = relH_den = 0.0
     l2X = l2M = dtR = 0.0
     # the primal field is a 2-vector at each point (MINI and edge alike)
-    v_prev = (tu.val @ solution.u[0]).reshape(-1, 2)
+    V, MU = ops.primal, ops.multiplier
+    v_prev = fields(V, "val", solution.u[0]).reshape(-1, 2)
     for n in range(1, grid.N + 1):
         t = n * dt
         u = solution.u[n]
-        v = (tu.val @ u).reshape(-1, 2)
+        v = fields(V, "val", u).reshape(-1, 2)
         due = exact.dudt(tu.qp, t)
         e2 = _sq(exact.u(tu.qp, t) - v)
         de2 = _sq(due - (v - v_prev) / dt)
         v_prev = v
         der_e = exact_der(tu.qp, t)
-        der2 = float(tu.w @ _sq(der_e - (tu.der @ u).reshape(der_e.shape)))
+        der2 = float(tu.w @ _sq(der_e
+                                - fields(V, "der", u).reshape(der_e.shape)))
         norms.max_R = max(norms.max_R, float(wR @ e2))
         l2X += der2 + (float(tu.w @ e2) if full_norms else 0.0)
         dtR += float(wR @ de2)
 
         lam = solution.lam[n]
-        l2M += float(wM @ _sq(exact.multiplier(tm.qp, t) - tm.val @ lam))
+        l2M += float(wM @ _sq(exact.multiplier(tm.qp, t)
+                              - fields(MU, "val", lam)))
         if full_norms:
             l2M += float(wM @ _sq(exact.grad_multiplier(tm.qp, t)
-                                  - (tm.der @ lam).reshape(-1, 2)))
+                                  - fields(MU, "der", lam).reshape(-1, 2)))
             relE_num += float(w_cond @ de2)
             relE_den += float(w_cond @ _sq(due))
             # H = rot(u) / mu_mag; the factor cancels in the ratio

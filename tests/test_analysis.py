@@ -16,6 +16,7 @@ from mixpar.problems import (ManufacturedCase, Term, Terms, eddy2d_case,
 from mixpar.timestep import TimeGrid, TimeSeriesSolution, run
 from conftest import build_eddy, build_stokes
 from error_oracle import exact_fields, quadrature_errors, swept_errors
+from point_maps import same_bits, vector_forms
 
 
 _A, _B = 0.4, np.array([0.3, -0.2])
@@ -171,18 +172,32 @@ def test_sweep_partial_sums_match_oracle_after_each_step(kind):
 def test_sweep_precompute_holds_one_form_at_a_time(stokes_case_default):
     _, V, _, ops = build_stokes(32)
     case = stokes_case_default
-    rows = CellTables.of(V).der.shape[0] * len(case.terms.primal)
+    # the Jacobian residual's rows: four a point, one set per term
+    rows = 4 * len(CellTables.of(V).w) * len(case.terms.primal)
     tracemalloc.start()
     try:
         compute_errors(case, ops, TimeGrid(0.5, 4))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the derivative map's rows (four a point, eight bytes a value) are
-    # the largest: its profiles, their residual and its weighted copy take
-    # about 3.3 such arrays; holding every profile and residual at once
+    # the Jacobian residual's arrays (eight bytes a value) are the
+    # largest: its profiles, their residual and its weighted copy take
+    # about 3.6 such arrays; holding every profile and residual at once
     # took about 5.5
     assert peak <= 4 * 8 * rows
+
+
+@pytest.mark.parametrize("n", [3, 16, 64])
+@pytest.mark.parametrize("pattern", ["right", "crossed"])
+def test_stokes_forms_match_vector_maps_bitwise(pattern, n,
+                                                stokes_case_default):
+    _, _, _, ops = build_stokes(n, pattern=pattern)
+    case = stokes_case_default
+    sweep = compute_errors(case, ops, TimeGrid(0.5, 2))
+    for name, (H, G) in vector_forms(case, ops, sweep.C, sweep.Cm).items():
+        form = getattr(sweep, name)
+        assert same_bits(form.H, H), name
+        assert same_bits(form.G, G), name
 
 
 def _spy_points(monkeypatch):

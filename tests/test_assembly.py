@@ -4,8 +4,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixpar import build_space, interpolate, structured_mesh
-from mixpar.analysis import compute_errors
+from mixpar import build_space, interpolate, stokes_case, structured_mesh
+from mixpar.analysis import _per_row, compute_errors
 from mixpar.assembly import (CellTables, NoConductorCells, SpaceMismatch,
                              assemble_eddy2d, assemble_load, assemble_stokes)
 from mixpar.config import parse_config
@@ -14,6 +14,8 @@ from mixpar.mesh import CONDUCTOR, TriMesh
 from mixpar.runner import _build_instance, run_level
 from mixpar.spaces import MissingTag
 from conftest import build_eddy, build_stokes, discrete_gradient
+from point_maps import (fields, padded_map, same_bits, vector_maps,
+                        vector_moments, vector_stokes)
 
 
 def test_operator_symmetry_and_psd(eddy6):
@@ -179,7 +181,7 @@ def test_moments_adjoint_to_values_and_derivs(kind):
     tab = CellTables.of(space)
     rng = np.random.default_rng(17)
     u = rng.standard_normal(space.num_free)
-    vals, ders = tab.val @ u, tab.der @ u
+    vals, ders = fields(space, "val", u), fields(space, "der", u)
     fq = rng.standard_normal(vals.shape)
     dq = rng.standard_normal(ders.shape)
     lhs = tab.moments(fq, dq) @ u
@@ -209,8 +211,10 @@ def test_values_and_derivs_match_per_kind_fields(kind):
     else:
         vals = np.einsum("qm,cm->cq", tab.vals, c)
         ders = np.repeat(np.einsum("cmd,cm->cd", tab.grads, c), nq, axis=0)
-    assert np.allclose(tab.val @ u, vals.ravel(), rtol=0, atol=1e-12)
-    assert np.allclose(tab.der @ u, ders.ravel(), rtol=0, atol=1e-12)
+    assert np.allclose(fields(space, "val", u), vals.ravel(),
+                       rtol=0, atol=1e-12)
+    assert np.allclose(fields(space, "der", u), ders.ravel(),
+                       rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("case, extra, expected", [
@@ -236,6 +240,29 @@ def test_one_level_builds_one_table_per_space_and_degree(
                            f"steps = {steps}\nprobes = false\n{extra}")
         run_level(cfg, 0, vtk_dir=tmp_path / f"vtk{steps}")
         assert sorted(built) == sorted(expected)
+
+
+@pytest.mark.parametrize("pattern", ["right", "crossed"])
+def test_stokes_level_builds_only_scalar_velocity_maps(monkeypatch, tmp_path,
+                                                       pattern):
+    # the load, the error sweep, the probes and the snapshots all read the
+    # two scalar maps; none builds a vector map of its own
+    widths = []
+    point_map = CellTables._point_map
+
+    def spied(self, data, cols):
+        P = point_map(self, data, cols)
+        if self.kind == "mini":
+            widths.append(P.shape[1])
+        return P
+
+    monkeypatch.setattr(CellTables, "_point_map", spied)
+    cfg = parse_config(f"case = stokes\nn = 3\nlevels = 1\nsteps = 2\n"
+                       f"probes = true\npattern = {pattern}\n"
+                       f"vtk_every = 1\n")
+    res = run_level(cfg, 0, vtk_dir=tmp_path)
+    assert res.probed
+    assert widths == [res.n_primal // 2] * 2
 
 
 @pytest.mark.parametrize("pattern", ["right", "crossed"])
@@ -367,24 +394,40 @@ def test_operators_match_scatter_assembly(case, degree, pattern):
         assert (got != got.T).nnz == 0, name
 
 
-def _padded_map(tab, data, cols):
-    """A point map with one stored slot per local basis function, exact
-    zeros included (a constrained DOF's slot holds 0 in column 0)."""
-    shape = tab.wdet.shape + np.broadcast_shapes(data.shape, cols.shape)[2:]
-    free = cols >= 0
-    data = np.broadcast_to(np.where(free, data, 0.0), shape).ravel()
-    cols = np.broadcast_to(np.where(free, cols, 0), shape).ravel()
-    width = shape[-1]
-    return sp.csr_matrix(
-        (data, cols, np.arange(0, len(data) + 1, width)),
-        shape=(len(data) // width, tab.nfree))
-
-
 def _buffer(a):
     """The array that owns the memory of `a`."""
     while isinstance(a.base, np.ndarray):
         a = a.base
     return a
+
+
+@pytest.mark.parametrize("n", [3, 16, 64])
+@pytest.mark.parametrize("pattern", ["right", "crossed"])
+def test_stokes_operators_match_vector_maps_bitwise(pattern, n):
+    _, V, Q, ops = build_stokes(n, nu=0.37, pattern=pattern)
+    for name, want in vector_stokes(V, Q, 0.37).items():
+        assert same_bits(getattr(ops, name), want), name
+
+
+@pytest.mark.parametrize("n", [3, 16, 64])
+@pytest.mark.parametrize("pattern", ["right", "crossed"])
+def test_stokes_load_moments_match_vector_maps_bitwise(pattern, n):
+    mesh = structured_mesh((0, 0, 1, 1), n, pattern=pattern)
+    V = build_space(mesh, "mini")
+    case = stokes_case(nu=0.37)
+    tab, maps = CellTables.of(V), vector_maps(V)
+    w, qp = tab.w, tab.qp
+    separable = (case.load_factors, case.load_profiles)
+    L = np.array([vector_moments(maps, w, value, rot)
+                  for value, rot in case.load_profiles(qp)])
+    for t in (0.3, 0.5):
+        a = np.array([factor(t) for factor in case.load_factors])
+        assert same_bits(assemble_load(V, separable, t), a @ L)
+        assert same_bits(assemble_load(V, case.f_vec, t),
+                         vector_moments(maps, w, case.f_vec(qp, t)))
+    # the Jacobian's adjoint, which no Stokes load reads
+    dq = np.random.default_rng(8).standard_normal(maps["der"].shape[0])
+    assert same_bits(tab.moments(None, dq), vector_moments(maps, w, None, dq))
 
 
 @pytest.mark.parametrize("kind", ["mini", "p1", "edge", "multiplier"])
@@ -394,7 +437,7 @@ def test_point_maps_store_only_their_entries(kind):
     tab = CellTables.of(_four_spaces()[kind])
     for name in ("val", "der"):
         P = getattr(tab, name)
-        ref = _padded_map(tab, *tab._recipe(name)).copy()
+        ref = padded_map(tab, *tab._recipe(name)).copy()
         ref.eliminate_zeros()
         for part in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(P, part), getattr(ref, part)), part
@@ -422,6 +465,18 @@ def test_table_products_match_their_einsums_bitwise(pattern):
                              + np.einsum("q,cd->cqd", l0 * l2, g[:, 1])
                              + np.einsum("q,cd->cqd", l0 * l1, g[:, 2]))
             assert tab.grads[:, :, 3].tobytes() == bubble.tobytes()
+            # the scalar maps' fields and moments are the vector maps',
+            # bit for bit, one coefficient vector or several at once
+            U = np.random.default_rng(4).standard_normal((3, tab.nfree))
+            fq, dq = fields(space, "val", U[0]), fields(space, "der", U[0])
+            assert same_bits(tab.moments(fq, dq), vector_moments(
+                vector_maps(space), tab.w, fq, dq))
+            for name in ("val", "der"):
+                P = vector_maps(space)[name]
+                assert same_bits(tab.apply(name, U), (P @ U.T).T)
+                Z = tab.apply(name, U)
+                assert same_bits(tab.adjoint(name, Z, tab.w),
+                                 (P.T @ _per_row(tab.w, Z).T).T)
         elif space.kind == "edge":
             s = mesh.cell_edge_sign[:, :, None]
             ga, gb = s * g[:, [1, 2, 0]], s * g[:, [2, 0, 1]]
@@ -447,33 +502,28 @@ def _instance_spaces(case, pattern):
 def test_point_maps_drop_zeros_without_changing_results(case, pattern):
     spaces, assemble = _instance_spaces(case, pattern)
     ops = assemble(*spaces)
-    rng = np.random.default_rng(2)
-    for space in spaces:
-        tab = CellTables.of(space)
-        padded = {"val": _padded_map(tab, *tab._recipe("val")),
-                  "der": _padded_map(tab, *tab._recipe("der"))}
-        assert (padded["der"].data == 0).any(), space.kind
-        for name, ref in padded.items():
-            P = getattr(tab, name)
-            assert (P.data == 0).sum() == 0, (space.kind, name)
-            assert (P != ref).nnz == 0, (space.kind, name)
-        u = rng.standard_normal(tab.nfree)
-        npts = len(tab.w)
-        assert np.array_equal(tab.val @ u, padded["val"] @ u)
-        assert np.array_equal(tab.der @ u, padded["der"] @ u)
-        fq = rng.standard_normal(padded["val"].shape[0])
-        dq = rng.standard_normal(padded["der"].shape[0])
-        kf, kd = len(fq) // npts, len(dq) // npts
-        want = (padded["val"].T @ (np.repeat(tab.w, kf) * fq)
-                + padded["der"].T @ (np.repeat(tab.w, kd) * dq))
-        assert np.array_equal(tab.moments(fq, dq), want)
-
-    # the operators of fresh spaces whose tables hold the padded maps
+    # fresh spaces whose tables hold the padded maps
     fresh, _ = _instance_spaces(case, pattern)
     for space in fresh:
         tab = CellTables.of(space)
-        tab.val = _padded_map(tab, *tab._recipe("val"))
-        tab.der = _padded_map(tab, *tab._recipe("der"))
+        tab.val = padded_map(tab, *tab._recipe("val"))
+        tab.der = padded_map(tab, *tab._recipe("der"))
+    rng = np.random.default_rng(2)
+    for space, padded in zip(spaces, fresh):
+        tab, ref = CellTables.of(space), CellTables.of(padded)
+        assert (ref.der.data == 0).any(), space.kind
+        for name in ("val", "der"):
+            P = getattr(tab, name)
+            assert (P.data == 0).sum() == 0, (space.kind, name)
+            assert (P != getattr(ref, name)).nnz == 0, (space.kind, name)
+        u = rng.standard_normal(tab.nfree)
+        vals, ders = fields(space, "val", u), fields(space, "der", u)
+        assert np.array_equal(vals, ref.apply("val", u))
+        assert np.array_equal(ders, ref.apply("der", u))
+        fq = rng.standard_normal(vals.shape)
+        dq = rng.standard_normal(ders.shape)
+        assert np.array_equal(tab.moments(fq, dq), ref.moments(fq, dq))
+
     ref = assemble(*fresh)
     for name in ("R", "A", "B", "X", "M"):
         got, want = getattr(ops, name), getattr(ref, name)

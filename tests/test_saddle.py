@@ -714,10 +714,11 @@ def test_coercivity_singular_shifted_matrix_is_a_solver_failure():
         estimate_coercivity(ops.A, Rzero, ops.X, ops.B, 1.0, 0.0)
 
 
-def test_probed_study_rates_independent_of_jobs(tmp_path):
+@pytest.mark.parametrize("config", ["eddy2d.json", "stokes.cfg"])
+def test_probed_study_rates_independent_of_jobs(tmp_path, config):
     blobs = []
     for jobs in (1, 2):
-        cfg = load_config(CONFIGS / "eddy2d.json")
+        cfg = load_config(CONFIGS / config)
         assert cfg.probes
         cfg.jobs = jobs
         cfg.out = str(tmp_path / f"jobs{jobs}")
