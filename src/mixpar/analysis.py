@@ -86,8 +86,10 @@ class LevelResult:
 
 def _per_row(w, r):
     """r (..., rows), laid out like the fields at the points, with each
-    point's rows scaled by its weight w[point]."""
-    return np.repeat(w, r.shape[-1] // len(w)) * r
+    point's rows scaled by its weight w[point]; w is broadcast over a
+    (..., points, rows a point) view of r, not repeated."""
+    per_point = r.reshape(*r.shape[:-1], len(w), r.shape[-1] // len(w))
+    return (w[:, None] * per_point).reshape(r.shape)
 
 
 class _Form:

@@ -22,7 +22,7 @@ from .assembly import (CellTables, assemble_eddy2d, assemble_load,
 from .mesh import structured_mesh
 from .problems import eddy2d_case, stokes_case
 from .saddle import (DENSE_LIMIT, ResidualTooLarge, SingularSystem,
-                     dissection_order, estimate_coercivity, estimate_infsup)
+                     estimate_coercivity, estimate_infsup)
 # unused here; kept importable because the benchmark tracer patches them
 from .saddle import estimate_garding, kernel_basis  # noqa: F401
 from .spaces import interpolate  # noqa: F401
@@ -79,25 +79,18 @@ def run_level(cfg, level, vtk_dir=None):
         if write and (n % cfg.vtk_every == 0 or n == grid.N):
             write(n, u, lam)
 
-    # one order for the step matrix and both probes' saddle matrices, each
-    # with the cell bubbles eliminated before factoring
-    order = dissection_order(ops)
-    bubbles = ops.primal.num_bubbles
-    solution = run(ops, load, grid, observe, order)
+    solution = run(ops, load, grid, observe)
 
     beta_h = alpha_h = 0.0
     probed = cfg.probes and ops.B.shape[1] <= DENSE_LIMIT
     if probed:
-        beta_h = estimate_infsup(ops.X, ops.B, ops.M, ops.mean_row, order,
-                                 bubbles)
+        beta_h = estimate_infsup(ops)
         # the smallest eigenvalue of (A, X) on ker B: A = nu X for Stokes,
         # and ker A meets ker B for eddy (see estimate_coercivity); only the
         # eddy pencil is lifted, as the bottom of the Stokes one, xi R on
         # ker B, is clustered near 0, where a lift takes 40-400x the solves
         shift, lift = (cfg.nu, 0.0) if cfg.case == "stokes" else (0.0, 0.01)
-        alpha_h = estimate_coercivity(ops.A, ops.R, ops.X, ops.B, cfg.xi,
-                                      shift, ops.mean_row, order, lift,
-                                      bubbles)
+        alpha_h = estimate_coercivity(ops, cfg.xi, shift, lift)
 
     return LevelResult(
         level=level,

@@ -1,16 +1,18 @@
 """Per-step block saddle solves and discrete inf-sup / coercivity probes.
 
-The block system K = [[A_dt, B^T], [B, 0]] is factored without any
-dense border row or column, by SuperLU (deterministic for a fixed
-input) in symmetric mode: rows and columns in the caller's order, and
-diagonal pivots kept unless below 0.1 of their column's largest entry
-(see SPLU_OPTIONS).  The runtime's order is `dissection_order`, one
-nested dissection of the mesh lattice for Stokes and eddy alike, which
-fills 28% less than minimum degree on Stokes n=64, 39% less on eddy n=96.
-The MINI cell bubbles, which that order ranks first, couple to no other
-bubble: the solver eliminates them by their diagonal and factors only
-the Schur complement of the other unknowns, which on Stokes n=64 has
-12,162 of K's 28,546 unknowns and fills 1,667,014 against K's 1,860,840.
+The block system K = [[A, B^T], [B, 0]] of a level is factored without
+any dense border row or column, by SuperLU (deterministic for a fixed
+input) in symmetric mode: rows and columns in one order, and diagonal
+pivots kept unless below 0.1 of their column's largest entry (see
+SPLU_OPTIONS).  A `SaddleSolver` is built from the (1,1) block A and
+the level's `OperatorSet`, which gives the rest of its layout: B, the
+gauge row it drops, the MINI cell bubbles it eliminates by their
+diagonal (they couple to no other bubble) and the order of the
+unknowns left, `dissection_order`, one nested dissection of the mesh
+lattice for Stokes and eddy alike, computed once per level.  It fills
+28% less than minimum degree on Stokes n=64 and 39% less on eddy n=96.
+On Stokes n=64 the Schur complement SuperLU factors has 12,162 of K's
+28,546 unknowns and fills 1,667,014 against K's 1,860,840.
 
 Both runtime probes run shift-invert Lanczos through a `SaddleSolver`:
 `estimate_infsup` on the Schur pencil (B X^{-1} B^T, M) and
@@ -70,26 +72,24 @@ class SolveInfo(NamedTuple):
 
 
 class SaddleSolver:
-    """Factor the block matrix once and solve for many right-hand sides.
+    """Factor a level's block matrix once and solve for many right-hand sides.
 
-    SuperLU factors K[order][:, order] in the order given, a
-    permutation of K's unknowns (K as it stands without one).  `solve`
-    takes and returns unpermuted vectors, and the residual guard checks
-    the unpermuted system, with `BT`, the CSR B^T formed once.
-
-    The last `eliminate` primal unknowns (the MINI cell bubbles, which
-    `dissection_order` ranks first) must couple to no other of their
-    kind: their block D of A_dt is diagonal, and `order` ranks them
-    first.  They are eliminated by D before factoring, so SuperLU
-    factors only the Schur complement S = K_rr - C D^{-1} C^T of the
-    remaining unknowns r, with C = [A_rb; B_b] their coupling, in
-    `order` without them.  Each solve forms r - C D^{-1} F_b, solves
-    with S and recovers u_b = (F_b - C^T z_r) / D.
+    K = [[A, B^T], [B, 0]] couples the given (1,1) block A to the level's
+    constraint B; `ops`, the level's `OperatorSet`, also gives the gauge
+    `mean_row` and the primal space's cell bubbles, its last
+    `num_bubbles` unknowns (none on the edge space).  A bubble couples to
+    no other: their block D of A must be diagonal, and it is eliminated
+    by D before factoring, so SuperLU factors only the Schur complement
+    S = K_rr - C D^{-1} C^T of the remaining unknowns r, with C = [A_rb;
+    B_b] their coupling, in the level's `dissection_order`, computed on
+    its first factorization and kept on `ops`.  Each solve forms
+    r - C D^{-1} F_b, solves with S and recovers u_b = (F_b - C^T z_r) / D.
+    `solve` takes and returns vectors in K's numbering, and the residual
+    guard checks the whole system, with `BT`, the CSR B^T formed once.
 
     `fill` is the number of L and U entries SuperLU stores: `SuperLU.nnz`
-    of the bubble-free factor, of S (of K when nothing is eliminated);
-    building the L and U matrices to count them would add about 30 MiB
-    to the peak memory of a Stokes study at n=64.
+    of S; building the L and U matrices to count them would add about
+    30 MiB to the peak memory of a Stokes study at n=64.
 
     With `mean_row`, lam is unique only up to a constant (B^T 1 = 0): the
     first constraint row is left out of the factored matrix and lam is
@@ -97,50 +97,24 @@ class SaddleSolver:
     full system, so an incompatible G (1^T G != 0) is still rejected.
     """
 
-    def __init__(self, A_dt, B, mean_row=None, order=None, eliminate=0):
-        self.n = A_dt.shape[0]
-        if B.shape[1] != self.n:
-            raise ValueError("B column count does not match A_dt")
-        self.A_dt = sp.csr_matrix(A_dt)
-        self.B = sp.csr_matrix(B)
-        self.mean_row = mean_row
-        self.dropped = 0 if mean_row is None else 1
+    def __init__(self, A, ops):
+        n = A.shape[0]
+        self.B = sp.csr_matrix(ops.B)
+        if self.B.shape[1] != n:
+            raise ValueError("B column count does not match A")
+        self.A = sp.csr_matrix(A)
+        self.mean_row = ops.mean_row
+        self.dropped = int(ops.mean_row is not None)
         # every valid (1,1) block has a positive diagonal; a zero one (say
         # dt * A underflowing off the conductor) can crash SuperLU
-        diagonal = self.A_dt.diagonal()
+        diagonal = self.A.diagonal()
         if not np.all(diagonal > 0):
             raise SingularSystem("(1,1) block has a non-positive diagonal")
-        size = self.n + self.B.shape[0] - self.dropped
-        self.kept = kept = self.n - eliminate
-        if order is None:
-            order = np.r_[kept:self.n, :kept, self.n:size]
-        elif not np.all((order[:eliminate] >= kept)
-                        & (order[:eliminate] < self.n)):
-            raise ValueError("order does not rank the eliminated unknowns "
-                             "first")
-        B1 = self.B[self.dropped:]
-        self.C = None
-        if eliminate:
-            bb = self.A_dt[kept:, kept:].tocoo()
-            if np.any(bb.data[bb.row != bb.col]):
-                raise SingularSystem("eliminated block is not diagonal")
-            self.D = diagonal[kept:]
-            self.C = sp.vstack([self.A_dt[:kept, kept:], B1[:, kept:]],
-                               format="csr")
-            self.CT = self.C.T.tocsr()
-            scaled = self.C.copy()
-            scaled.data /= self.D[scaled.indices]
-            schur = scaled @ self.CT
-            del scaled
-            # the rest of the order, in the numbering of S's unknowns
-            order = order[eliminate:]
-            order = np.where(order >= self.n, order - eliminate, order)
-            K = _block_matrix(self.A_dt[:kept, :kept], B1[:, :kept], order,
-                              schur)
-            del schur
-        else:
-            K = _block_matrix(self.A_dt, B1, order)
-        self.order = order
+        self.kept = n - ops.primal.num_bubbles
+        self.D = diagonal[self.kept:]
+        self.order = _level_order(ops)
+        K, self.C, self.CT = _block_matrix(self.A, self.B[self.dropped:],
+                                           self.D, self.order)
         try:
             self.lu = spla.splu(K, **SPLU_OPTIONS)
         except RuntimeError as err:
@@ -152,20 +126,17 @@ class SaddleSolver:
     def solve(self, F, G):
         kept = self.kept
         rhs = np.concatenate([F[:kept], G[self.dropped:]])
-        if self.C is not None:
-            rhs -= self.C @ (F[kept:] / self.D)
+        rhs -= self.C @ (F[kept:] / self.D)
         z = np.empty_like(rhs)
         z[self.order] = self.lu.solve(rhs[self.order])
-        u = z[:kept]
-        if self.C is not None:
-            u = np.concatenate([u, (F[kept:] - self.CT @ z) / self.D])
+        u = np.concatenate([z[:kept], (F[kept:] - self.CT @ z) / self.D])
         lam = np.concatenate([np.zeros(self.dropped), z[kept:]])
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(lam))):
             raise SingularSystem("factorization produced non-finite solution")
         if self.mean_row is not None:
             lam -= (self.mean_row @ lam) / self.mean_row.sum()
         constraint = float(np.linalg.norm(self.B @ u - G))
-        primal = float(np.linalg.norm(self.A_dt @ u + self.BT @ lam - F))
+        primal = float(np.linalg.norm(self.A @ u + self.BT @ lam - F))
         # relative to the right-hand side; a zero one must be met exactly
         residual = float(np.hypot(primal, constraint))
         scale = float(np.hypot(np.linalg.norm(F), np.linalg.norm(G)))
@@ -175,39 +146,68 @@ class SaddleSolver:
         return u, lam, SolveInfo(residual / (scale or 1.0), constraint)
 
 
-def _block_matrix(A_dt, B1, order, schur=None):
-    """K = [[A_dt, B1ᵀ], [B1, 0]] - schur in CSC, with `order` as
-    K[order][:, order].
+def _level_order(ops):
+    """`dissection_order(ops)`, computed on the level's first call and kept
+    on `ops` for the others."""
+    if "_order" not in vars(ops):
+        ops._order = dissection_order(ops)
+    return ops._order
 
-    One COO pass with int32 indices: entry (i, j) goes to (rank[i],
-    rank[j]), where rank inverts `order`, duplicates summed, and the
-    triplets are freed on return.  Built directly, as fancy indexing of
-    a sparse matrix may warn.
+
+def _block_matrix(A, B1, D, order):
+    """(S, C, Cᵀ): the Schur complement S = K_rr - C D^{-1} C^T of
+    K = [[A, B1ᵀ], [B1, 0]] in CSC, with `order` as S[order][:, order],
+    and the coupling C = [A_rb; B1_b] and its transpose in CSR.  The
+    unknowns b are the last len(D) of A (none for an empty D), whose
+    block of A must be diagonal, with diagonal D; r are the others,
+    numbered as in K without b.  A is symmetric: of its rows b only that
+    block is read.
+
+    One COO pass with int32 indices splits K's entries into those of
+    K_rr and of C; entry (i, j) of S goes to (rank[i], rank[j]), where
+    rank inverts `order`, duplicates summed, and the triplets are freed
+    on return.  Built directly, as fancy indexing of a sparse matrix may
+    warn.
     """
-    n = A_dt.shape[0]
-    size = n + B1.shape[0]
-    A = A_dt.tocoo(copy=False)
+    kept = A.shape[0] - len(D)
+    size = kept + B1.shape[0]
+    A = A.tocoo(copy=False)
     B = B1.tocoo(copy=False)
-    W = sp.coo_matrix((size, size)) if schur is None else schur.tocoo()
-    rows = np.concatenate([A.row, B.col, B.row + n, W.row], dtype=np.int32)
-    cols = np.concatenate([A.col, B.row + n, B.col, W.col], dtype=np.int32)
-    data = np.concatenate([A.data, B.data, B.data, -W.data])
-    del A, B, W
+    rows_r, cols_r = A.row < kept, A.col < kept
+    if np.any(A.data[~rows_r & ~cols_r & (A.row != A.col)]):
+        raise SingularSystem("eliminated block is not diagonal")
+    rr, rb, br = rows_r & cols_r, rows_r & ~cols_r, B.col < kept
+    C = sp.csr_matrix((np.concatenate([A.data[rb], B.data[~br]]),
+                       (np.concatenate([A.row[rb], B.row[~br] + kept]),
+                        np.concatenate([A.col[rb], B.col[~br]]) - kept)),
+                      shape=(size, len(D)))
+    CT = C.T.tocsr()
+    scaled = C.copy()
+    scaled.data /= D[scaled.indices]
+    W = (scaled @ CT).tocoo()
+    del scaled, rows_r, cols_r, rb
+    Br = B.row[br] + kept
+    rows = np.concatenate([A.row[rr], B.col[br], Br, W.row], dtype=np.int32)
+    cols = np.concatenate([A.col[rr], Br, B.col[br], W.col], dtype=np.int32)
+    data = np.concatenate([A.data[rr], B.data[br], B.data[br], -W.data])
+    del A, B, W, Br, rr, br
     rank = np.empty(size, dtype=np.int32)
     rank[order] = np.arange(size, dtype=np.int32)
     rows = rank[rows]
     cols = rank[cols]
-    return sp.csc_matrix((data, (rows, cols)), shape=(size, size))
+    return sp.csc_matrix((data, (rows, cols)), shape=(size, size)), C, CT
 
 
 def dissection_order(ops):
-    """Nested-dissection order of the unknowns of the block matrix K.
+    """Nested-dissection order of the unknowns SuperLU factors.
 
-    Each free unknown sits on the doubled mesh lattice: a vertex DOF
-    (velocity, pressure or multiplier) at twice its vertex's lattice
-    index, an edge DOF at the sum of its two ends'.  The cell bubbles,
-    on no lattice point, come first: eliminating one couples only the
-    unknowns at its cell's vertices.  The eddy multiplier's interface
+    Those are the unknowns of the block matrix K without the cell bubbles,
+    which `SaddleSolver` eliminates first (eliminating one couples only
+    the unknowns at its cell's vertices), and without the pressure row
+    dropped for the gauge (`mean_row`), numbered as in K without them.
+    Each sits on the doubled mesh lattice: a vertex DOF (velocity,
+    pressure or multiplier) at twice its vertex's lattice index, an edge
+    DOF at the sum of its two ends'.  The eddy multiplier's interface
     constants, each shared by the vertices of an interface component,
     couple the whole interface and come last.  The lattice points in
     between are bisected recursively along the middle grid line of the
@@ -217,10 +217,8 @@ def dissection_order(ops):
     Boxes of at most 2x2 squares are leaves, their points and a
     separator's in lexicographic (y, x) order, and the unknowns of one
     point keep their order in K (a Stokes vertex's free u_x, u_y, p).
-    The pressure row dropped for the gauge (`mean_row`, see
-    SaddleSolver) is left out.  Lattice indices come from the vertex
-    coordinates, where the crossed pattern's square centres sit between
-    the grid lines.
+    Lattice indices come from the vertex coordinates, where the crossed
+    pattern's square centres sit between the grid lines.
     """
     V, Q = ops.primal, ops.multiplier
     xs, ix = np.unique(V.mesh.vertices[:, 0], return_inverse=True)
@@ -248,21 +246,21 @@ def dissection_order(ops):
             along[cut] += lower.max() + upper.max() + 2
         return grid
 
-    # each unknown's point as 1 + y * width + x; 0 (a bubble) puts it
-    # first and `last` (an interface constant) last
-    last = width * height + 1
-    at = 2 * (iy * width + ix) + 1
+    # each unknown's point as y * width + x; `last` (an interface
+    # constant) puts it last
+    last = width * height
+    at = 2 * (iy * width + ix)
     if V.kind == "edge":
         primal = at[V.mesh.edges].sum(axis=1) // 2
     else:
-        primal = np.concatenate([np.repeat(at, 2),
-                                 np.zeros(V.num_bubbles, np.intp)])
+        primal = np.repeat(at, 2)
     shared = np.bincount(Q.vertex_dof[Q.vertex_dof >= 0]) > 1
     multiplier = np.where(shared, last, at[Q.dof_vertex])
     dropped = int(ops.mean_row is not None)
-    code = np.concatenate([primal[V.free], multiplier[Q.free][dropped:]])
+    code = np.concatenate([primal[V.free[:V.num_free - V.num_bubbles]],
+                           multiplier[Q.free][dropped:]])
     lattice = ranks(width - 1, height - 1).ravel()
-    rank = np.concatenate([[-1], lattice, [lattice.max() + 1]])
+    rank = np.append(lattice, lattice.max() + 1)
     return np.argsort(rank[code], kind="stable")
 
 
@@ -302,39 +300,38 @@ def _bottom_eigenvalue(what, solve, M):
     return mu[0]
 
 
-def estimate_infsup(X, B, M, mean_row=None, order=None, eliminate=0):
-    """Discrete inf-sup constant of b over the given inner products.
+def estimate_infsup(ops):
+    """Discrete inf-sup constant of the level's b over X and M.
 
     Computed as sqrt of the smallest eigenvalue of the generalized
-    problem  B X^{-1} B^T q = beta^2 M q, through a `SaddleSolver` of X
-    factored in `order`, its last `eliminate` primal unknowns eliminated
-    by their diagonal: the solve with right-hand side (0, q) returns
-    lam = -(B X^{-1} B^T)^{-1} q.  `mean_row`, when given, restricts
-    the multiplier space to its kernel (the pressure mean for the Stokes
-    pair).  It must be M 1 with B^T 1 = 0, and pins the solver's gauge;
-    each q is projected onto 1^T q = 0 along it, which makes 1 an
-    eigenvector of the solves for the eigenvalue 0.  A zero B gives 0;
-    any other rank-deficient B leaves the saddle matrix singular, and
-    the probe raises.
+    problem  B X^{-1} B^T q = beta^2 M q, through a `SaddleSolver` of X:
+    the solve with right-hand side (0, q) returns
+    lam = -(B X^{-1} B^T)^{-1} q.  The gauge `mean_row`, when the level
+    has one, restricts the multiplier space to its kernel (the pressure
+    mean for the Stokes pair).  It is M 1 with B^T 1 = 0, and pins the
+    solver's gauge; each q is projected onto 1^T q = 0 along it, which
+    makes 1 an eigenvector of the solves for the eigenvalue 0.  A zero B
+    gives 0; any other rank-deficient B leaves the saddle matrix
+    singular, and the probe raises.
     """
-    n = X.shape[0]
+    mean_row = ops.mean_row
     first = 0 if mean_row is None else 1
-    if B.shape[0] <= first or sp.csr_matrix(B).count_nonzero() == 0:
+    if ops.B.shape[0] <= first or sp.csr_matrix(ops.B).count_nonzero() == 0:
         return 0.0
-    solver = SaddleSolver(X, B, mean_row, order, eliminate)
-    zeros = np.zeros(n)
+    solver = SaddleSolver(ops.X, ops)
+    zeros = np.zeros(ops.X.shape[0])
 
     def solve(q):
         if mean_row is not None:
             q = q - mean_row * (q.sum() / mean_row.sum())
         return -solver.solve(zeros, q)[1]
-    beta2 = _bottom_eigenvalue("inf-sup probe", solve, M)
+    beta2 = _bottom_eigenvalue("inf-sup probe", solve, ops.M)
     return float(np.sqrt(max(beta2, 0.0)))
 
 
-def estimate_coercivity(A, R, X, B, xi, shift, mean_row=None, order=None,
-                        lift=0.0, eliminate=0):
-    """Coercivity constant of A + xi R on the discrete kernel, sparsely.
+def estimate_coercivity(ops, xi, shift, lift):
+    """Coercivity constant of A + xi R on the level's discrete kernel,
+    sparsely.
 
     Returns shift + the smallest eigenvalue of (A + xi R - shift X, X)
     on {v : B v = 0}, the sparse counterpart of `estimate_garding`.
@@ -344,19 +341,18 @@ def estimate_coercivity(A, R, X, B, xi, shift, mean_row=None, order=None,
     ker A and ker B), and xi >= 0.  The shifted pencil (K, X) is then
     positive semidefinite, and shift-invert Lanczos about 0 finds the
     bottom of (K + s X, X), less s, with s = lift tr(K) / tr(X).  Each
-    step solves the saddle system of K + s X, factored in `order` (with
-    `mean_row` pinning the multiplier gauge and the last `eliminate`
-    primal unknowns eliminated, as in `SaddleSolver`); the residual of
-    that solve grows as 1 / (bottom + s), so the lift keeps a small
-    bottom within RESIDUAL_TOL.  At xi = 0, K is singular on the
-    kernel and the answer is `shift` itself.
+    step solves the saddle system of K + s X through a `SaddleSolver`;
+    the residual of that solve grows as 1 / (bottom + s), so the lift
+    keeps a small bottom within RESIDUAL_TOL.  At xi = 0, K is singular
+    on the kernel and the answer is `shift` itself.
     """
     if xi == 0:
         return float(shift)
-    K = (A - shift * X) + xi * R
+    X = ops.X
+    K = (ops.A - shift * X) + xi * ops.R
     s = lift * K.diagonal().sum() / X.diagonal().sum()
-    solver = SaddleSolver(K + s * X, B, mean_row, order, eliminate)
-    zeros = np.zeros(B.shape[0])
+    solver = SaddleSolver(K + s * X, ops)
+    zeros = np.zeros(ops.B.shape[0])
     mu = _bottom_eigenvalue("coercivity probe",
                             lambda y: solver.solve(y, zeros)[0], X)
     return float(shift + mu - s)

@@ -7,11 +7,8 @@ Each step solves
 
 starting from rest, u^0 = 0 and lam^0 = 0; the constraint data g is
 zero in both problem instances.  The block matrix is time-independent,
-so it is factorized once and reused for all steps, in the nested-
-dissection order of `saddle.dissection_order` (Stokes and eddy alike);
-the primal space's cell bubbles (Stokes; the edge space has none) are
-eliminated by their diagonal first, so the factor holds only the other
-unknowns (see `saddle.SaddleSolver`).
+so it is factorized once, by a `saddle.SaddleSolver` of the level, and
+reused for all steps.
 A step needs only the one before it, so a run can hand each step to an
 observer and keep no history; its residuals are kept as running maxima.
 """
@@ -21,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .saddle import SaddleSolver, SingularSystem, dissection_order
+from .saddle import SaddleSolver, SingularSystem
 
 __all__ = ["TimeGrid", "TimeSeriesSolution", "run"]
 
@@ -61,23 +58,18 @@ class TimeSeriesSolution:
     factor_fill: int = 0
 
 
-def run(ops, load, grid, observe=None, order=None):
+def run(ops, load, grid, observe=None):
     """Advance the backward-Euler scheme from rest over the time grid.
 
     load(t) returns the free-DOF moment vector of f(t).  With `observe`,
     each step n = 1..N ends with observe(n, u^n, lam^n), on fresh arrays
     the observer may keep, and the run stores no history; without it the
-    returned solution holds every step.  `order` is
-    `dissection_order(ops)`, computed here when not given.
+    returned solution holds every step.
     """
     nU = ops.A.shape[0]
     nM = ops.B.shape[0]
     dt = grid.dt
-    A_dt = (ops.R + dt * ops.A).tocsr()
-    if order is None:
-        order = dissection_order(ops)
-    solver = SaddleSolver(A_dt, ops.B, ops.mean_row, order,
-                          ops.primal.num_bubbles)
+    solver = SaddleSolver(ops.R + dt * ops.A, ops)
 
     u_hist = lam_hist = None
     if observe is None:

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixpar import runner, saddle, timestep
+from mixpar import runner, saddle
 from mixpar.config import load_config, parse_config
 from mixpar.runner import run_experiment
 from mixpar.saddle import (SPLU_OPTIONS, EmptyKernel, NotDenseFeasible,
@@ -23,62 +24,93 @@ from meshes import interface_pieces
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
-def test_two_by_two_by_hand():
-    solver = SaddleSolver(sp.csr_matrix(np.array([[2.0]])),
-                          sp.csr_matrix(np.array([[1.0]])))
-    u, lam, info = solver.solve(np.array([1.0]), np.array([0.0]))
-    assert u[0] == pytest.approx(0.0, abs=1e-14)
+def test_two_by_two_by_hand(eddy3):
+    # eddy n=3 has one multiplier: A = 2 I and B = e_0ᵀ decouple every
+    # unknown but u_0 and lam, which solve [[2, 1], [1, 0]] (u_0, lam) = (1, 0)
+    _, _, _, ops = eddy3
+    n = ops.B.shape[1]
+    B = sp.csr_matrix(np.eye(1, n))
+    solver = SaddleSolver(2.0 * sp.identity(n, format="csr"),
+                          dataclasses.replace(ops, B=B))
+    u, lam, info = solver.solve(np.eye(n)[0], np.array([0.0]))
+    assert np.abs(u).max() == pytest.approx(0.0, abs=1e-14)
     assert lam[0] == pytest.approx(1.0, rel=1e-14)
     assert info.block_residual <= 1e-10
 
 
-def test_constructed_solution_identity_block():
-    rng = np.random.default_rng(11)
-    n, m = 9, 4
-    B = sp.csr_matrix(rng.standard_normal((m, n)))
-    w = rng.standard_normal(n)
-    solver = SaddleSolver(sp.identity(n, format="csr"), B)
-    u, lam, _ = solver.solve(w + B.T @ np.ones(m), B @ w)
-    assert np.abs(u - w).max() <= 1e-11
-    assert np.abs(lam - 1.0).max() <= 1e-11
+def test_constructed_solution_identity_block(eddy3, stokes2):
+    # on an eddy level and a Stokes one, whose 16 bubbles the identity
+    # block leaves diagonal; without a gauge row, as B^T 1 = 0 does not
+    # hold for a random B
+    for _, _, _, ops in (eddy3, stokes2):
+        rng = np.random.default_rng(11)
+        m, n = ops.B.shape
+        B = sp.csr_matrix(rng.standard_normal((m, n)))
+        w = rng.standard_normal(n)
+        solver = SaddleSolver(sp.identity(n, format="csr"),
+                              dataclasses.replace(ops, B=B, mean_row=None))
+        u, lam, _ = solver.solve(w + B.T @ np.ones(m), B @ w)
+        assert np.abs(u - w).max() <= 1e-11
+        assert np.abs(lam - 1.0).max() <= 1e-11
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000))
-def test_random_spd_matches_dense_lu_oracle(seed):
+def test_random_spd_matches_dense_lu_oracle(eddy6, seed):
+    # eddy n=6 has 96 primal unknowns, 17 multipliers and no bubbles
+    _, _, _, ops = eddy6
     rng = np.random.default_rng(seed)
-    n, m = 20, 5
+    m, n = ops.B.shape
     Ad = rng.standard_normal((n, n))
     Ad = Ad @ Ad.T + n * np.eye(n)
     Bd = rng.standard_normal((m, n))
     F = rng.standard_normal(n)
     G = rng.standard_normal(m)
-    u, lam, _ = SaddleSolver(sp.csr_matrix(Ad), sp.csr_matrix(Bd)).solve(F, G)
+    solver = SaddleSolver(sp.csr_matrix(Ad),
+                          dataclasses.replace(ops, B=sp.csr_matrix(Bd)))
+    u, lam, _ = solver.solve(F, G)
     K = np.block([[Ad, Bd.T], [Bd, np.zeros((m, m))]])
     z = np.linalg.solve(K, np.concatenate([F, G]))
     scale = max(1.0, np.abs(z).max())
     assert np.abs(np.concatenate([u, lam]) - z).max() <= 1e-11 * scale
 
 
-def test_singular_system_detected():
+def test_singular_system_detected(eddy6):
     # duplicated constraint rows make the block matrix singular
-    A = sp.identity(3, format="csr")
-    B = sp.csr_matrix(np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+    _, _, _, ops = eddy6
+    m, n = ops.B.shape
+    B = np.eye(m, n)
+    B[1] = B[0]
     with pytest.raises(SingularSystem):
-        SaddleSolver(A, B).solve(np.ones(3), np.zeros(2))
+        SaddleSolver(sp.identity(n, format="csr"),
+                     dataclasses.replace(ops, B=sp.csr_matrix(B))).solve(
+            np.ones(n), np.zeros(m))
 
 
 def test_non_positive_diagonal_rejected_before_factoring(eddy3):
-    B = sp.csr_matrix(np.array([[1.0, 1.0, 0.0]]))
-    for diag in ([1.0, 0.0, 1.0], [1.0, -1.0, 1.0], [1.0, np.nan, 1.0]):
+    _, _, _, ops = eddy3
+    n = ops.B.shape[1]
+    toy = dataclasses.replace(ops, B=sp.csr_matrix(np.eye(1, n)
+                                                   + np.eye(1, n, 1)))
+    for bad in (0.0, -1.0, np.nan):
+        diag = np.ones(n)
+        diag[1] = bad
         with pytest.raises(SingularSystem, match="non-positive diagonal"):
-            SaddleSolver(sp.diags(diag, format="csr"), B)
+            SaddleSolver(sp.diags(diag, format="csr"), toy)
     # dt * A underflowing to 0 leaves the eddy step matrix R, which is
     # zero on every insulator edge
-    _, _, _, ops = eddy3
     assert np.any(ops.R.diagonal() == 0)
     with pytest.raises(SingularSystem, match="non-positive diagonal"):
-        SaddleSolver(ops.R + 1e-300 * (ops.A / 1e300), ops.B)
+        SaddleSolver(ops.R + 1e-300 * (ops.A / 1e300), ops)
+
+
+@pytest.mark.parametrize("level", ["eddy3", "stokes2"])
+def test_block_of_the_wrong_size_rejected(request, level):
+    _, _, _, ops = request.getfixturevalue(level)
+    n = ops.B.shape[1]
+    for size in (n - 1, n + 1):
+        with pytest.raises(ValueError, match="B column count"):
+            SaddleSolver(sp.identity(size, format="csr"), ops)
 
 
 def test_solve_deterministic(eddy3):
@@ -86,9 +118,9 @@ def test_solve_deterministic(eddy3):
     rng = np.random.default_rng(0)
     F = rng.standard_normal(ops.A.shape[0])
     G = rng.standard_normal(ops.B.shape[0])
-    u1, l1, _ = SaddleSolver(ops.R + 0.1 * ops.A, ops.B).solve(F, G)
-    u2, l2, _ = SaddleSolver(ops.R + 0.1 * ops.A, ops.B).solve(F.copy(),
-                                                               G.copy())
+    u1, l1, _ = SaddleSolver(ops.R + 0.1 * ops.A, ops).solve(F, G)
+    u2, l2, _ = SaddleSolver(ops.R + 0.1 * ops.A, ops).solve(F.copy(),
+                                                             G.copy())
     assert np.array_equal(u1, u2)
     assert np.array_equal(l1, l2)
 
@@ -97,7 +129,7 @@ def test_bordered_mean_row_pins_pressure(stokes2):
     _, _, _, ops = stokes2
     rng = np.random.default_rng(4)
     F = rng.standard_normal(ops.A.shape[0])
-    solver = SaddleSolver(ops.R + 0.25 * ops.A, ops.B, mean_row=ops.mean_row)
+    solver = SaddleSolver(ops.R + 0.25 * ops.A, ops)
     u, lam, info = solver.solve(F, np.zeros(ops.B.shape[0]))
     assert abs(ops.mean_row @ lam) <= 1e-12 * max(1.0, np.abs(lam).max())
     assert info.constraint_residual <= 1e-10
@@ -125,7 +157,7 @@ def test_pinned_gauge_matches_dense_bordered_solve():
     n, m = ops.B.shape[1], ops.B.shape[0]
     rng = np.random.default_rng(8)
     F = rng.standard_normal(n)
-    u, lam, _ = SaddleSolver(A_dt, ops.B, ops.mean_row).solve(F, np.zeros(m))
+    u, lam, _ = SaddleSolver(A_dt, ops).solve(F, np.zeros(m))
     u_ref, lam_ref = _dense_gauged_solve(A_dt, ops.B, ops.mean_row, F,
                                          np.zeros(m))
     assert np.abs(u - u_ref).max() <= 1e-11 * np.abs(u_ref).max()
@@ -138,7 +170,7 @@ def test_pinned_gauge_rejects_incompatible_constraint_data(stokes2):
     m = ops.B.shape[0]
     G = np.zeros(m)
     G[0] = 1.0
-    solver = SaddleSolver(ops.R + 0.25 * ops.A, ops.B, ops.mean_row)
+    solver = SaddleSolver(ops.R + 0.25 * ops.A, ops)
     with pytest.raises(ResidualTooLarge):
         solver.solve(np.zeros(ops.B.shape[1]), G)
 
@@ -149,7 +181,7 @@ def test_residual_guard_is_relative_to_the_right_hand_side(stokes2):
     # otherwise; a zero right-hand side has the zero solution, exactly
     _, _, _, ops = stokes2
     rng = np.random.default_rng(5)
-    solver = SaddleSolver(ops.R + 0.25 * ops.A, ops.B, ops.mean_row)
+    solver = SaddleSolver(ops.R + 0.25 * ops.A, ops)
     F = rng.standard_normal(ops.B.shape[1])
     G = ops.B @ rng.standard_normal(ops.B.shape[1])
     assert np.hypot(np.linalg.norm(F), np.linalg.norm(G)) > 1.0
@@ -163,15 +195,20 @@ def test_residual_guard_is_relative_to_the_right_hand_side(stokes2):
 
 
 def test_symmetric_ordering_cuts_stokes_fill():
-    # full partial pivoting on top of the symmetric ordering (or COLAMD,
-    # SuperLU's default) would fill at least twice as much here
+    # SuperLU's default (COLAMD with partial pivoting) on the whole block
+    # matrix, and full partial pivoting on top of the symmetric ordering
+    # of the factored Schur complement, would each fill at least twice as
+    # much here
     _, _, _, ops = build_stokes(32)
     A_dt = (ops.R + ops.A / 64).tocsr()
-    solver = SaddleSolver(A_dt, ops.B, ops.mean_row, dissection_order(ops))
+    solver = SaddleSolver(A_dt, ops)
     B1 = sp.csr_matrix(ops.B)[1:]
     default = spla.splu(sp.bmat([[A_dt, B1.T], [B1, None]], format="csc"))
-    assert solver.lu.shape == default.shape
+    assert solver.lu.shape[0] == default.shape[0] - ops.primal.num_bubbles
     assert 0 < solver.fill <= 0.5 * default.nnz
+    S = _block_matrix(A_dt, B1, solver.D, solver.order)[0]
+    pivoted = spla.splu(S, **dict(SPLU_OPTIONS, diag_pivot_thresh=1.0))
+    assert solver.fill <= 0.5 * pivoted.nnz
 
 
 def test_relaxed_pivoting_keeps_eddy_solves_accurate():
@@ -180,41 +217,43 @@ def test_relaxed_pivoting_keeps_eddy_solves_accurate():
     _, _, _, ops = build_eddy(24)
     rng = np.random.default_rng(24)
     F = rng.standard_normal(ops.A.shape[0])
-    solver = SaddleSolver(ops.R + (0.75 / 40) * ops.A, ops.B, None,
-                          dissection_order(ops))
+    solver = SaddleSolver(ops.R + (0.75 / 40) * ops.A, ops)
     _, _, info = solver.solve(F, np.zeros(ops.B.shape[0]))
     assert info.block_residual <= 1e-12
 
 
-# -- the nested-dissection order of the block matrix -----------------------
+# -- the nested-dissection order of the factored matrix ----------------------
+
+def _factored(ops, A_dt):
+    """The bubble-free Schur complement SaddleSolver factors for the (1,1)
+    block A_dt, in CSR and in its own numbering (the natural order)."""
+    solver = SaddleSolver(A_dt, ops)
+    S = _block_matrix(solver.A, solver.B[solver.dropped:], solver.D,
+                      np.arange(solver.lu.shape[0]))[0]
+    return S.tocsr()
+
 
 def _unknowns(mesh, V, Q):
-    """Vertex (-1 for a bubble), component (0 u_x, 1 u_y, 2 p; -1 for a
-    bubble) and x coordinate (a bubble's cell centroid's) of each unknown
-    of the factored block matrix, the gauge row dropped."""
-    nv, nU = mesh.num_vertices, V.num_free
-    size = nU + Q.num_free - 1
-    vertex, comp, x = np.full(size, -1), np.full(size, -1), np.empty(size)
-    dof = V.free[V.free < 2 * nv]
-    vertex[V.free_index(dof)], comp[V.free_index(dof)] = np.divmod(dof, 2)
-    vertex[nU:], comp[nU:] = Q.dof_vertex[1:], 2
-    x[vertex >= 0] = mesh.vertices[vertex[vertex >= 0], 0]
-    bub = V.free[V.free >= 2 * nv]
-    x[V.free_index(bub)] = mesh.centroids()[(bub - 2 * nv) // 2, 0]
-    return vertex, comp, x
+    """Vertex, component (0 u_x, 1 u_y, 2 p) and x coordinate of each
+    unknown of the factored matrix: the bubbles eliminated and the gauge
+    row dropped."""
+    dof = V.free[:V.num_free - V.num_bubbles]
+    vertex = np.concatenate([dof // 2, Q.dof_vertex[1:]])
+    comp = np.concatenate([dof % 2, np.full(Q.num_free - 1, 2)])
+    return vertex, comp, mesh.vertices[vertex, 0]
 
 
 @pytest.mark.parametrize("pattern", ["right", "crossed"])
 def test_dissection_order_groups_each_vertex_after_the_bubbles(pattern):
+    # the bubbles are eliminated before factoring, so the order has none;
+    # each vertex's free unknowns come in one run, velocity first
     mesh, V, Q, ops = build_stokes(6, pattern=pattern)
     order = dissection_order(ops)
     vertex, comp, _ = _unknowns(mesh, V, Q)
+    assert len(vertex) == V.num_free - 2 * mesh.num_cells + Q.num_free - 1
     assert np.array_equal(np.sort(order), np.arange(len(vertex)))
-    nb = np.count_nonzero(vertex < 0)
-    assert nb == 2 * mesh.num_cells and np.all(vertex[order[:nb]] < 0)
-    # after them, each vertex's free unknowns in one run, velocity first
-    runs = np.split(order[nb:], np.flatnonzero(np.diff(vertex[order[nb:]])) + 1)
-    assert len(runs) == len(np.unique(vertex[order[nb:]]))
+    runs = np.split(order, np.flatnonzero(np.diff(vertex[order])) + 1)
+    assert len(runs) == len(np.unique(vertex))
     outer = set(mesh.outer_vertices.tolist())
     for run in runs:
         free = [2] if vertex[run[0]] in outer else [0, 1, 2]
@@ -225,38 +264,35 @@ def test_dissection_order_groups_each_vertex_after_the_bubbles(pattern):
 def test_dissection_top_separator_splits_the_matrix(pattern):
     # the order ends with the vertices on x = 1/2, after the left half's
     # vertices and then the right half's; the unknowns on either side
-    # (bubbles by their cell) share no entry of K
+    # share no entry of the factored matrix, whose bubble terms stay
+    # within a cell
     mesh, V, Q, ops = build_stokes(8, pattern=pattern)
     order = dissection_order(ops)
-    vertex, _, x = _unknowns(mesh, V, Q)
+    _, _, x = _unknowns(mesh, V, Q)
     on = np.isclose(x, 0.5)
     left = np.flatnonzero(~on & (x < 0.5))
     right = np.flatnonzero(~on & (x > 0.5))
     assert np.all(on[order[-np.count_nonzero(on):]])
     rank = np.argsort(order)
-    assert (rank[left[vertex[left] >= 0]].max()
-            < rank[right[vertex[right] >= 0]].min())
-    A_dt = (ops.R + ops.A / 16).tocsr()
-    B1 = sp.csr_matrix(ops.B)[1:]
-    K = sp.bmat([[A_dt, B1.T], [B1, None]], format="csr")
-    assert K[left][:, right].nnz == 0
+    assert rank[left].max() < rank[right].min()
+    S = _factored(ops, (ops.R + ops.A / 16).tocsr())
+    assert S[left][:, right].nnz == 0
 
 
 def _lattice_x(ops):
-    """x coordinate of each unknown of the factored block matrix, the
-    gauge row dropped: its vertex's, its edge's midpoint's or (a bubble)
-    its cell centroid's; NaN for an interface constant."""
+    """x coordinate of each unknown of the factored matrix, the bubbles
+    eliminated and the gauge row dropped: its vertex's or its edge's
+    midpoint's; NaN for an interface constant."""
     V, Q = ops.primal, ops.multiplier
     mesh = V.mesh
     vx = mesh.vertices[:, 0]
-    if V.kind == "edge":
-        primal = vx[mesh.edges].mean(axis=1)
-    else:
-        primal = np.repeat(np.concatenate([vx, mesh.centroids()[:, 0]]), 2)
+    primal = (vx[mesh.edges].mean(axis=1) if V.kind == "edge"
+              else np.repeat(vx, 2))
     multiplier = vx[Q.dof_vertex]
     multiplier[[Q.vertex_dof[grp[0]] for grp in interface_pieces(Q)]] = np.nan
     dropped = int(ops.mean_row is not None)
-    return np.concatenate([primal[V.free], multiplier[Q.free][dropped:]])
+    return np.concatenate([primal[V.free[:V.num_free - V.num_bubbles]],
+                           multiplier[Q.free][dropped:]])
 
 
 @pytest.mark.parametrize("pattern", ["right", "crossed"])
@@ -265,21 +301,16 @@ def _lattice_x(ops):
 ])
 def test_dissection_order_separates_the_first_bisection(build, n, pattern):
     # the first cut is the vertical grid line after n // 2 squares; the
-    # unknowns strictly on either side share no entry of K and come one
-    # side after the other, then the line's, with the cell bubbles first
-    # and the eddy interface constants last
+    # unknowns strictly on either side share no entry of the factored
+    # matrix and come one side after the other, then the line's, with
+    # the eddy interface constants last
     mesh, V, Q, ops = build(n, pattern=pattern)
     order = dissection_order(ops)
     x = _lattice_x(ops)
     assert np.array_equal(np.sort(order), np.arange(len(x)))
-    bubble = np.zeros(len(x), dtype=bool)
-    if V.kind == "mini":
-        bubbles = np.arange(2 * mesh.num_vertices, V.ndof)
-        bubble[V.free_index(bubbles)] = True
     interface = np.isnan(x)
-    assert np.count_nonzero(interface) == len(interface_pieces(Q))
-    nb, ni = np.count_nonzero(bubble), np.count_nonzero(interface)
-    assert np.all(bubble[order[:nb]])
+    ni = np.count_nonzero(interface)
+    assert ni == len(interface_pieces(Q))
     assert np.all(interface[order[len(x) - ni:]])
     x0, x1 = mesh.vertices[:, 0].min(), mesh.vertices[:, 0].max()
     cut = x0 + (x1 - x0) * (n // 2) / n
@@ -287,13 +318,10 @@ def test_dissection_order_separates_the_first_bisection(build, n, pattern):
         on = np.isclose(x, cut)
         lower = np.flatnonzero(~on & (x < cut))
         upper = np.flatnonzero(~on & (x > cut))
-    A_dt = (ops.R + ops.A / n).tocsr()
-    B1 = sp.csr_matrix(ops.B)[int(ops.mean_row is not None):]
-    K = sp.bmat([[A_dt, B1.T], [B1, None]], format="csr")
+    S = _factored(ops, (ops.R + ops.A / n).tocsr())
     assert len(lower) and len(upper) and np.any(on)
-    assert K[lower][:, upper].nnz == 0
+    assert S[lower][:, upper].nnz == 0
     rank = np.argsort(order)
-    lower, upper = lower[~bubble[lower]], upper[~bubble[upper]]
     assert rank[lower].max() < rank[upper].min()
     assert rank[upper].max() < rank[on].min()
 
@@ -310,9 +338,22 @@ def test_dissection_order_separates_the_first_bisection(build, n, pattern):
 def test_dissection_fill_pinned(n, pattern, fill):
     _, _, _, ops = build_stokes(n, pattern=pattern)
     A_dt = (ops.R + (0.5 / n) * ops.A).tocsr()
-    solver = SaddleSolver(A_dt, ops.B, ops.mean_row, dissection_order(ops),
-                          ops.primal.num_bubbles)
-    assert solver.fill == fill
+    assert SaddleSolver(A_dt, ops).fill == fill
+
+
+def _minimum_degree_solve(A_dt, ops, F, G):
+    """(u, lam) of the gauged Stokes system through SuperLU's minimum-degree
+    order of the Schur complement SaddleSolver factors, built by
+    `_block_matrix` in its own numbering, with the same elimination."""
+    kept = A_dt.shape[0] - ops.primal.num_bubbles
+    D = A_dt.diagonal()[kept:]
+    B1 = sp.csr_matrix(ops.B)[1:]
+    S, C, CT = _block_matrix(A_dt, B1, D, np.arange(kept + B1.shape[0]))
+    lu = spla.splu(S, **dict(SPLU_OPTIONS, permc_spec="MMD_AT_PLUS_A"))
+    z = lu.solve(np.concatenate([F[:kept], G[1:]]) - C @ (F[kept:] / D))
+    u = np.concatenate([z[:kept], (F[kept:] - CT @ z) / D])
+    lam = np.concatenate([[0.0], z[kept:]])
+    return u, lam - (ops.mean_row @ lam) / ops.mean_row.sum()
 
 
 @pytest.mark.parametrize("pattern", ["right", "crossed"])
@@ -324,13 +365,10 @@ def test_dissection_solve_matches_minimum_degree_and_dense(pattern):
     F = rng.standard_normal(n)
     G = rng.standard_normal(m)
     G -= G.mean()          # 1^T G = 0, as B^T 1 = 0
-    u, lam, info = SaddleSolver(A_dt, ops.B, ops.mean_row,
-                                order=dissection_order(ops)).solve(F, G)
-    u_md, lam_md, _ = SaddleSolver(
-        A_dt, ops.B, ops.mean_row,
-        _minimum_degree_order(A_dt, ops.B[1:])).solve(F, G)
+    u, lam, info = SaddleSolver(A_dt, ops).solve(F, G)
+    minimum_degree = _minimum_degree_solve(A_dt, ops, F, G)
     dense = _dense_gauged_solve(A_dt, ops.B, ops.mean_row, F, G)
-    for ref_u, ref_lam in ((u_md, lam_md), dense):
+    for ref_u, ref_lam in (minimum_degree, dense):
         assert np.abs(u - ref_u).max() <= 1e-12 * np.abs(ref_u).max()
         assert np.abs(lam - ref_lam).max() <= 1e-12 * np.abs(ref_lam).max()
     assert info.block_residual <= 1e-12
@@ -339,8 +377,8 @@ def test_dissection_solve_matches_minimum_degree_and_dense(pattern):
 @pytest.mark.parametrize("pattern", ["right", "crossed"])
 @pytest.mark.parametrize("n", [2, 5])
 def test_bubble_elimination_matches_dense_oracle(n, pattern):
-    # the bubbles eliminated by their diagonal, in the dissection order and
-    # in K's own, against the dense gauged solve, with 1^T G = 0 and G != 0
+    # the bubbles eliminated by their diagonal against the dense gauged
+    # solve, with 1^T G = 0 and G != 0
     _, V, _, ops = build_stokes(n, pattern=pattern)
     A_dt = (ops.R + ops.A / (2 * n)).tocsr()
     rng = np.random.default_rng(n)
@@ -348,39 +386,28 @@ def test_bubble_elimination_matches_dense_oracle(n, pattern):
     G = rng.standard_normal(ops.B.shape[0])
     G -= G.mean()
     u_ref, lam_ref = _dense_gauged_solve(A_dt, ops.B, ops.mean_row, F, G)
-    for order in (dissection_order(ops), None):
-        solver = SaddleSolver(A_dt, ops.B, ops.mean_row, order,
-                              V.num_bubbles)
-        assert solver.lu.shape[0] == (ops.B.shape[1] - V.num_bubbles
-                                      + ops.B.shape[0] - 1)
-        u, lam, info = solver.solve(F, G)
-        assert np.abs(u - u_ref).max() <= 1e-12 * np.abs(u_ref).max()
-        assert np.abs(lam - lam_ref).max() <= 1e-12 * np.abs(lam_ref).max()
-        assert info.block_residual <= 1e-13
+    solver = SaddleSolver(A_dt, ops)
+    assert solver.lu.shape[0] == (ops.B.shape[1] - V.num_bubbles
+                                  + ops.B.shape[0] - 1)
+    u, lam, info = solver.solve(F, G)
+    assert np.abs(u - u_ref).max() <= 1e-12 * np.abs(u_ref).max()
+    assert np.abs(lam - lam_ref).max() <= 1e-12 * np.abs(lam_ref).max()
+    assert info.block_residual <= 1e-13
 
 
-def test_eliminated_block_must_be_diagonal_positive_and_ranked_first():
-    _, V, _, ops = build_stokes(3)
+def test_eliminated_block_must_be_diagonal_and_positive():
+    _, _, _, ops = build_stokes(3)
     A_dt = (ops.R + ops.A / 6).tolil()
-    n, nb = A_dt.shape[0], V.num_bubbles
-    order = dissection_order(ops)
+    n = A_dt.shape[0]
     coupled = A_dt.copy()
     coupled[n - 1, n - 2] = coupled[n - 2, n - 1] = 1e-3
     with pytest.raises(SingularSystem, match="not diagonal"):
-        SaddleSolver(coupled.tocsr(), ops.B, ops.mean_row, order, nb)
-    # without the elimination the same matrix factors
-    SaddleSolver(coupled.tocsr(), ops.B, ops.mean_row, order)
+        SaddleSolver(coupled.tocsr(), ops)
     for bad in (0.0, -1.0):
         negative = A_dt.copy()
         negative[n - 1, n - 1] = bad
         with pytest.raises(SingularSystem, match="non-positive diagonal"):
-            SaddleSolver(negative.tocsr(), ops.B, ops.mean_row, order, nb)
-    # the last vertex unknown is not a bubble, so one more is not diagonal
-    with pytest.raises(SingularSystem, match="not diagonal"):
-        SaddleSolver(A_dt.tocsr(), ops.B, ops.mean_row, None, nb + 1)
-    # the order must rank the eliminated unknowns first
-    with pytest.raises(ValueError, match="first"):
-        SaddleSolver(A_dt.tocsr(), ops.B, ops.mean_row, order[::-1], nb)
+            SaddleSolver(negative.tocsr(), ops)
 
 
 # the step matrix R + dt A of Stokes levels far outside the shipped
@@ -389,30 +416,27 @@ def test_eliminated_block_must_be_diagonal_positive_and_ranked_first():
 @pytest.mark.parametrize("nu", [0.01, 1.0, 100.0])
 @pytest.mark.parametrize("n", [4, 16])
 def test_bubble_elimination_residual_across_nu_and_dt(n, nu, pattern):
-    _, V, _, ops = build_stokes(n, nu=nu, pattern=pattern)
-    order = dissection_order(ops)
+    _, _, _, ops = build_stokes(n, nu=nu, pattern=pattern)
     rng = np.random.default_rng(16)
     F = rng.standard_normal(ops.B.shape[1])
     G = rng.standard_normal(ops.B.shape[0])
     G -= G.mean()
     for dt in (1e-4, 1 / 64, 0.5, 5.0):
-        solver = SaddleSolver(ops.R + dt * ops.A, ops.B, ops.mean_row, order,
-                              V.num_bubbles)
+        solver = SaddleSolver(ops.R + dt * ops.A, ops)
         assert solver.solve(F, G)[2].block_residual <= saddle.RESIDUAL_TOL
 
 
-def _minimum_degree_order(A_dt, B1):
-    """SuperLU's minimum-degree order of K^T + K, as an order for
-    SaddleSolver (its column permutation maps each unknown to its place)."""
-    K = sp.bmat([[A_dt, B1.T], [B1, None]], format="csc")
-    return np.argsort(spla.splu(
-        K, **dict(SPLU_OPTIONS, permc_spec="MMD_AT_PLUS_A")).perm_c)
-
-
-def _bmat_block(A_dt, B1, order):
-    """The block matrix through scipy's bmat, then permuted through a COO
+def _bmat_block(A_dt, B1, nb, order):
+    """The Schur complement of the last nb primal unknowns through slices,
+    scipy's bmat and a sparse difference, then permuted through a COO
     copy: the reference for `_block_matrix`."""
-    K = sp.bmat([[A_dt, B1.T], [B1, None]], format="csc")
+    kept = A_dt.shape[0] - nb
+    D = A_dt.diagonal()[kept:]
+    C = sp.vstack([A_dt[:kept, kept:], B1[:, kept:]], format="csr")
+    scaled = sp.csr_matrix((C.data / D[C.indices], C.indices, C.indptr),
+                           shape=C.shape)
+    K = sp.bmat([[A_dt[:kept, :kept], B1[:, :kept].T], [B1[:, :kept], None]],
+                format="csr") - scaled @ C.T.tocsr()
     rank = np.empty(len(order), dtype=np.intp)
     rank[order] = np.arange(len(order))
     K = K.tocoo()
@@ -420,27 +444,33 @@ def _bmat_block(A_dt, B1, order):
                          shape=K.shape)
 
 
-# a Stokes level and an eddy level, both in the dissection order
+# a Stokes level and an eddy level: the whole block matrix, nothing
+# eliminated, in a shuffled order, and the Schur complement the solver
+# factors, the bubbles eliminated, in the level's dissection order
 @pytest.mark.parametrize("build, n", [(build_stokes, 16), (build_eddy, 12)])
 def test_one_pass_block_matrix_matches_bmat(build, n):
     _, _, _, ops = build(n)
     A_dt = (ops.R + (0.5 / n) * ops.A).tocsr()
-    order = dissection_order(ops)
-    solver = SaddleSolver(A_dt, ops.B, ops.mean_row, order=order)
+    solver = SaddleSolver(A_dt, ops)
     B1 = solver.B[solver.dropped:]
-    want = _bmat_block(A_dt, B1, order)
+    order = np.random.default_rng(n).permutation(sum(B1.shape))
+    want = _bmat_block(A_dt, B1, 0, order)
     tracemalloc.start()
     try:
-        got = _block_matrix(A_dt, B1, order)
+        got = _block_matrix(A_dt, B1, np.empty(0), order)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # int32 triplets (16 bytes an entry) and the CSC copy (12) at most;
     # the bmat route takes about 34 (eddy) and 54 (Stokes)
     assert peak <= 32 * got.nnz
-    assert got.indices.dtype == got.indptr.dtype == np.int32
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for got, want in ((got, want), (
+            _block_matrix(A_dt, B1, solver.D, solver.order)[0],
+            _bmat_block(A_dt, B1, ops.primal.num_bubbles, solver.order))):
+        assert got.indices.dtype == got.indptr.dtype == np.int32
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name),
+                                  getattr(want, name)), name
     lu = spla.splu(want, **SPLU_OPTIONS)
     assert solver.fill == lu.nnz
     rhs = np.random.default_rng(8).standard_normal(want.shape[0])
@@ -463,50 +493,68 @@ def _run_probed_level(config):
 def test_every_runtime_factorization_uses_the_dissection_order(monkeypatch,
                                                                config):
     # a probed level factors three times: the step matrix, the inf-sup
-    # probe's X and the coercivity probe's shifted matrix; each eliminates
-    # the space's cell bubbles (Stokes) or nothing (eddy)
-    calls = []
+    # probe's X and the coercivity probe's shifted matrix; each factors
+    # the level's order, without the space's cell bubbles (Stokes; eddy
+    # has none) and the gauge row (Stokes)
+    solvers = []
     init = SaddleSolver.__init__
 
-    def recorded(self, A_dt, B, mean_row=None, order=None, eliminate=0):
-        calls.append((order, eliminate))
-        init(self, A_dt, B, mean_row, order, eliminate)
+    def recorded(self, A, ops):
+        init(self, A, ops)
+        solvers.append(self)
     monkeypatch.setattr(SaddleSolver, "__init__", recorded)
     cfg = _run_probed_level(config)
     ops = runner._build_instance(cfg, 0)[2]
     want = dissection_order(ops)
-    bubbles = 2 * ops.primal.mesh.num_cells if cfg.case == "stokes" else 0
-    assert len(calls) == 3
-    for order, eliminate in calls:
-        assert np.array_equal(order, want)
-        assert eliminate == bubbles
+    (m, n), nb = ops.B.shape, ops.primal.num_bubbles
+    dropped = 1 if cfg.case == "stokes" else 0
+    assert nb == (2 * ops.primal.mesh.num_cells if cfg.case == "stokes"
+                  else 0)
+    assert len(solvers) == 3
+    for solver in solvers:
+        assert np.array_equal(solver.order, want)
+        assert solver.lu.shape[0] == n - nb + m - dropped
 
 
 @PROBED_LEVELS
 def test_probed_level_orders_its_unknowns_once(monkeypatch, config):
     calls = []
+    order = saddle.dissection_order
 
     def counted(ops):
         calls.append(ops)
-        return dissection_order(ops)
-    monkeypatch.setattr(runner, "dissection_order", counted)
-    monkeypatch.setattr(timestep, "dissection_order", counted)
+        return order(ops)
+    monkeypatch.setattr(saddle, "dissection_order", counted)
     _run_probed_level(config)
     assert len(calls) == 1
 
 
-def test_infsup_trivial_cases():
-    I5 = sp.identity(5, format="csr")
-    assert estimate_infsup(I5, sp.csr_matrix((3, 5)), sp.identity(3, format="csr")) == 0.0
-    assert estimate_infsup(I5, I5, I5) == pytest.approx(1.0, rel=1e-12)
+def _toy_probe_level(eddy6, X, B, M):
+    """eddy n=6 (96 primal unknowns, 17 multipliers, no bubbles or gauge)
+    with the probe's inner products X and M and the constraint B."""
+    _, _, _, ops = eddy6
+    return dataclasses.replace(ops, X=sp.csr_matrix(X), B=sp.csr_matrix(B),
+                               M=sp.csr_matrix(M))
 
 
-def test_infsup_overflow_is_a_solver_failure():
+def test_infsup_trivial_cases(eddy6):
+    m, n = eddy6[3].B.shape
+    In, Im = np.eye(n), np.eye(m)
+    assert estimate_infsup(_toy_probe_level(eddy6, In, np.zeros((m, n)),
+                                            Im)) == 0.0
+    # B X^-1 B^T = M = I
+    level = _toy_probe_level(eddy6, In, np.eye(m, n), Im)
+    assert estimate_infsup(level) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_infsup_overflow_is_a_solver_failure(eddy6):
     # B X^-1 B^T = 1e900 overflows to inf
-    I5 = sp.identity(5, format="csr")
+    m, n = eddy6[3].B.shape
+    level = _toy_probe_level(eddy6, 1e-300 * np.eye(n), 1e300 * np.eye(m, n),
+                             np.eye(m))
     with np.errstate(all="ignore"), pytest.raises(SingularSystem,
                                                   match="not finite"):
-        estimate_infsup(1e-300 * I5, 1e300 * I5, I5)
+        estimate_infsup(level)
 
 
 # the inf-sup probe's solves go through the residual guard: eddy n=3 has
@@ -516,24 +564,23 @@ def test_infsup_solves_pass_the_residual_guard(monkeypatch, case, n):
     ops = _probe_instance(case, n)[0]
     monkeypatch.setattr(saddle, "RESIDUAL_TOL", 0.0)
     with pytest.raises(ResidualTooLarge):
-        estimate_infsup(ops.X, ops.B, ops.M, ops.mean_row)
+        estimate_infsup(ops)
 
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 1000))
-def test_infsup_invariant_under_matched_row_scaling(seed):
+def test_infsup_invariant_under_matched_row_scaling(eddy6, seed):
     rng = np.random.default_rng(seed)
-    n, m = 12, 4
+    m, n = eddy6[3].B.shape
     Xd = rng.standard_normal((n, n))
     Xd = Xd @ Xd.T + n * np.eye(n)
     Bd = rng.standard_normal((m, n))
     Md = rng.standard_normal((m, m))
     Md = Md @ Md.T + m * np.eye(m)
-    beta = estimate_infsup(sp.csr_matrix(Xd), sp.csr_matrix(Bd), sp.csr_matrix(Md))
+    beta = estimate_infsup(_toy_probe_level(eddy6, Xd, Bd, Md))
     D = np.diag(rng.uniform(0.2, 5.0, size=m))
     beta_scaled = estimate_infsup(
-        sp.csr_matrix(Xd), sp.csr_matrix(D @ Bd), sp.csr_matrix(D @ Md @ D)
-    )
+        _toy_probe_level(eddy6, Xd, D @ Bd, D @ Md @ D))
     assert beta_scaled == pytest.approx(beta, rel=1e-9)
 
 
@@ -541,9 +588,7 @@ def test_infsup_mini_uniform_across_levels():
     betas = []
     for n in (2, 4, 8):
         _, _, _, ops = build_stokes(n)
-        betas.append(
-            estimate_infsup(ops.X, ops.B, ops.M, mean_row=ops.mean_row)
-        )
+        betas.append(estimate_infsup(ops))
     betas = np.array(betas)
     assert betas.min() > 1e-3
     assert (betas.max() - betas.min()) / betas.max() < 0.25
@@ -606,7 +651,7 @@ def test_solution_map_is_self_adjoint(eddy3):
     n, m = ops.B.shape[1], ops.B.shape[0]
     A_dt = ops.R + 0.2 * ops.A
     rhs = [(rng.standard_normal(n), rng.standard_normal(m)) for _ in range(2)]
-    solver = SaddleSolver(A_dt, ops.B)
+    solver = SaddleSolver(A_dt, ops)
     sols = [solver.solve(F, G) for F, G in rhs]
     pair01 = sols[0][0] @ rhs[1][0] + sols[0][1] @ rhs[1][1]
     pair10 = sols[1][0] @ rhs[0][0] + sols[1][1] @ rhs[0][1]
@@ -650,8 +695,8 @@ def _probe_instance(case, n, nu=1.0, **kw):
 # every probed level of configs/stokes.cfg (n = 4, 8, 16; n = 32 exceeds
 # DENSE_LIMIT) and configs/eddy2d.json (n = 3, 6, 12, 24), then other
 # coefficients on the crossed pattern, and that pattern's eddy level 2;
-# both probes factor in the dissection order with the cell bubbles
-# eliminated, as the runner's
+# both probes factor in the level's dissection order with the cell
+# bubbles eliminated, as every saddle factorization does
 @pytest.mark.parametrize("case, n, kw, xi", [
     *[("stokes", n, {}, 1.0) for n in (4, 8, 16)],
     *[("eddy", n, {}, 1.0) for n in (3, 6, 12, 24)],
@@ -667,12 +712,10 @@ def _probe_instance(case, n, nu=1.0, **kw):
 ])
 def test_sparse_probes_match_dense_oracles(case, n, kw, xi):
     ops, shift, lift = _probe_instance(case, n, **kw)
-    order, bubbles = dissection_order(ops), ops.primal.num_bubbles
-    beta = estimate_infsup(ops.X, ops.B, ops.M, ops.mean_row, order, bubbles)
+    beta = estimate_infsup(ops)
     beta_ref = _dense_infsup(ops.X, ops.B, ops.M, project_out=ops.mean_row)
     assert beta == pytest.approx(beta_ref, rel=1e-10)
-    alpha = estimate_coercivity(ops.A, ops.R, ops.X, ops.B, xi, shift,
-                                ops.mean_row, order, lift, bubbles)
+    alpha = estimate_coercivity(ops, xi, shift, lift)
     alpha_ref = estimate_garding(ops.A, ops.R, ops.X, kernel_basis(ops.B),
                                  xi=xi)
     assert alpha == pytest.approx(alpha_ref, rel=1e-10)
@@ -680,16 +723,14 @@ def test_sparse_probes_match_dense_oracles(case, n, kw, xi):
 
 def test_coercivity_at_xi_zero_is_the_shift():
     for nu in (1.0, 2.5):
-        ops, shift, _ = _probe_instance("stokes", 4, nu=nu)
-        alpha = estimate_coercivity(ops.A, ops.R, ops.X, ops.B, 0.0, shift,
-                                    ops.mean_row)
+        ops, shift, lift = _probe_instance("stokes", 4, nu=nu)
+        alpha = estimate_coercivity(ops, 0.0, shift, lift)
         assert alpha == nu
         # the limit xi -> 0 from above: nu + xi * min (R, X) on the kernel
-        small = estimate_coercivity(ops.A, ops.R, ops.X, ops.B, 1e-3, shift,
-                                    ops.mean_row)
+        small = estimate_coercivity(ops, 1e-3, shift, lift)
         assert nu < small < nu + 1e-3
-    ops, shift, _ = _probe_instance("eddy", 6)
-    alpha = estimate_coercivity(ops.A, ops.R, ops.X, ops.B, 0.0, shift)
+    ops, shift, lift = _probe_instance("eddy", 6)
+    alpha = estimate_coercivity(ops, 0.0, shift, lift)
     alpha_ref = estimate_garding(ops.A, ops.R, ops.X, kernel_basis(ops.B),
                                  xi=0.0)
     assert alpha <= 1e-10
@@ -698,9 +739,8 @@ def test_coercivity_at_xi_zero_is_the_shift():
 
 def test_sparse_probes_repeat_bitwise(eddy6):
     _, _, _, ops = eddy6
-    betas = [estimate_infsup(ops.X, ops.B, ops.M) for _ in range(2)]
-    alphas = [estimate_coercivity(ops.A, ops.R, ops.X, ops.B, 1.0, 0.0)
-              for _ in range(2)]
+    betas = [estimate_infsup(ops) for _ in range(2)]
+    alphas = [estimate_coercivity(ops, 1.0, 0.0, 0.0) for _ in range(2)]
     assert betas[0] == betas[1]
     assert alphas[0] == alphas[1]
 
@@ -709,9 +749,9 @@ def test_coercivity_singular_shifted_matrix_is_a_solver_failure():
     # without the conductor mass, discrete gradients stay in ker A and
     # ker B, so the shifted saddle matrix is singular
     _, _, _, ops = build_eddy(6)
-    Rzero = sp.csr_matrix(ops.R.shape)
+    level = dataclasses.replace(ops, R=sp.csr_matrix(ops.R.shape))
     with pytest.raises((SingularSystem, ResidualTooLarge)):
-        estimate_coercivity(ops.A, Rzero, ops.X, ops.B, 1.0, 0.0)
+        estimate_coercivity(level, 1.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("config", ["eddy2d.json", "stokes.cfg"])

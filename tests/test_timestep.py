@@ -1,37 +1,41 @@
+import dataclasses
 import functools
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mixpar.assembly import OperatorSet, assemble_load
-from mixpar.saddle import SaddleSolver, dissection_order
+from mixpar.assembly import assemble_load
+from mixpar.saddle import SaddleSolver
 from mixpar.timestep import TimeGrid, run
 from conftest import build_eddy, build_stokes
 
 
-def toy_ops(r=1.0, a=1.0):
-    # one primal unknown, no multiplier; `run` reads only the primal
-    # space's bubble count, which is none
-    return OperatorSet(
-        R=sp.csr_matrix(np.array([[r]])),
-        A=sp.csr_matrix(np.array([[a]])),
-        B=sp.csr_matrix((0, 1)),
-        X=sp.csr_matrix(np.array([[a]])),
-        M=sp.csr_matrix((0, 0)),
-        primal=SimpleNamespace(num_bubbles=0),
-        multiplier=None,
-    )
+def toy_ops(eddy3):
+    # eddy n=3 (21 primal unknowns, one multiplier) with R = A = I and
+    # B = e_1ᵀ: u_1 = 0, and every other unknown decays on its own
+    _, _, _, ops = eddy3
+    n = ops.B.shape[1]
+    identity = sp.identity(n, format="csr")
+    return dataclasses.replace(ops, R=identity, A=identity,
+                               B=sp.csr_matrix(np.eye(1, n, 1)))
 
 
-def test_scalar_decay_toy():
+def unit_load(n):
+    f = np.eye(1, n)[0]
+    return lambda t: f
+
+
+def test_scalar_decay_toy(eddy3):
     # u^n = (u^{n-1} + dt) / (1 + dt) from rest for R = A = 1, f = 1
-    sol = run(toy_ops(), lambda t: np.ones(1), TimeGrid(1.0, 2),
-              order=np.arange(1))
+    ops = toy_ops(eddy3)
+    n = ops.B.shape[1]
+    sol = run(ops, unit_load(n), TimeGrid(1.0, 2))
     assert sol.u[:, 0] == pytest.approx([0.0, 1 / 3, 5 / 9], rel=1e-14)
-    assert sol.lam.shape == (3, 0)
+    assert np.abs(sol.u[:, 1:]).max() == 0.0
+    assert np.abs(sol.lam).max() == 0.0
+    assert sol.lam.shape == (3, 1)
 
 
 def test_zero_data_gives_zero_solution(eddy3):
@@ -58,11 +62,12 @@ def test_time_grid_rejects_a_step_count_that_is_not_an_integer(N):
         TimeGrid(0.5, N)
 
 
-def test_time_grid_accepts_numpy_integers():
+def test_time_grid_accepts_numpy_integers(eddy3):
     grid = TimeGrid(0.5, np.int64(4))
     assert grid.dt == 0.125
-    sol = run(toy_ops(), lambda t: np.ones(1), grid, order=np.arange(1))
-    assert sol.u.shape == (5, 1)
+    ops = toy_ops(eddy3)
+    sol = run(ops, unit_load(ops.B.shape[1]), grid)
+    assert sol.u.shape == (5, ops.B.shape[1])
 
 
 @pytest.mark.parametrize("T", [float("nan"), float("inf")])
@@ -159,7 +164,7 @@ def test_factorization_reused_matches_per_step_solves(eddy3, eddy_case_default):
     for n in range(1, grid.N + 1):
         t = n * grid.dt
         F = grid.dt * load(t) + ops.R @ u_prev + ops.B.T @ lam_prev
-        u_prev, lam_prev, _ = SaddleSolver(A_dt, ops.B).solve(
+        u_prev, lam_prev, _ = SaddleSolver(A_dt, ops).solve(
             F, np.zeros(ops.B.shape[0])
         )
         assert np.abs(sol.u[n] - u_prev).max() <= 1e-12 * max(
@@ -183,10 +188,7 @@ def test_step_factorization_order_and_fill(build, n, grid, fill):
     _, _, _, ops = build(n)
     sol = run(ops, lambda t: np.zeros(ops.B.shape[1]), grid)
     assert sol.factor_fill == fill
-    A_dt = ops.R + grid.dt * ops.A
-    order = dissection_order(ops)
-    assert SaddleSolver(A_dt, ops.B, ops.mean_row, order,
-                        ops.primal.num_bubbles).fill == fill
+    assert SaddleSolver(ops.R + grid.dt * ops.A, ops).fill == fill
 
 
 @pytest.mark.parametrize("pattern", ["right", "crossed"])
