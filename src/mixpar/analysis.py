@@ -141,11 +141,6 @@ def _interpolants(terms, space):
                      for term in terms]).reshape(len(terms), space.num_free)
 
 
-def compute_errors(case, ops, grid):
-    """The error sweep of one level against the manufactured case."""
-    return ErrorSweep(case, ops, grid)
-
-
 class ErrorSweep:
     """The error norms of one level, accumulated step by step.
 
@@ -164,7 +159,6 @@ class ErrorSweep:
         tm = CellTables.of(ops.multiplier)
         # one point layout, so the weights and points of both tables
         w, qp = tu.w, tu.qp
-        self.ops = ops
         self.dt = grid.dt
         self.terms = primal, mult = case.terms
 
@@ -209,11 +203,10 @@ class ErrorSweep:
 
     def add(self, n, u, lam):
         """Take step n's coefficients."""
-        ops = self.ops
-        self.lam_norm_max = max(
-            self.lam_norm_max, float(np.sqrt(max(lam @ (ops.M @ lam), 0.0))))
-        self.u_norm_max = max(
-            self.u_norm_max, float(np.sqrt(max(u @ (ops.X @ u), 0.0))))
+        lam_norm = float(np.sqrt(max(lam @ (self.M.Q @ lam), 0.0)))
+        u_norm = float(np.sqrt(max(u @ (self.X.Q @ u), 0.0)))
+        self.lam_norm_max = max(self.lam_norm_max, lam_norm)
+        self.u_norm_max = max(self.u_norm_max, u_norm)
 
         dt = self.dt
         t = n * dt
@@ -244,6 +237,10 @@ class ErrorSweep:
             norms.rel_E = _percent(self.dtR, self.relE_den)
             norms.rel_H = _percent(self.relH_num, self.relH_den)
         return norms
+
+
+# the name `mixpar` exports and perfbench's tracer wraps on `runner`
+compute_errors = ErrorSweep
 
 
 def _percent(num, den):

@@ -12,7 +12,9 @@ unknowns left, `dissection_order`, one nested dissection of the mesh
 lattice for Stokes and eddy alike, computed once per level.  It fills
 28% less than minimum degree on Stokes n=64 and 39% less on eddy n=96.
 On Stokes n=64 the Schur complement SuperLU factors has 12,162 of K's
-28,546 unknowns and fills 1,667,014 against K's 1,860,840.
+28,546 unknowns and fills 1,667,014 against K's 1,860,840, for nu and
+dt across the validity range, as it is equilibrated (unscaled: 8,822,634
+at nu = 100).
 
 Both runtime probes run shift-invert Lanczos through a `SaddleSolver`:
 `estimate_infsup` on the Schur pencil (B X^{-1} B^T, M) and
@@ -84,11 +86,15 @@ class SaddleSolver:
     B_b] their coupling, in the level's `dissection_order`, computed on
     its first factorization and kept on `ops`.  Each solve forms
     r - C D^{-1} F_b, solves with S and recovers u_b = (F_b - C^T z_r) / D.
+    SuperLU factors E S E, symmetric Jacobi equilibration (Duff & Pralet
+    2005) with E = |diag S|^{-1/2} (`scale`), when S has no zero on its
+    diagonal (every Stokes S; the eddy multiplier block is zero, so E = I
+    there), solves E S E y = E r and sets z = E y.
     `solve` takes and returns vectors in K's numbering, and the residual
     guard checks the whole system, with `BT`, the CSR B^T formed once.
 
     `fill` is the number of L and U entries SuperLU stores: `SuperLU.nnz`
-    of S; building the L and U matrices to count them would add about
+    of E S E; building the L and U matrices to count them would add about
     30 MiB to the peak memory of a Stokes study at n=64.
 
     With `mean_row`, lam is unique only up to a constant (B^T 1 = 0): the
@@ -113,10 +119,16 @@ class SaddleSolver:
         self.kept = n - ops.primal.num_bubbles
         self.D = diagonal[self.kept:]
         self.order = _level_order(ops)
-        K, self.C, self.CT = _block_matrix(self.A, self.B[self.dropped:],
+        S, self.C, self.CT = _block_matrix(self.A, self.B[self.dropped:],
                                            self.D, self.order)
+        # E S E in place, so the matrix is never held twice
+        magnitude = np.abs(S.diagonal())
+        self.scale = (1.0 / np.sqrt(magnitude) if np.all(magnitude > 0)
+                      else np.ones(len(magnitude)))
+        S.data *= self.scale[S.indices]
+        S.data *= np.repeat(self.scale, np.diff(S.indptr))
         try:
-            self.lu = spla.splu(K, **SPLU_OPTIONS)
+            self.lu = spla.splu(S, **SPLU_OPTIONS)
         except RuntimeError as err:
             raise SingularSystem(str(err)) from err
         self.fill = self.lu.nnz
@@ -128,7 +140,8 @@ class SaddleSolver:
         rhs = np.concatenate([F[:kept], G[self.dropped:]])
         rhs -= self.C @ (F[kept:] / self.D)
         z = np.empty_like(rhs)
-        z[self.order] = self.lu.solve(rhs[self.order])
+        z[self.order] = self.scale * self.lu.solve(self.scale
+                                                   * rhs[self.order])
         u = np.concatenate([z[:kept], (F[kept:] - self.CT @ z) / self.D])
         lam = np.concatenate([np.zeros(self.dropped), z[kept:]])
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(lam))):

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixpar import build_space, interpolate, structured_mesh
-from mixpar.analysis import (ErrorNorms, TooFewLevels, compute_errors,
-                             fit_rates)
-from mixpar.assembly import (CellTables, Coefficients, assemble_eddy2d,
-                             assemble_load)
+from mixpar.analysis import (ErrorNorms, ErrorSweep, TooFewLevels,
+                             compute_errors, fit_rates)
+from mixpar.assembly import (CellTables, Coefficients, OperatorSet,
+                             assemble_eddy2d, assemble_load)
 from mixpar.problems import (ManufacturedCase, Term, Terms, eddy2d_case,
                              stokes_case)
 from mixpar.timestep import TimeGrid, TimeSeriesSolution, run
@@ -162,6 +162,10 @@ def test_sweep_partial_sums_match_oracle_after_each_step(kind):
         assert sweep.u_norm_max == max(
             float(np.sqrt(max(u @ (ops.X @ u), 0.0))) for u in sol.u[:n + 1])
     assert sweep.u_norm_max > 0.0
+    # the maxima read the forms' operators; the sweep keeps no OperatorSet
+    assert compute_errors is ErrorSweep
+    assert sweep.M.Q is ops.M and sweep.X.Q is ops.X
+    assert not any(isinstance(v, OperatorSet) for v in vars(sweep).values())
     # the run's constraint maxima read the same history, with G = 0
     constraints = [np.linalg.norm(ops.B @ u) for u in sol.u[1:]]
     assert sol.constraint_max == max(constraints)

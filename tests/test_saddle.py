@@ -113,6 +113,16 @@ def test_block_of_the_wrong_size_rejected(request, level):
             SaddleSolver(sp.identity(size, format="csr"), ops)
 
 
+@pytest.mark.parametrize("level", ["eddy3", "stokes2"])
+def test_non_finite_right_hand_side_is_a_solver_failure(request, level):
+    _, _, _, ops = request.getfixturevalue(level)
+    F = np.ones(ops.B.shape[1])
+    F[0] = np.inf
+    solver = SaddleSolver(ops.R + 0.1 * ops.A, ops)
+    with pytest.raises(SingularSystem, match="non-finite"):
+        solver.solve(F, np.zeros(ops.B.shape[0]))
+
+
 def test_solve_deterministic(eddy3):
     _, _, _, ops = eddy3
     rng = np.random.default_rng(0)
@@ -333,12 +343,24 @@ def test_dissection_order_separates_the_first_bisection(build, n, pattern):
 @pytest.mark.parametrize("n, pattern, fill", [
     (32, "right", 297_750),
     (64, "right", 1_667_014),
-    (64, "crossed", 2_242_887),
+    (64, "crossed", 2_242_872),
 ])
 def test_dissection_fill_pinned(n, pattern, fill):
     _, _, _, ops = build_stokes(n, pattern=pattern)
     A_dt = (ops.R + (0.5 / n) * ops.A).tocsr()
     assert SaddleSolver(A_dt, ops).fill == fill
+
+
+def test_stokes_fill_independent_of_nu_and_dt():
+    # the symmetric Jacobi equilibration keeps the diagonal pivots of the
+    # dissection order; unscaled, nu = 100 (every dt) and nu = 1 at dt =
+    # 0.5 filled 106,992 to 113,258 against 48,454
+    fills = {}
+    for nu in (0.01, 1.0, 100.0):
+        _, _, _, ops = build_stokes(16, nu=nu)
+        for dt in (1e-3, 1 / 32, 0.5):
+            fills[nu, dt] = SaddleSolver(ops.R + dt * ops.A, ops).fill
+    assert max(fills.values()) <= 1.01 * fills[1.0, 1 / 32], fills
 
 
 def _minimum_degree_solve(A_dt, ops, F, G):
@@ -471,6 +493,13 @@ def test_one_pass_block_matrix_matches_bmat(build, n):
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, name),
                                   getattr(want, name)), name
+    # the solver factors E S E with E = |diag S|^-1/2, the Stokes S having
+    # no zero on its diagonal, and S itself for eddy
+    magnitude = np.abs(want.diagonal())
+    if np.all(magnitude > 0):
+        E = sp.diags(1.0 / np.sqrt(magnitude))
+        want = (E @ want @ E).tocsc()
+    assert (build is build_stokes) == np.all(magnitude > 0)
     lu = spla.splu(want, **SPLU_OPTIONS)
     assert solver.fill == lu.nnz
     rhs = np.random.default_rng(8).standard_normal(want.shape[0])
