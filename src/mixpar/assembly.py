@@ -54,7 +54,10 @@ class OperatorSet:
     multiplier DOFs).  X and M are the primal and multiplier inner
     product matrices used for norms and the inf-sup/coercivity
     probes; mean_row is
-    the pressure mean-value functional (Stokes only).
+    the pressure mean-value functional (Stokes only).  shift is the
+    smallest eigenvalue of (A, X) on ker B, which the discretization
+    fixes: nu for Stokes, where A = nu X, and 0 for eddy, where discrete
+    gradients supported in the conductor lie in ker A and ker B.
     """
 
     R: sp.spmatrix
@@ -65,6 +68,7 @@ class OperatorSet:
     primal: FeSpace
     multiplier: FeSpace
     mean_row: np.ndarray | None = None
+    shift: float = 0.0
 
 
 class CellTables:
@@ -374,6 +378,7 @@ def assemble_stokes(velocity, pressure, nu=1.0):
         primal=velocity,
         multiplier=pressure,
         mean_row=tp.val.T @ w,
+        shift=nu,
     )
 
 

@@ -85,12 +85,7 @@ def run_level(cfg, level, vtk_dir=None):
     probed = cfg.probes and ops.B.shape[1] <= DENSE_LIMIT
     if probed:
         beta_h = estimate_infsup(ops)
-        # the smallest eigenvalue of (A, X) on ker B: A = nu X for Stokes,
-        # and ker A meets ker B for eddy (see estimate_coercivity); only the
-        # eddy pencil is lifted, as the bottom of the Stokes one, xi R on
-        # ker B, is clustered near 0, where a lift takes 40-400x the solves
-        shift, lift = (cfg.nu, 0.0) if cfg.case == "stokes" else (0.0, 0.01)
-        alpha_h = estimate_coercivity(ops, cfg.xi, shift, lift)
+        alpha_h = estimate_coercivity(ops, cfg.xi)
 
     return LevelResult(
         level=level,
@@ -139,8 +134,9 @@ def _snapshot_writer(cfg, level, mesh, ops, vtk_dir):
         lam[ok] = ops.multiplier.extend(lam_n)[vertex_dof[ok]]
         if cfg.case == "stokes":
             full = ops.primal.extend(u)
-            vel = np.column_stack([full[0:2 * nv:2], full[1:2 * nv:2]])
-            point_data = {"velocity": vel, "multiplier": lam}
+            # vector DOF 2k+d is component d at vertex k
+            point_data = {"velocity": full[:2 * nv].reshape(nv, 2),
+                          "multiplier": lam}
             cell_data = None
         else:
             vals = tab.apply("val", u).reshape(-1, nq, 2)

@@ -35,12 +35,15 @@ __all__ = [
     "SaddleSolver", "dissection_order", "kernel_basis",
     "estimate_infsup", "estimate_coercivity", "estimate_garding",
     "SingularSystem", "ResidualTooLarge", "NotDenseFeasible", "EmptyKernel",
-    "DENSE_LIMIT", "RESIDUAL_TOL", "SPLU_OPTIONS",
+    "DENSE_LIMIT", "RESIDUAL_TOL", "COERCIVITY_LIFT", "SPLU_OPTIONS",
 ]
 
 DENSE_LIMIT = 3000
 # relative block residual above which a solve is rejected
 RESIDUAL_TOL = 1e-10
+# the coercivity probe's lift of a degenerate R's pencil, relative to
+# tr(K) / tr(X) (see estimate_coercivity)
+COERCIVITY_LIFT = 0.01
 # K is structurally symmetric: keep the diagonal pivots its order relies
 # on.  Full partial pivoting (diag_pivot_thresh=1.0) undoes the order;
 # 0.0 keeps tiny diagonal pivots and loses the accuracy of the eddy
@@ -342,33 +345,37 @@ def estimate_infsup(ops):
     return float(np.sqrt(max(beta2, 0.0)))
 
 
-def estimate_coercivity(ops, xi, shift, lift):
+def estimate_coercivity(ops, xi):
     """Coercivity constant of A + xi R on the level's discrete kernel,
     sparsely.
 
     Returns shift + the smallest eigenvalue of (A + xi R - shift X, X)
-    on {v : B v = 0}, the sparse counterpart of `estimate_garding`.
-    `shift` must be the smallest eigenvalue of (A, X) on that kernel,
-    known from the discretization (nu for Stokes, where A = nu X; 0 for
-    eddy, where discrete gradients supported in the conductor lie in
-    ker A and ker B), and xi >= 0.  The shifted pencil (K, X) is then
+    on {v : B v = 0}, the sparse counterpart of `estimate_garding`, with
+    `ops.shift` the smallest eigenvalue of (A, X) on that kernel (see
+    `OperatorSet`) and xi >= 0.  The shifted pencil (K, X) is then
     positive semidefinite, and shift-invert Lanczos about 0 finds the
-    bottom of (K + s X, X), less s, with s = lift tr(K) / tr(X).  Each
-    step solves the saddle system of K + s X through a `SaddleSolver`;
-    the residual of that solve grows as 1 / (bottom + s), so the lift
-    keeps a small bottom within RESIDUAL_TOL.  At xi = 0, K is singular
-    on the kernel and the answer is `shift` itself.
+    bottom of (K + s X, X), less s.  Each step solves the saddle system
+    of K + s X through a `SaddleSolver`; the residual of that solve
+    grows as 1 / (bottom + s).  When R is degenerate (a zero on its
+    diagonal: every eddy level, where R vanishes off the conductor), the
+    bottom can be near 0 or 0 itself, so the pencil is lifted by
+    s = COERCIVITY_LIFT tr(K) / tr(X), which keeps the solves within
+    RESIDUAL_TOL.  Otherwise (every Stokes level) s = 0: the bottom of
+    the Stokes pencil, xi R on ker B, is clustered near 0, where a lift
+    takes 40-400x the solves.  At xi = 0, K is singular on the kernel
+    and the answer is the shift itself.
     """
     if xi == 0:
-        return float(shift)
+        return float(ops.shift)
     X = ops.X
-    K = (ops.A - shift * X) + xi * ops.R
+    K = (ops.A - ops.shift * X) + xi * ops.R
+    lift = COERCIVITY_LIFT if np.any(ops.R.diagonal() == 0) else 0.0
     s = lift * K.diagonal().sum() / X.diagonal().sum()
     solver = SaddleSolver(K + s * X, ops)
     zeros = np.zeros(ops.B.shape[0])
     mu = _bottom_eigenvalue("coercivity probe",
                             lambda y: solver.solve(y, zeros)[0], X)
-    return float(shift + mu - s)
+    return float(ops.shift + mu - s)
 
 
 def estimate_garding(A, R, X, kernel, xi=1.0):

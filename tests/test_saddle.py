@@ -22,6 +22,7 @@ from conftest import build_eddy, build_stokes
 from meshes import interface_pieces
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+BUILD = {"stokes": build_stokes, "eddy": build_eddy}
 
 
 def test_two_by_two_by_hand(eddy3):
@@ -590,7 +591,7 @@ def test_infsup_overflow_is_a_solver_failure(eddy6):
 # one multiplier (a single solve), the others run Lanczos
 @pytest.mark.parametrize("case, n", [("stokes", 4), ("eddy", 3), ("eddy", 6)])
 def test_infsup_solves_pass_the_residual_guard(monkeypatch, case, n):
-    ops = _probe_instance(case, n)[0]
+    ops = BUILD[case](n)[3]
     monkeypatch.setattr(saddle, "RESIDUAL_TOL", 0.0)
     with pytest.raises(ResidualTooLarge):
         estimate_infsup(ops)
@@ -713,14 +714,6 @@ def _dense_infsup(X, B, M, project_out=None):
     return float(np.sqrt(max(eigs[0], 0.0)))
 
 
-def _probe_instance(case, n, nu=1.0, **kw):
-    """Operators, the coercivity shift (nu for Stokes, 0 for eddy) and the
-    runner's lift (none for Stokes, 1% for eddy)."""
-    if case == "stokes":
-        return build_stokes(n, nu=nu, **kw)[3], nu, 0.0
-    return build_eddy(n, **kw)[3], 0.0, 0.01
-
-
 # every probed level of configs/stokes.cfg (n = 4, 8, 16; n = 32 exceeds
 # DENSE_LIMIT) and configs/eddy2d.json (n = 3, 6, 12, 24), then other
 # coefficients on the crossed pattern, and that pattern's eddy level 2;
@@ -740,11 +733,11 @@ def _probe_instance(case, n, nu=1.0, **kw):
     ("eddy", 6, dict(mu_mag=0.1, pattern="crossed"), 0.1),
 ])
 def test_sparse_probes_match_dense_oracles(case, n, kw, xi):
-    ops, shift, lift = _probe_instance(case, n, **kw)
+    ops = BUILD[case](n, **kw)[3]
     beta = estimate_infsup(ops)
     beta_ref = _dense_infsup(ops.X, ops.B, ops.M, project_out=ops.mean_row)
     assert beta == pytest.approx(beta_ref, rel=1e-10)
-    alpha = estimate_coercivity(ops, xi, shift, lift)
+    alpha = estimate_coercivity(ops, xi)
     alpha_ref = estimate_garding(ops.A, ops.R, ops.X, kernel_basis(ops.B),
                                  xi=xi)
     assert alpha == pytest.approx(alpha_ref, rel=1e-10)
@@ -752,14 +745,16 @@ def test_sparse_probes_match_dense_oracles(case, n, kw, xi):
 
 def test_coercivity_at_xi_zero_is_the_shift():
     for nu in (1.0, 2.5):
-        ops, shift, lift = _probe_instance("stokes", 4, nu=nu)
-        alpha = estimate_coercivity(ops, 0.0, shift, lift)
+        ops = build_stokes(4, nu=nu)[3]
+        assert ops.shift == nu
+        alpha = estimate_coercivity(ops, 0.0)
         assert alpha == nu
         # the limit xi -> 0 from above: nu + xi * min (R, X) on the kernel
-        small = estimate_coercivity(ops, 1e-3, shift, lift)
+        small = estimate_coercivity(ops, 1e-3)
         assert nu < small < nu + 1e-3
-    ops, shift, lift = _probe_instance("eddy", 6)
-    alpha = estimate_coercivity(ops, 0.0, shift, lift)
+    ops = build_eddy(6)[3]
+    assert ops.shift == 0.0
+    alpha = estimate_coercivity(ops, 0.0)
     alpha_ref = estimate_garding(ops.A, ops.R, ops.X, kernel_basis(ops.B),
                                  xi=0.0)
     assert alpha <= 1e-10
@@ -767,20 +762,55 @@ def test_coercivity_at_xi_zero_is_the_shift():
 
 
 def test_sparse_probes_repeat_bitwise(eddy6):
+    # the eddy R is degenerate, so this is the lifted probe
     _, _, _, ops = eddy6
     betas = [estimate_infsup(ops) for _ in range(2)]
-    alphas = [estimate_coercivity(ops, 1.0, 0.0, 0.0) for _ in range(2)]
+    alphas = [estimate_coercivity(ops, 1.0) for _ in range(2)]
     assert betas[0] == betas[1]
     assert alphas[0] == alphas[1]
 
 
-def test_coercivity_singular_shifted_matrix_is_a_solver_failure():
+def test_coercivity_without_conductor_mass_is_lifted_to_zero():
     # without the conductor mass, discrete gradients stay in ker A and
-    # ker B, so the shifted saddle matrix is singular
+    # ker B, so the unlifted saddle matrix would be singular; R = 0 is
+    # degenerate, so the probe lifts it and finds the bottom, 0
     _, _, _, ops = build_eddy(6)
     level = dataclasses.replace(ops, R=sp.csr_matrix(ops.R.shape))
-    with pytest.raises((SingularSystem, ResidualTooLarge)):
-        estimate_coercivity(level, 1.0, 0.0, 0.0)
+    alpha = estimate_coercivity(level, 1.0)
+    alpha_ref = estimate_garding(level.A, level.R, level.X,
+                                 kernel_basis(level.B), xi=1.0)
+    assert abs(alpha) <= 1e-12
+    assert abs(alpha - alpha_ref) <= 1e-12
+
+
+def test_coercivity_lifts_exactly_a_degenerate_r(monkeypatch):
+    # the probe factors A + xi R - shift X + s X: on Stokes, A = nu X
+    # cancels and R has no zero on its diagonal, so s = 0; on eddy, R
+    # vanishes off the conductor, so s = COERCIVITY_LIFT tr(K) / tr(X)
+    blocks = []
+    build = saddle.SaddleSolver
+
+    def recorded(A, ops):
+        blocks.append(A)
+        return build(A, ops)
+    monkeypatch.setattr(saddle, "SaddleSolver", recorded)
+    xi = 0.7
+    stokes = build_stokes(6, nu=2.5)[3]
+    estimate_coercivity(stokes, xi)
+    eddy = build_eddy(6)[3]
+    estimate_coercivity(eddy, xi)
+    assert len(blocks) == 2
+    want = (xi * stokes.R).tocsr()
+    got = sp.csr_matrix(blocks[0])
+    got.sort_indices()
+    want.sort_indices()
+    for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
+                 (got.data, want.data)):
+        assert a.tobytes() == b.tobytes()
+    trace = (eddy.A + xi * eddy.R).diagonal().sum()
+    assert blocks[1].diagonal().sum() == pytest.approx(
+        (1.0 + saddle.COERCIVITY_LIFT) * trace, rel=1e-13)
+    assert saddle.COERCIVITY_LIFT == 0.01
 
 
 @pytest.mark.parametrize("config", ["eddy2d.json", "stokes.cfg"])
