@@ -25,12 +25,8 @@ from .spaces import interpolate
 
 __all__ = [
     "ErrorNorms", "ErrorSweep", "LevelResult", "compute_errors",
-    "fit_rates", "TooFewLevels",
+    "fit_rates",
 ]
-
-
-class TooFewLevels(ValueError):
-    """Rate fitting needs at least three refinement levels."""
 
 
 @dataclass
@@ -254,7 +250,7 @@ def fit_rates(hs, errors):
     hs = np.asarray(hs, dtype=float)
     errors = np.asarray(errors, dtype=float)
     if hs.size < 3:
-        raise TooFewLevels("need at least 3 levels to fit a rate")
+        raise ValueError("need at least 3 levels to fit a rate")
     errs = np.clip(errors, 1e-300, None)
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     return float(slope)

@@ -26,16 +26,7 @@ from .spaces import FeSpace
 __all__ = [
     "Coefficients", "OperatorSet", "CellTables",
     "assemble_stokes", "assemble_eddy2d", "assemble_load",
-    "SpaceMismatch", "NoConductorCells",
 ]
-
-
-class SpaceMismatch(ValueError):
-    """Spaces passed to an assembly routine do not fit together."""
-
-
-class NoConductorCells(ValueError):
-    """The degenerate mass term has empty support."""
 
 
 @dataclass(frozen=True)
@@ -322,26 +313,6 @@ def _scale_rows(P, s):
         shape=P.shape)
 
 
-def _interleave(S):
-    """S ⊗ I₂ of a CSR matrix S: row 2s+d holds row s of S at the columns
-    2t+d, in S's order, one CSR build and no products."""
-    c = np.diff(S.indptr)
-    indptr = np.empty(2 * len(c) + 1, dtype=S.indptr.dtype)
-    indptr[0::2] = 2 * S.indptr
-    indptr[1::2] = S.indptr[:-1] + S.indptr[1:]
-    # entry e of row s goes to slot indptr[s] + e of row 2s, and c[s]
-    # slots further, into row 2s+1
-    first = np.repeat(S.indptr[:-1], c) + np.arange(S.nnz)
-    second = first + np.repeat(c, c)
-    data = np.empty(2 * S.nnz)
-    indices = np.empty(2 * S.nnz, dtype=S.indices.dtype)
-    data[first] = data[second] = S.data
-    indices[first] = 2 * S.indices
-    indices[second] = 2 * S.indices + 1
-    return sp.csr_matrix((data, indices, indptr),
-                         shape=(2 * S.shape[0], 2 * S.shape[1]))
-
-
 def assemble_stokes(velocity, pressure, nu=1.0):
     """Operators of the transient Stokes instance on the MINI pair.
 
@@ -354,9 +325,9 @@ def assemble_stokes(velocity, pressure, nu=1.0):
     component's direction.
     """
     if velocity.mesh is not pressure.mesh:
-        raise SpaceMismatch("velocity and pressure live on different meshes")
+        raise ValueError("velocity and pressure live on different meshes")
     if velocity.kind != "mini" or pressure.kind != "p1":
-        raise SpaceMismatch("expected mini velocity and p1 pressure")
+        raise ValueError("expected mini velocity and p1 pressure")
     tv = CellTables.of(velocity)
     tp = CellTables.of(pressure)
 
@@ -368,9 +339,10 @@ def assemble_stokes(velocity, pressure, nu=1.0):
         (der.data, 2 * der.indices + np.repeat(parity, np.diff(der.indptr)),
          der.indptr[::2]), shape=(der.shape[0] // 2, velocity.num_free))
     w = tv.w  # one point layout, so the weights of both tables
-    X = _interleave(_gram(der, w))
+    I2 = sp.identity(2, format="csr")
+    X = sp.kron(_gram(der, w), I2, format="csr")
     return OperatorSet(
-        R=_interleave(_gram(tv.val, w)),
+        R=sp.kron(_gram(tv.val, w), I2, format="csr"),
         A=nu * X,
         B=-_gram(tp.val, w, div),
         X=X,
@@ -391,12 +363,12 @@ def assemble_eddy2d(edge, multiplier, sigma=1.0, eps=1.0, mu_mag=1.0):
     M the H1 inner product of the multiplier space.
     """
     if edge.mesh is not multiplier.mesh:
-        raise SpaceMismatch("edge and multiplier live on different meshes")
+        raise ValueError("edge and multiplier live on different meshes")
     if edge.kind != "edge" or multiplier.kind != "multiplier":
-        raise SpaceMismatch("expected edge primal and multiplier spaces")
+        raise ValueError("expected edge primal and multiplier spaces")
     in_cond = edge.mesh.cell_subdomain == meshmod.CONDUCTOR
     if not in_cond.any() or sigma <= 0.0:
-        raise NoConductorCells("degenerate mass term has empty support")
+        raise ValueError("degenerate mass term has empty support")
 
     te = CellTables.of(edge)
     tm = CellTables.of(multiplier)

@@ -124,8 +124,6 @@ def _read_json(text):
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise ConfigParseError(f"invalid JSON: {err}") from err
-    if not isinstance(doc, dict):
-        raise ConfigParseError("JSON config must be an object")
     floors = doc.pop("thresholds", {})
     if not isinstance(floors, dict):
         raise ConfigParseError("thresholds must be an object")

@@ -15,14 +15,9 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 __all__ = [
-    "QuadratureRule", "SIX_POINT_RULE", "DegenerateCell", "gauss1d",
-    "bubble_values",
+    "QuadratureRule", "SIX_POINT_RULE", "gauss1d", "bubble_values",
     "cell_geometry", "p1_mass_reference", "p1_stiffness",
 ]
-
-
-class DegenerateCell(ValueError):
-    """Cell has non-positive area."""
 
 
 @dataclass(frozen=True)
@@ -81,7 +76,7 @@ def cell_geometry(pts):
     """Areas and physical barycentric gradients of triangles.
 
     pts is (..., 3, 2); returns areas (...) and gradients (..., 3, 2).
-    Raises DegenerateCell when any signed area is <= 0.
+    Raises ValueError when any signed area is <= 0.
     """
     p = np.asarray(pts, dtype=float)
     d1 = p[..., 1, :] - p[..., 0, :]
@@ -89,7 +84,7 @@ def cell_geometry(pts):
     det = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
     area = 0.5 * det
     if np.any(area <= 0.0):
-        raise DegenerateCell("all cells must have positive signed area")
+        raise ValueError("all cells must have positive signed area")
     grads = np.empty(p.shape)
     # grad(lam_k) = perp(p_{k+2} - p_{k+1}) / (2A), perp(v) = (-vy, vx)
     for k in range(3):

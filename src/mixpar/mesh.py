@@ -15,7 +15,7 @@ from .elements import cell_geometry
 __all__ = [
     "WHOLE", "CONDUCTOR", "INSULATOR",
     "INTERIOR", "OUTER_BOUNDARY", "INTERFACE",
-    "TriMesh", "structured_mesh", "ConductorNotOnLattice",
+    "TriMesh", "structured_mesh",
 ]
 
 # cell subdomain tags
@@ -30,10 +30,6 @@ INTERFACE = 2
 
 # local edge k sits opposite local vertex k
 _LOCAL_EDGES = ((1, 2), (2, 0), (0, 1))
-
-
-class ConductorNotOnLattice(ValueError):
-    """Conductor rectangle corners must coincide with grid points."""
 
 
 class TriMesh:
@@ -140,7 +136,7 @@ class TriMesh:
 def _lattice_index(coord, start, step, n, tol):
     i = int(round((coord - start) / step))
     if i < 0 or i > n or abs(start + i * step - coord) > tol:
-        raise ConductorNotOnLattice(
+        raise ValueError(
             f"coordinate {coord} is not a grid point (step {step})"
         )
     return i

@@ -34,7 +34,7 @@ import scipy.sparse.linalg as spla
 __all__ = [
     "SaddleSolver", "dissection_order", "kernel_basis",
     "estimate_infsup", "estimate_coercivity", "estimate_garding",
-    "SingularSystem", "ResidualTooLarge", "NotDenseFeasible", "EmptyKernel",
+    "SingularSystem", "ResidualTooLarge",
     "DENSE_LIMIT", "RESIDUAL_TOL", "COERCIVITY_LIFT", "SPLU_OPTIONS",
 ]
 
@@ -61,14 +61,6 @@ class SingularSystem(RuntimeError):
 
 class ResidualTooLarge(RuntimeError):
     """Solve finished but the block residual exceeds the tolerance."""
-
-
-class NotDenseFeasible(ValueError):
-    """Dense probe requested beyond the desk-scale DOF limit."""
-
-
-class EmptyKernel(ValueError):
-    """The discrete kernel is trivial; the coercivity probe is vacuous."""
 
 
 class SolveInfo(NamedTuple):
@@ -284,7 +276,7 @@ def kernel_basis(B):
     """Orthonormal basis of the discrete kernel {v : B v = 0}, dense."""
     n = B.shape[1]
     if n > DENSE_LIMIT:
-        raise NotDenseFeasible(f"{n} primal DOFs exceed {DENSE_LIMIT}")
+        raise ValueError(f"{n} primal DOFs exceed {DENSE_LIMIT}")
     if B.shape[0] == 0:
         return np.eye(n)
     return scipy.linalg.null_space(np.asarray(B.todense()))
@@ -387,9 +379,9 @@ def estimate_garding(A, R, X, kernel, xi=1.0):
     """
     Z = np.asarray(kernel)
     if Z.ndim != 2 or Z.shape[1] == 0:
-        raise EmptyKernel("discrete kernel is trivial")
+        raise ValueError("discrete kernel is trivial")
     if Z.shape[0] > DENSE_LIMIT:
-        raise NotDenseFeasible(f"{Z.shape[0]} primal DOFs exceed {DENSE_LIMIT}")
+        raise ValueError(f"{Z.shape[0]} primal DOFs exceed {DENSE_LIMIT}")
     Ak = Z.T @ ((A + xi * R) @ Z)
     Ak = 0.5 * (Ak + Ak.T)
     Xk = Z.T @ (X @ Z)

@@ -27,11 +27,7 @@ import numpy as np
 from . import mesh as meshmod
 from .elements import gauss1d
 
-__all__ = ["FeSpace", "build_space", "interpolate", "MissingTag"]
-
-
-class MissingTag(ValueError):
-    """The mesh lacks tags required by the requested space."""
+__all__ = ["FeSpace", "build_space", "interpolate"]
 
 
 class FeSpace:
@@ -116,7 +112,7 @@ def build_space(mesh, kind, bc="zero_outer"):
     elif kind == "multiplier":
         active_cells = np.where(mesh.cell_subdomain == meshmod.INSULATOR)[0]
         if len(active_cells) == 0:
-            raise MissingTag("multiplier space needs insulator cells")
+            raise ValueError("multiplier space needs insulator cells")
         # label each vertex by the smallest vertex joined to it by
         # interface edges: spread the smaller label across every interface
         # edge, and jump each label to its own label (log-many passes),

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixpar import build_space, interpolate, structured_mesh
-from mixpar.analysis import (ErrorNorms, ErrorSweep, TooFewLevels,
-                             compute_errors, fit_rates)
+from mixpar.analysis import ErrorNorms, ErrorSweep, compute_errors, fit_rates
 from mixpar.assembly import (CellTables, Coefficients, OperatorSet,
                              assemble_eddy2d, assemble_load)
 from mixpar.problems import (ManufacturedCase, Term, Terms, eddy2d_case,
@@ -252,7 +251,7 @@ def test_fit_rates_trivial_sequences():
 
 
 def test_fit_rates_requires_three_levels():
-    with pytest.raises(TooFewLevels):
+    with pytest.raises(ValueError, match="at least 3 levels"):
         fit_rates([0.4, 0.2], [1.0, 0.5])
 
 

@@ -6,13 +6,12 @@ from hypothesis import strategies as st
 
 from mixpar import build_space, interpolate, stokes_case, structured_mesh
 from mixpar.analysis import _per_row, compute_errors
-from mixpar.assembly import (CellTables, NoConductorCells, SpaceMismatch,
-                             assemble_eddy2d, assemble_load, assemble_stokes)
+from mixpar.assembly import (CellTables, assemble_eddy2d, assemble_load,
+                             assemble_stokes)
 from mixpar.config import parse_config
 from mixpar.elements import SIX_POINT_RULE, cell_geometry, p1_mass_reference
 from mixpar.mesh import CONDUCTOR, TriMesh
 from mixpar.runner import _build_instance, run_level
-from mixpar.spaces import MissingTag
 from conftest import build_eddy, build_stokes, discrete_gradient
 from point_maps import (fields, padded_map, same_bits, vector_maps,
                         vector_moments, vector_stokes)
@@ -73,19 +72,56 @@ def test_space_mismatch_rejected():
     mesh2 = structured_mesh((0, 0, 1, 1), 2)
     V = build_space(mesh1, "mini")
     Q = build_space(mesh2, "p1", bc=None)
-    with pytest.raises(SpaceMismatch):
+    with pytest.raises(ValueError, match="live on different meshes"):
         assemble_stokes(V, Q)
-    with pytest.raises(SpaceMismatch):
+    with pytest.raises(ValueError, match="expected mini velocity and p1"):
         assemble_stokes(Q, Q)
 
 
 def test_eddy_requires_conductor():
     mesh, E, MU, _ = build_eddy(3)
-    with pytest.raises(NoConductorCells):
+    with pytest.raises(ValueError, match="mass term has empty support"):
         assemble_eddy2d(E, MU, sigma=0.0)
     plain = structured_mesh((0, 0, 1, 1), 2)
-    with pytest.raises(MissingTag):
+    with pytest.raises(ValueError, match="needs insulator cells"):
         build_space(plain, "multiplier")
+
+
+_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda m, E, MU: structured_mesh((0, 0, 1, 1), 0),
+                 "n must be >= 1", id="mesh-n"),
+    pytest.param(lambda m, E, MU: structured_mesh((0, 0, 1, 1), 2, None,
+                                                  "left"),
+                 "unknown pattern 'left'", id="mesh-pattern"),
+    pytest.param(lambda m, E, MU: structured_mesh((0, 0, 0, 1), 2),
+                 "domain must have positive extent", id="mesh-domain"),
+    pytest.param(lambda m, E, MU: structured_mesh((0, 0, 3, 3), 3,
+                                                  (1, 1, 1, 2)),
+                 "conductor must have positive extent", id="mesh-conductor"),
+    pytest.param(lambda m, E, MU: TriMesh(np.zeros((3, 3)), [[0, 1, 2]]),
+                 r"vertices must be \(nv, 2\)", id="trimesh-vertices"),
+    pytest.param(lambda m, E, MU: TriMesh(_TRIANGLE, [0, 1, 2]),
+                 r"cells must be \(nc, 3\)", id="trimesh-cells"),
+    pytest.param(lambda m, E, MU: TriMesh(_TRIANGLE, [[0, 1, 2]], [1, 1]),
+                 r"cell_subdomain must be \(nc,\)", id="trimesh-subdomain"),
+    pytest.param(lambda m, E, MU: build_space(m, "edge", bc="periodic"),
+                 "unknown bc spec 'periodic'", id="space-bc"),
+    pytest.param(lambda m, E, MU: build_space(m, "p2"),
+                 "unknown space kind 'p2'", id="space-kind"),
+    pytest.param(lambda m, E, MU: assemble_eddy2d(E, build_eddy(3)[2]),
+                 "edge and multiplier live on different meshes",
+                 id="eddy-meshes"),
+    pytest.param(lambda m, E, MU: assemble_eddy2d(MU, MU),
+                 "expected edge primal and multiplier spaces",
+                 id="eddy-kinds"),
+])
+def test_malformed_input_is_rejected_with_its_message(eddy3, build, message):
+    mesh, E, MU, _ = eddy3
+    with pytest.raises(ValueError, match=message):
+        build(mesh, E, MU)
 
 
 def test_eddy_mass_vanishes_off_conductor(eddy3):

@@ -97,6 +97,15 @@ def test_config_validation_errors():
         parse_config('{"case": "stokes", "thresholds": {"err_u_l2X": 3.0}}')
     with pytest.raises(ConfigParseError):
         parse_config("case = eddy2d\nn = 4\n")  # conductor off lattice
+    with pytest.raises(ConfigParseError, match="invalid JSON"):
+        parse_config("{bad")
+    with pytest.raises(ConfigParseError, match="thresholds must be an object"):
+        parse_config('{"case": "stokes", "thresholds": [1]}')
+    with pytest.raises(ConfigParseError, match="line 2: expected key=value"):
+        parse_config("case = stokes\nlevels 3\n")
+    # only text that starts with "{" is read as JSON
+    with pytest.raises(ConfigParseError, match="line 1: expected key=value"):
+        parse_config("[1, 2]")
 
 
 def test_smoke_run_writes_one_row(tmp_path):
@@ -217,6 +226,19 @@ def test_uncreatable_output_dir_exits_2_before_any_level(
     assert "output error" in capsys.readouterr().err
     assert blocker.is_file() and blocker.stat().st_size == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["f", "ok.cfg"]
+
+
+def test_output_dir_it_created_is_removed_when_staging_fails(
+        tmp_path, monkeypatch, capsys):
+    def refuse(**kwargs):
+        raise PermissionError("staging refused")
+
+    monkeypatch.setattr(tempfile, "mkdtemp", refuse)
+    cfg = tmp_path / "ok.cfg"
+    cfg.write_text(SMOKE_KV)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "staging refused" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ok.cfg"]
 
 
 def test_missing_config_exits_2(tmp_path):

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from mixpar import build_space
 from mixpar.mesh import (CONDUCTOR, INSULATOR, INTERFACE, INTERIOR,
-                         OUTER_BOUNDARY, WHOLE, ConductorNotOnLattice,
-                         TriMesh, structured_mesh)
+                         OUTER_BOUNDARY, WHOLE, TriMesh, structured_mesh)
 from meshes import check_mesh, edge_cells, interface_pieces, uniform_refine
 
 
@@ -35,9 +34,9 @@ def test_conductor_tagging_on_3x3():
 
 
 def test_conductor_off_lattice_rejected():
-    with pytest.raises(ConductorNotOnLattice):
+    with pytest.raises(ValueError, match=r"coordinate 1\.5 is not a grid"):
         structured_mesh((0, 0, 3, 3), 3, conductor=(1.5, 1, 2, 2))
-    with pytest.raises(ConductorNotOnLattice):
+    with pytest.raises(ValueError, match=r"coordinate 1\.0 is not a grid"):
         structured_mesh((0, 0, 3, 3), 2, conductor=(1, 1, 2, 2))
 
 

@@ -13,9 +13,8 @@ from hypothesis import strategies as st
 from mixpar import runner, saddle
 from mixpar.config import load_config, parse_config
 from mixpar.runner import run_experiment
-from mixpar.saddle import (SPLU_OPTIONS, EmptyKernel, NotDenseFeasible,
-                           ResidualTooLarge, SaddleSolver, SingularSystem,
-                           _block_matrix, dissection_order,
+from mixpar.saddle import (SPLU_OPTIONS, ResidualTooLarge, SaddleSolver,
+                           SingularSystem, _block_matrix, dissection_order,
                            estimate_coercivity, estimate_garding,
                            estimate_infsup, kernel_basis)
 from conftest import build_eddy, build_stokes
@@ -657,13 +656,20 @@ def test_garding_eddy_uniform_across_levels():
 
 def test_empty_kernel_raises():
     I3 = sp.identity(3, format="csr")
-    with pytest.raises(EmptyKernel):
+    with pytest.raises(ValueError, match="discrete kernel is trivial"):
         estimate_garding(I3, I3, I3, np.zeros((3, 0)))
 
 
 def test_dense_limit_guard():
-    with pytest.raises(NotDenseFeasible):
+    with pytest.raises(ValueError, match="4000 primal DOFs exceed 3000"):
         kernel_basis(sp.csr_matrix((1, 4000)))
+    I3 = sp.identity(3, format="csr")
+    with pytest.raises(ValueError, match="3001 primal DOFs exceed 3000"):
+        estimate_garding(I3, I3, I3, np.zeros((3001, 1)))
+
+
+def test_kernel_basis_without_constraints_is_the_identity():
+    assert np.array_equal(kernel_basis(sp.csr_matrix((0, 4))), np.eye(4))
 
 
 def test_kernel_basis_spans_constraint_kernel(eddy3):

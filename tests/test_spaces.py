@@ -5,7 +5,6 @@ from mixpar import build_space, interpolate, structured_mesh
 from mixpar.assembly import CellTables
 from mixpar.elements import SIX_POINT_RULE
 from mixpar.mesh import CONDUCTOR, INSULATOR, TriMesh
-from mixpar.spaces import MissingTag
 from meshes import edge_cells, interface_pieces, uniform_refine
 from rules import collapsed_rule
 
@@ -59,7 +58,7 @@ def test_multiplier_space_excludes_conductor_interior():
 
 def test_multiplier_requires_insulator_cells():
     m = structured_mesh((0, 0, 1, 1), 2)
-    with pytest.raises(MissingTag):
+    with pytest.raises(ValueError, match="needs insulator cells"):
         build_space(m, "multiplier")
 
 

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from mixpar.assembly import assemble_load
-from mixpar.saddle import SaddleSolver
+from mixpar.saddle import SaddleSolver, SingularSystem
 from mixpar.timestep import TimeGrid, run
 from conftest import build_eddy, build_stokes
 
@@ -44,6 +44,19 @@ def test_zero_data_gives_zero_solution(eddy3):
     sol = run(ops, lambda t: np.zeros(ops.A.shape[0]), grid)
     assert np.abs(sol.u).max() == 0.0
     assert np.abs(sol.lam).max() == 0.0
+
+
+def test_failed_step_is_reported_with_its_step_and_time(eddy3):
+    # a non-finite load from the second step on makes that solve fail
+    _, _, _, ops = eddy3
+    n = ops.A.shape[0]
+
+    def load(t):
+        return np.full(n, np.nan if t > 0.3 else 1.0)
+
+    with pytest.raises(SingularSystem, match=r"^step 2 \(t=0\.5\): "
+                       "factorization produced non-finite solution"):
+        run(ops, load, TimeGrid(1.0, 4))
 
 
 def test_time_grid_validation():
