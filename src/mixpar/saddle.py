@@ -9,12 +9,12 @@ the level's `OperatorSet`, which gives the rest of its layout: B, the
 gauge row it drops, the MINI cell bubbles it eliminates by their
 diagonal (they couple to no other bubble) and the order of the
 unknowns left, `dissection_order`, one nested dissection of the mesh
-lattice for Stokes and eddy alike, computed once per level.  It fills
-28% less than minimum degree on Stokes n=64 and 39% less on eddy n=96.
-On Stokes n=64 the Schur complement SuperLU factors has 12,162 of K's
-28,546 unknowns and fills 1,667,014 against K's 1,860,840, for nu and
-dt across the validity range, as it is equilibrated (unscaled: 8,822,634
-at nu = 100).
+lattice for Stokes and eddy alike, which each solver computes.  It
+fills 28% less than minimum degree on Stokes n=64 and 39% less on eddy
+n=96.  On Stokes n=64 the Schur complement SuperLU factors has 12,162
+of K's 28,546 unknowns and fills 1,667,014 against K's 1,860,840, for
+nu and dt across the validity range, as it is equilibrated (unscaled:
+8,822,634 at nu = 100).
 
 Both runtime probes run shift-invert Lanczos through a `SaddleSolver`:
 `estimate_infsup` on the Schur pencil (B X^{-1} B^T, M) and
@@ -23,6 +23,7 @@ Both runtime probes run shift-invert Lanczos through a `SaddleSolver`:
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 from typing import NamedTuple
 
@@ -34,7 +35,7 @@ import scipy.sparse.linalg as spla
 __all__ = [
     "SaddleSolver", "dissection_order", "kernel_basis",
     "estimate_infsup", "estimate_coercivity", "estimate_garding",
-    "SingularSystem", "ResidualTooLarge",
+    "SingularSystem", "named_failures",
     "DENSE_LIMIT", "RESIDUAL_TOL", "COERCIVITY_LIFT", "SPLU_OPTIONS",
 ]
 
@@ -54,13 +55,19 @@ SPLU_OPTIONS = dict(permc_spec="NATURAL", diag_pivot_thresh=0.1,
 
 class SingularSystem(RuntimeError):
     """Factorization failed or produced non-finite values, a (1,1) block
-    has a diagonal entry that is not positive, a probe matrix is not
-    finite, or an eigensolver iterating on a factorization did not
-    converge."""
+    has a diagonal entry that is not positive, a solve's block residual
+    exceeds RESIDUAL_TOL, a probe matrix is not finite, or an eigensolver
+    iterating on a factorization did not converge."""
 
 
-class ResidualTooLarge(RuntimeError):
-    """Solve finished but the block residual exceeds the tolerance."""
+@contextlib.contextmanager
+def named_failures(what):
+    """Prefix `what: ` to the message of a SingularSystem raised inside, so
+    a failure names its step, its probe or its level."""
+    try:
+        yield
+    except SingularSystem as err:
+        raise SingularSystem(f"{what}: {err}") from err
 
 
 class SolveInfo(NamedTuple):
@@ -78,9 +85,9 @@ class SaddleSolver:
     no other: their block D of A must be diagonal, and it is eliminated
     by D before factoring, so SuperLU factors only the Schur complement
     S = K_rr - C D^{-1} C^T of the remaining unknowns r, with C = [A_rb;
-    B_b] their coupling, in the level's `dissection_order`, computed on
-    its first factorization and kept on `ops`.  Each solve forms
-    r - C D^{-1} F_b, solves with S and recovers u_b = (F_b - C^T z_r) / D.
+    B_b] their coupling, in the level's `dissection_order`.  Each solve
+    forms r - C D^{-1} F_b, solves with S and recovers
+    u_b = (F_b - C^T z_r) / D.
     SuperLU factors E S E, symmetric Jacobi equilibration (Duff & Pralet
     2005) with E = |diag S|^{-1/2} (`scale`), when S has no zero on its
     diagonal (every Stokes S; the eddy multiplier block is zero, so E = I
@@ -113,7 +120,7 @@ class SaddleSolver:
             raise SingularSystem("(1,1) block has a non-positive diagonal")
         self.kept = n - ops.primal.num_bubbles
         self.D = diagonal[self.kept:]
-        self.order = _level_order(ops)
+        self.order = dissection_order(ops)
         S, self.C, self.CT = _block_matrix(self.A, self.B[self.dropped:],
                                            self.D, self.order)
         # E S E in place, so the matrix is never held twice
@@ -149,17 +156,9 @@ class SaddleSolver:
         residual = float(np.hypot(primal, constraint))
         scale = float(np.hypot(np.linalg.norm(F), np.linalg.norm(G)))
         if residual > RESIDUAL_TOL * scale:
-            raise ResidualTooLarge(
+            raise SingularSystem(
                 f"residual {residual:.3e} against right-hand side {scale:.3e}")
         return u, lam, SolveInfo(residual / (scale or 1.0), constraint)
-
-
-def _level_order(ops):
-    """`dissection_order(ops)`, computed on the level's first call and kept
-    on `ops` for the others."""
-    if "_order" not in vars(ops):
-        ops._order = dissection_order(ops)
-    return ops._order
 
 
 def _block_matrix(A, B1, D, order):
@@ -277,12 +276,10 @@ def kernel_basis(B):
     n = B.shape[1]
     if n > DENSE_LIMIT:
         raise ValueError(f"{n} primal DOFs exceed {DENSE_LIMIT}")
-    if B.shape[0] == 0:
-        return np.eye(n)
     return scipy.linalg.null_space(np.asarray(B.todense()))
 
 
-def _bottom_eigenvalue(what, solve, M):
+def _bottom_eigenvalue(solve, M):
     """Smallest eigenvalue of a positive semidefinite pencil (K, M), where
     solve(y) returns K^{-1} y, by shift-invert Lanczos about 0 from
     solve(M start), with start a seeded normal vector, so repeated calls
@@ -293,7 +290,7 @@ def _bottom_eigenvalue(what, solve, M):
     v0 = inv @ (M @ start)
     if not np.any(v0):
         # K^{-1} M start underflowed: K's entries are beyond float range
-        raise SingularSystem(f"{what}: the pencil is not finite")
+        raise SingularSystem("the pencil is not finite")
     if n == 1:
         # ARPACK needs more unknowns than eigenvalues
         return start[0] / v0[0]
@@ -304,7 +301,7 @@ def _bottom_eigenvalue(what, solve, M):
                         v0=v0, ncv=min(n, 8), tol=1e-10,
                         return_eigenvectors=False)
     except spla.ArpackError as err:
-        raise SingularSystem(f"{what}: {err}") from err
+        raise SingularSystem(str(err)) from err
     return mu[0]
 
 
@@ -326,14 +323,15 @@ def estimate_infsup(ops):
     first = 0 if mean_row is None else 1
     if ops.B.shape[0] <= first or sp.csr_matrix(ops.B).count_nonzero() == 0:
         return 0.0
-    solver = SaddleSolver(ops.X, ops)
     zeros = np.zeros(ops.X.shape[0])
 
     def solve(q):
         if mean_row is not None:
             q = q - mean_row * (q.sum() / mean_row.sum())
         return -solver.solve(zeros, q)[1]
-    beta2 = _bottom_eigenvalue("inf-sup probe", solve, ops.M)
+    with named_failures("inf-sup probe"):
+        solver = SaddleSolver(ops.X, ops)
+        beta2 = _bottom_eigenvalue(solve, ops.M)
     return float(np.sqrt(max(beta2, 0.0)))
 
 
@@ -363,10 +361,10 @@ def estimate_coercivity(ops, xi):
     K = (ops.A - ops.shift * X) + xi * ops.R
     lift = COERCIVITY_LIFT if np.any(ops.R.diagonal() == 0) else 0.0
     s = lift * K.diagonal().sum() / X.diagonal().sum()
-    solver = SaddleSolver(K + s * X, ops)
     zeros = np.zeros(ops.B.shape[0])
-    mu = _bottom_eigenvalue("coercivity probe",
-                            lambda y: solver.solve(y, zeros)[0], X)
+    with named_failures("coercivity probe"):
+        solver = SaddleSolver(K + s * X, ops)
+        mu = _bottom_eigenvalue(lambda y: solver.solve(y, zeros)[0], X)
     return float(ops.shift + mu - s)
 
 

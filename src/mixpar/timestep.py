@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .saddle import SaddleSolver, SingularSystem
+from .saddle import SaddleSolver, named_failures
 
 __all__ = ["TimeGrid", "TimeSeriesSolution", "run"]
 
@@ -87,10 +87,8 @@ def run(ops, load, grid, observe=None):
     for n in range(1, grid.N + 1):
         t = n * dt
         F = dt * load(t) + ops.R @ u + solver.BT @ lam
-        try:
+        with named_failures(f"step {n} (t={t:g})"):
             u, lam, info = solver.solve(F, G)
-        except SingularSystem as err:
-            raise SingularSystem(f"step {n} (t={t:g}): {err}") from err
         block_max = max(block_max, info.block_residual)
         constraint_max = max(constraint_max, info.constraint_residual)
         constraint_rel_max = max(constraint_rel_max, info.constraint_residual

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -538,17 +539,45 @@ def _shifted_factor_singular(*args, **kwargs):
 ])
 def test_coercivity_probe_failure_exits_3(tmp_path, monkeypatch, capsys,
                                           case, target, injected):
-    # the step solves use timestep's own SaddleSolver name, so only the
-    # probe's shifted factorization fails
-    from mixpar import saddle
+    # the step solves use timestep's own SaddleSolver name, and the inf-sup
+    # probe, which would fail first, is left out, so only the coercivity
+    # probe fails; its name is given once, whether ARPACK or the
+    # factorization fails
+    from mixpar import runner, saddle
     owner = saddle.spla if target == "eigsh" else saddle
     monkeypatch.setattr(owner, target, injected)
+    monkeypatch.setattr(runner, "estimate_infsup", lambda ops: 1.0)
     cfg_path = tmp_path / "probe.cfg"
     cfg_path.write_text(f"case = {case}\nn = 3\nlevels = 2\nsteps = 2\n"
                         "probes = true\n")
     out = tmp_path / "out"
     assert main(["run", str(cfg_path), "--out", str(out)]) == 3
-    assert "solver failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: level 0: coercivity probe: ")
+    assert err.count("probe") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_residual_guard_failure_names_its_level_and_step(tmp_path,
+                                                         monkeypatch, capsys,
+                                                         jobs):
+    # no solve passes the guard at a zero tolerance, so every level fails
+    # on its first step; with two jobs either level may be reported
+    from mixpar import saddle
+    monkeypatch.setattr(saddle, "RESIDUAL_TOL", 0.0)
+    cfg_path = tmp_path / "guard.cfg"
+    cfg_path.write_text("case = stokes\nn = 2\nlevels = 2\nsteps = 2\n"
+                        "T = 0.5\n")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--out", str(out),
+                 "--jobs", jobs]) == 3
+    levels = "0" if jobs == "1" else "[01]"
+    line = re.fullmatch(
+        rf"solver failure: level ({levels}): step 1 \(t=(\S+)\): "
+        r"residual \S+ against right-hand side \S+\n",
+        capsys.readouterr().err)
+    assert line and line[2] == {"0": "0.25", "1": "0.125"}[line[1]]
     assert not out.exists()
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from mixpar import saddle
 from mixpar.assembly import assemble_load
 from mixpar.saddle import SaddleSolver, SingularSystem
 from mixpar.timestep import TimeGrid, run
@@ -46,7 +47,7 @@ def test_zero_data_gives_zero_solution(eddy3):
     assert np.abs(sol.lam).max() == 0.0
 
 
-def test_failed_step_is_reported_with_its_step_and_time(eddy3):
+def test_failed_step_is_reported_with_its_step_and_time(eddy3, monkeypatch):
     # a non-finite load from the second step on makes that solve fail
     _, _, _, ops = eddy3
     n = ops.A.shape[0]
@@ -57,6 +58,11 @@ def test_failed_step_is_reported_with_its_step_and_time(eddy3):
     with pytest.raises(SingularSystem, match=r"^step 2 \(t=0\.5\): "
                        "factorization produced non-finite solution"):
         run(ops, load, TimeGrid(1.0, 4))
+    # so does the residual guard, which no solve passes at a zero tolerance
+    monkeypatch.setattr(saddle, "RESIDUAL_TOL", 0.0)
+    with pytest.raises(SingularSystem, match=r"^step 1 \(t=0\.25\): "
+                       "residual [^ ]+ against right-hand side "):
+        run(ops, lambda t: np.ones(n), TimeGrid(1.0, 4))
 
 
 def test_time_grid_validation():
